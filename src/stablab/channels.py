@@ -25,12 +25,11 @@ from .paulis import (
     LogicalPair,
     PauliOperator,
     StabilizerGroup,
-    commutes,
+    combine,
     embed_pauli,
-    identity,
     logical_pairs,
-    multiply,
     single,
+    symplectic_product,
 )
 from .states import (
     StabilizerMixture,
@@ -97,18 +96,11 @@ def logical_depolarize(state, pairs):
         rows = state.rows
         if not rows or not logicals:
             return state
-        mat = np.zeros((len(rows), len(logicals)), dtype=np.uint8)
-        for i, r in enumerate(rows):
-            for j, l in enumerate(logicals):
-                mat[i, j] = 0 if commutes(r, l) else 1
-        kernel = gf2.kernel_basis(mat.T)
-        survivors = []
-        for coeffs in kernel:
-            prod = identity(state.m)
-            for j, c in enumerate(coeffs):
-                if c:
-                    prod = multiply(prod, rows[j])  # rows commute: sign exact
-            survivors.append(prod)
+        # row combinations that commute with every logical survive
+        anticommuting = [
+            sum(symplectic_product(r, l) << j for j, l in enumerate(logicals)) for r in rows
+        ]
+        survivors = [combine(state.m, rows, combo) for combo in gf2.dependencies(anticommuting)]
         return StabilizerMixture(state.m, tuple(survivors))
 
     rho = np.asarray(state, dtype=complex)

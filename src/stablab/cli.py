@@ -4,14 +4,17 @@ Every command prints canonical JSON (sorted keys, two-space indent) so the
 same invocation always produces the same bytes; pass --out to write the
 payload atomically instead. Randomized commands embed their seed in the
 output. Exit codes: 0 success, 1 a checked inequality came back false,
-2 usage errors (including unknown built-ins and file parse errors).
+2 usage errors (including unknown built-ins, file parse errors and
+out-of-range options).
 
 The dense-simulation ceiling honors the STABLAB_DENSE_LIMIT environment
-variable; there is no interactive mode.
+variable, which must be a positive integer (else exit 2); there is no
+interactive mode.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -112,6 +115,10 @@ def _with_code_options(fn):
 @click.group()
 def main():
     """Stabilizer-code laboratory: codes, circuits, bounds, search."""
+    try:
+        dense_qubit_limit()
+    except ValueError as err:
+        raise click.UsageError(str(err))
 
 
 @main.group()
@@ -329,7 +336,7 @@ def bounds_suite(run_all, checks, out):
 
 @main.command("frontier")
 @_with_code_options
-@click.option("--t-max", default=3, show_default=True, type=int)
+@click.option("--t-max", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option(
     "--strategy",
     "strategies",
@@ -337,7 +344,13 @@ def bounds_suite(run_all, checks, out):
     type=click.Choice(STRATEGIES),
     help="search strategy (repeatable; default: all)",
 )
-@click.option("--budget", default=300, show_default=True, type=int, help="energy evaluations per strategy")
+@click.option(
+    "--budget",
+    default=300,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="energy evaluations per strategy",
+)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option(
     "--format",
@@ -391,9 +404,9 @@ def amplify_group():
 
 @amplify_group.command("check")
 @_with_code_options
-@click.option("--p", default=2, show_default=True, type=int, help="amplification power")
-@click.option("--t", default=1, show_default=True, type=int, help="prep depth of sampled states")
-@click.option("--n-states", default=20, show_default=True, type=int)
+@click.option("--p", default=2, show_default=True, type=click.IntRange(min=1), help="amplification power")
+@click.option("--t", default=1, show_default=True, type=click.IntRange(min=0), help="prep depth of sampled states")
+@click.option("--n-states", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", default=None, type=click.Path())
 def amplify_check(builtin, file_path, p, t, n_states, seed, out):
@@ -432,10 +445,14 @@ def amplify_check(builtin, file_path, p, t, n_states, seed, out):
 @_with_code_options
 @click.option("--delta", default=0.25, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--samples", default=None, type=int, help="override the lemma sample count")
+@click.option(
+    "--samples", default=None, type=click.IntRange(min=1), help="override the lemma sample count"
+)
 @click.option("--out", default=None, type=click.Path())
 def sparsify_cmd(builtin, file_path, delta, seed, samples, out):
     """One sampled sparsifier draw and its spectral deviation."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise click.BadParameter(f"{delta} is not a positive finite number", param_hint="'--delta'")
     chosen = _pick_code(builtin, file_path)
     group = chosen.group
     amp = amplify(build_code_hamiltonian(group, "mean"), 1)

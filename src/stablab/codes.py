@@ -60,11 +60,6 @@ def _densify(rows, n: int) -> np.ndarray:
     return out
 
 
-def _sparsify(mat) -> tuple[tuple[int, ...], ...]:
-    arr = gf2.as_gf2(mat)
-    return tuple(tuple(int(c) for c in np.nonzero(row)[0]) for row in arr)
-
-
 def css_to_stabilizer(css: CssCode) -> StabilizerGroup:
     """X-rows then Z-rows as Hermitian +1 generators."""
     gens = []
@@ -119,7 +114,12 @@ class CodeParameters:
 
 
 def code_parameters(code: Code | StabilizerGroup, distance_cap: int = 4) -> CodeParameters:
+    """Computed once per group and cap; later calls return the same object."""
     group = code.group if isinstance(code, Code) else code
+    return group.derived(("code_parameters", distance_cap), lambda: _code_parameters(group, distance_cap))
+
+
+def _code_parameters(group: StabilizerGroup, distance_cap: int) -> CodeParameters:
     found = min_weight_logical(group, cap=distance_cap)
     return CodeParameters(
         n=group.n,

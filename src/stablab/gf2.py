@@ -1,14 +1,109 @@
-"""Dense GF(2) linear algebra on numpy uint8 matrices.
+"""GF(2) linear algebra on bit-packed Python-int rows.
 
-Row reduction, rank, solving, and kernel bases over the two-element field.
-Matrices are numpy arrays with entries in {0, 1}; dtype uint8 keeps XOR row
-operations cheap at the sizes this package meets (dimensions up to a few
-hundred rows/columns).
+The engine is :class:`Reducer`: incremental row reduction where each stored
+row's pivot is its leading (highest) set bit, and each stored row carries the
+set of offered vectors that XOR to it (bit i of the combination is the i-th
+vector offered). From it come rank, solve (a combination of the vectors that
+hits a target) and kernel (the combinations that XOR to zero). Symplectic
+Pauli vectors ``x | z << n`` and syndrome masks go through it directly.
+
+The uint8 functions (``as_gf2``, ``row_echelon``, ``rank``, ``solve``,
+``kernel_basis``) are adapters for matrix-shaped callers: they pack each
+matrix row into an int (column j is bit j), run the engine, and unpack.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class Reducer:
+    """Incremental GF(2) row reduction on ints, leading-bit pivots.
+
+    ``rows`` holds ``(pivot, row)`` pairs in insertion order. Each row was
+    reduced before it was stored, so it is zero at the pivots of the rows
+    before it; reducing a vector against the rows in that order therefore
+    never sets a pivot bit already cleared, and the residue has every pivot
+    bit clear. ``dependencies`` collects, for each offered vector that
+    reduced to zero, the combination of offered vectors that XORs to zero.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows: list[tuple[int, int]] = []
+        self._combos: list[int] = []  # parallel to rows
+        self._offered = 0
+        self.dependencies: list[int] = []
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: int) -> int:
+        for pivot, row in self.rows:
+            if (v >> pivot) & 1:
+                v ^= row
+        return v
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
+    def _reduce_tracked(self, v: int) -> tuple[int, int]:
+        combo = 0
+        for (pivot, row), row_combo in zip(self.rows, self._combos):
+            if (v >> pivot) & 1:
+                v ^= row
+                combo ^= row_combo
+        return v, combo
+
+    def solve(self, v: int) -> int | None:
+        """Combination of offered vectors XORing to v, or None if v is outside the span."""
+        v, combo = self._reduce_tracked(v)
+        return None if v else combo
+
+    def add(self, v: int) -> bool:
+        """Reduce and absorb; True when v was independent of the rows so far."""
+        v, combo = self._reduce_tracked(v)
+        combo ^= 1 << self._offered
+        self._offered += 1
+        if not v:
+            self.dependencies.append(combo)
+            return False
+        self.rows.append((v.bit_length() - 1, v))
+        self._combos.append(combo)
+        return True
+
+
+def dependencies(vectors) -> list[int]:
+    """Basis of {c : XOR of vectors[i] over bits i of c is zero}.
+
+    One combination per vector that depends on the earlier ones, in vector
+    order; it holds that vector's bit plus its unique expression in the
+    independent earlier vectors. With the vectors as the columns of a matrix
+    this is the free-variable kernel basis of that matrix, free columns
+    ascending.
+    """
+    return Reducer(vectors).dependencies
+
+
+def transpose(rows, width: int) -> list[int]:
+    """Column ints of a row-int matrix: bit i of column j is bit j of row i."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
+
+
+def kernel(rows, width: int) -> list[int]:
+    """Basis of {v < 2^width : every row & v has even parity}, free bits ascending."""
+    return dependencies(transpose(rows, width))
+
+
+# --- uint8 matrix adapters ---
 
 
 def as_gf2(mat) -> np.ndarray:
@@ -21,6 +116,22 @@ def as_gf2(mat) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def _pack(mat) -> tuple[list[int], int]:
+    """(row ints with column j at bit j, column count)."""
+    arr = as_gf2(mat)
+    packed = np.packbits(arr, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], arr.shape[1]
+
+
+def _unpack(ints, width: int) -> np.ndarray:
+    nbytes = (width + 7) // 8
+    out = np.zeros((len(ints), width), dtype=np.uint8)
+    for i, v in enumerate(ints):
+        raw = np.frombuffer(v.to_bytes(nbytes, "little"), dtype=np.uint8)
+        out[i] = np.unpackbits(raw, bitorder="little")[:width]
+    return out
+
+
 def row_echelon(mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2).
 
@@ -31,42 +142,32 @@ def row_echelon(mat) -> tuple[np.ndarray, list[int]]:
         (rref, pivot_cols): the reduced matrix (same shape, zero rows sink to
         the bottom) and the list of pivot column indices in order.
     """
-    r = as_gf2(mat).copy()
-    n_rows, n_cols = r.shape
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
-            continue
-        pivot = row + int(hits[0])
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        # eliminate the column everywhere else (reduced form)
-        others = np.nonzero(r[:, col])[0]
-        for other in others:
-            if other != row:
-                r[other] ^= r[row]
-        pivot_cols.append(col)
-        row += 1
-    return r, pivot_cols
+    rows, width = _pack(mat)
+    # pivot columns are those independent of the columns before them; each
+    # other column's dependency names the pivot rows that hold a 1 there
+    reducer = Reducer()
+    pivot_cols = [j for j, col in enumerate(transpose(rows, width)) if reducer.add(col)]
+    reduced = [1 << col for col in pivot_cols]
+    for combo in reducer.dependencies:
+        free = combo.bit_length() - 1
+        for k, col in enumerate(pivot_cols):
+            if (combo >> col) & 1:
+                reduced[k] |= 1 << free
+    return _unpack(reduced + [0] * (len(rows) - len(reduced)), width), pivot_cols
 
 
 def rank(mat) -> int:
     """GF(2) rank."""
-    _, pivots = row_echelon(mat)
-    return len(pivots)
+    return Reducer(_pack(mat)[0]).rank
 
 
 def residue(vec, rref: np.ndarray, pivot_cols: list[int]) -> np.ndarray:
     """Reduce a vector against a row-reduced basis; zero iff in the row space."""
-    v = as_gf2(vec).ravel().copy()
-    for row_idx, col in enumerate(pivot_cols):
-        if v[col]:
-            v ^= rref[row_idx]
-    return v
+    (v,), width = _pack(vec)
+    for row, col in zip(_pack(rref)[0], pivot_cols):
+        if (v >> col) & 1:
+            v ^= row
+    return _unpack([v], width)[0]
 
 
 def in_rowspace(vec, rref: np.ndarray, pivot_cols: list[int]) -> bool:
@@ -83,19 +184,12 @@ def solve(mat, rhs) -> np.ndarray | None:
     Returns:
         A length-n uint8 solution vector (free variables set to 0), or None.
     """
-    a = as_gf2(mat)
-    b = as_gf2(rhs).ravel()
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise ValueError(f"rhs length {b.shape[0]} does not match {m} rows")
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    red, pivots = row_echelon(aug)
-    x = np.zeros(n, dtype=np.uint8)
-    for row_idx, col in enumerate(pivots):
-        if col == n:
-            return None  # pivot in the augmented column: inconsistent
-        x[col] = red[row_idx, n]
-    return x
+    rows, width = _pack(mat)
+    (target,), m = _pack(as_gf2(rhs).ravel())
+    if m != len(rows):
+        raise ValueError(f"rhs length {m} does not match {len(rows)} rows")
+    combo = Reducer(transpose(rows, width)).solve(target)
+    return None if combo is None else _unpack([combo], width)[0]
 
 
 def kernel_basis(mat) -> np.ndarray:
@@ -104,15 +198,5 @@ def kernel_basis(mat) -> np.ndarray:
     Returns a (dim, n) uint8 matrix; dim = n - rank(mat). The basis follows
     the standard free-variable construction and is deterministic.
     """
-    a = as_gf2(mat)
-    _, n = a.shape
-    red, pivots = row_echelon(a)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((len(free_cols), n), dtype=np.uint8)
-    for k, free in enumerate(free_cols):
-        basis[k, free] = 1
-        for row_idx, col in enumerate(pivots):
-            if red[row_idx, free]:
-                basis[k, col] = 1
-    return basis
+    rows, width = _pack(mat)
+    return _unpack(kernel(rows, width), width)

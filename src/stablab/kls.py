@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.optimize import linprog
 
 from .circuits import LayeredCircuit
 from .codes import Code, code_parameters
@@ -57,6 +56,8 @@ def kls_polynomial(n_domain: int, deg: int) -> KlsPolynomial:
         raise ValueError(
             f"degree {deg} outside [sqrt({n_domain}), {n_domain}]"
         )
+    from scipy.optimize import linprog  # imported here: it dominates `import stablab.cli`
+
     points = np.arange(n_domain + 1, dtype=float)
     vander = chebyshev.chebvander(2.0 * points / n_domain - 1.0, deg)
 

@@ -67,6 +67,11 @@ class PauliOperator:
     def y_count(self) -> int:
         return (self.x & self.z).bit_count()
 
+    @property
+    def vec(self) -> int:
+        """The symplectic bit vector x | z << n."""
+        return self.x | (self.z << self.n)
+
     def letter(self, q: int) -> str:
         return _BITS_TO_LETTER[((self.x >> q) & 1, (self.z >> q) & 1)]
 
@@ -116,11 +121,11 @@ def _parity(v: int) -> int:
 
 def symplectic_product(p: PauliOperator, q: PauliOperator) -> int:
     """1 when the operators anticommute, 0 when they commute."""
-    return _parity(p.x & q.z) ^ _parity(p.z & q.x)
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    return symplectic_product(p, q) == 0
+    return not ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1
 
 
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
@@ -179,10 +184,6 @@ def embed_pauli(p: PauliOperator, m: int, wires) -> PauliOperator:
 # --- symplectic bit-vector helpers (v = x | z << n) ---
 
 
-def _vec(p: PauliOperator) -> int:
-    return p.x | (p.z << p.n)
-
-
 def _vec_to_pauli(v: int, n: int, sign: int = 1) -> PauliOperator:
     mask = (1 << n) - 1
     return PauliOperator(n, v & mask, v >> n, sign)
@@ -193,42 +194,36 @@ def _omega(u: int, w: int, n: int) -> int:
     return _parity((u & mask) & (w >> n)) ^ _parity((u >> n) & (w & mask))
 
 
-class _IntRowReducer:
-    """Incremental GF(2) row reduction on bit-packed integers."""
+def combine(n: int, ops, combo: int) -> PauliOperator:
+    """Product of ops[i] over the set bits i of combo, ascending.
 
-    def __init__(self):
-        self.rows: list[tuple[int, int]] = []  # (pivot_bit, row)
-
-    def reduce(self, v: int) -> int:
-        for pivot, row in self.rows:
-            if (v >> pivot) & 1:
-                v ^= row
-        return v
-
-    def add(self, v: int) -> bool:
-        """Reduce and absorb; True when v was independent."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        pivot = v.bit_length() - 1
-        self.rows.append((pivot, v))
-        self.rows.sort(reverse=True)
-        return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    The same sign as chaining :func:`multiply` from the identity, computed on
+    the bit ints with one operator built at the end; exact when the picked
+    operators commute pairwise.
+    """
+    x = z = 0
+    sign = 1
+    while combo:
+        low = combo & -combo
+        combo ^= low
+        op = ops[low.bit_length() - 1]
+        xr, zr = x ^ op.x, z ^ op.z
+        e = (x & z).bit_count() + (op.x & op.z).bit_count() - (xr & zr).bit_count()
+        e += 2 * (z & op.x).bit_count()
+        sign *= -op.sign if e % 4 >= 2 else op.sign
+        x, z = xr, zr
+    return PauliOperator(n, x, z, sign)
 
 
 class StabilizerGroup:
     """A commuting set of Hermitian Pauli generators, -identity excluded.
 
     Generators may be dependent (families that retain redundant checks are
-    allowed); rank bookkeeping uses the GF(2) row space. Treat instances as
-    immutable.
+    allowed); rank bookkeeping uses the GF(2) row space. Instances are
+    immutable: nothing changes ``n`` or ``generators`` after construction.
+    That makes it safe to compute derived data once, lazily at first use,
+    and keep it on the instance (see :meth:`derived`); ``logical_pairs`` and
+    ``codes.code_parameters`` are cached this way.
     """
 
     def __init__(self, generators: tuple[PauliOperator, ...] | list[PauliOperator], n: int | None = None):
@@ -245,33 +240,26 @@ class StabilizerGroup:
                     raise ValueError(f"generators {gi} and {gj} anticommute")
         self.n = n
         self.generators = generators
-        self._reducer = _IntRowReducer()
-        self._independent: list[int] = []  # indices of an independent subset
-        for idx, g in enumerate(generators):
-            if self._reducer.add(_vec(g)):
-                self._independent.append(idx)
+        self._reducer = gf2.Reducer()
+        self.independent_generators = tuple(g for g in generators if self._reducer.add(g.vec))
+        self._derived: dict = {}
         self._check_no_negative_identity()
 
     def _check_no_negative_identity(self):
-        # kernel vectors of the transposed bit matrix are generator subsets
-        # whose letters multiply to identity; their exact signs must be +1
-        mat = self.bit_matrix()
-        for combo in gf2.kernel_basis(mat.T):
-            prod = self.product_of([i for i, c in enumerate(combo) if c])
-            if prod.sign != 1:
+        # each dependency is a generator subset whose letters multiply to
+        # identity; its exact sign must be +1
+        for combo in self._reducer.dependencies:
+            if combine(self.n, self.generators, combo).sign != 1:
                 raise ValueError("-identity is generated: dependent product has sign -1")
+
+    def derived(self, key, compute):
+        """``compute()``, memoized on this group under ``key``."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    def bit_matrix(self) -> np.ndarray:
-        """(N, 2n) uint8 matrix, columns [x bits | z bits]."""
-        out = np.zeros((len(self.generators), 2 * self.n), dtype=np.uint8)
-        for i, g in enumerate(self.generators):
-            for q in range(self.n):
-                out[i, q] = (g.x >> q) & 1
-                out[i, self.n + q] = (g.z >> q) & 1
-        return out
 
     @property
     def rank(self) -> int:
@@ -287,28 +275,22 @@ class StabilizerGroup:
 
     def contains_bits(self, p: PauliOperator) -> bool:
         """Membership of p's letters in the group, ignoring p's sign."""
-        return self._reducer.contains(_vec(p))
+        return self._reducer.contains(p.vec)
 
     def product_of(self, indices) -> PauliOperator:
         """Exact product of the chosen generators (they commute pairwise)."""
-        acc = identity(self.n)
+        combo = 0
         for i in indices:
-            acc = multiply(acc, self.generators[i])
-        return acc
+            combo ^= 1 << int(i)
+        return combine(self.n, self.generators, combo)
 
     def member_sign(self, p: PauliOperator) -> int | None:
         """+1 / -1 when ±p is in the group (sign relative to the group
         element with p's letters), None when the letters are not generated."""
-        mat = self.bit_matrix()
-        target = np.zeros(2 * self.n, dtype=np.uint8)
-        for q in range(self.n):
-            target[q] = (p.x >> q) & 1
-            target[self.n + q] = (p.z >> q) & 1
-        combo = gf2.solve(mat.T, target)
+        combo = self._reducer.solve(p.vec)
         if combo is None:
             return None
-        element = self.product_of(np.nonzero(combo)[0])
-        return p.sign * element.sign
+        return p.sign * combine(self.n, self.generators, combo).sign
 
     @property
     def locality(self) -> int:
@@ -327,10 +309,7 @@ def symplectic_rank(generators) -> int:
     """GF(2) rank of the stacked (x|z) rows."""
     if isinstance(generators, StabilizerGroup):
         return generators.rank
-    reducer = _IntRowReducer()
-    for g in generators:
-        reducer.add(_vec(g))
-    return reducer.rank
+    return gf2.Reducer(g.vec for g in generators).rank
 
 
 @dataclass(frozen=True)
@@ -347,22 +326,20 @@ def logical_pairs(group: StabilizerGroup, reduce_weight: bool = True) -> tuple[L
     Deterministic for a fixed generator order. With ``reduce_weight`` each
     representative is replaced by the minimum-weight element of its coset
     modulo the stabilizer group (exact enumeration when the group span is
-    small, greedy descent otherwise); this preserves all pairings.
+    small, greedy descent otherwise); this preserves all pairings. Computed
+    once per group and ``reduce_weight``; later calls return the same tuple.
     """
+    return group.derived(("logical_pairs", reduce_weight), lambda: _logical_pairs(group, reduce_weight))
+
+
+def _logical_pairs(group: StabilizerGroup, reduce_weight: bool) -> tuple[LogicalPair, ...]:
     n = group.n
-    mat = group.bit_matrix()
-    # kernel of the symplectic form against every generator
-    omega_rows = np.concatenate([mat[:, n:], mat[:, :n]], axis=1)
-    kernel = gf2.kernel_basis(omega_rows)
-    reducer = _IntRowReducer()
-    for g in group.generators:
-        reducer.add(_vec(g))
+    # kernel of the symplectic form against every generator: a generator's z
+    # bits meet v's x bits and its x bits meet v's z bits
+    kernel = gf2.kernel([g.z | (g.x << n) for g in group.generators], 2 * n)
+    reducer = gf2.Reducer(g.vec for g in group.generators)
     reps: list[int] = []
-    for row in kernel:
-        v = 0
-        for pos in range(2 * n):
-            if row[pos]:
-                v |= 1 << pos
+    for v in kernel:
         res = reducer.reduce(v)
         if res and reducer.add(res):
             reps.append(res)
@@ -396,7 +373,8 @@ def logical_pairs(group: StabilizerGroup, reduce_weight: bool = True) -> tuple[L
 
 def _min_weight_coset_rep(v: int, group: StabilizerGroup, span_limit: int = 1 << 22) -> int:
     """Minimum-weight element of v * (group span), by Gray-code walk."""
-    rows = [row for _, row in group._reducer.rows]
+    # leading bit descending: the greedy fallback's order
+    rows = [row for _, row in sorted(group._reducer.rows, reverse=True)]
     r = len(rows)
     mask = (1 << group.n) - 1
 

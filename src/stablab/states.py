@@ -24,14 +24,26 @@ import numpy as np
 
 from . import gf2
 from .circuits import Gate, LayeredCircuit, gate_matrix
-from .paulis import PauliOperator, commutes, identity, multiply
+from .paulis import PauliOperator, combine, commutes, multiply
 
 DEFAULT_DENSE_LIMIT = 12
 
 
 def dense_qubit_limit() -> int:
-    """Qubit cap for dense materialization; STABLAB_DENSE_LIMIT overrides."""
-    return int(os.environ.get("STABLAB_DENSE_LIMIT", DEFAULT_DENSE_LIMIT))
+    """Qubit cap for dense materialization; STABLAB_DENSE_LIMIT overrides.
+
+    Raises ValueError when the variable is set but not a positive integer.
+    """
+    raw = os.environ.get("STABLAB_DENSE_LIMIT")
+    if raw is None:
+        return DEFAULT_DENSE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"STABLAB_DENSE_LIMIT must be a positive integer, got {raw!r}")
+    return limit
 
 
 _TWO_QUBIT_CLIFFORD_RULES = {
@@ -226,11 +238,20 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 class StabilizerMixture:
-    """Uniform mixture defined by independent commuting signed Pauli rows."""
+    """Uniform mixture defined by independent commuting signed Pauli rows.
+
+    Instances are immutable: every operation returns a new mixture. The GF(2)
+    reducer over the rows' bit vectors, which membership queries
+    (``expectation``, ``project_pauli``) need, is therefore built at most once
+    per instance: by ``__init__``, which needs it to check independence, or
+    else lazily at the first query, so that mixtures made by ``apply_gate``
+    and the other ``__new__`` paths pay nothing for it until asked.
+    """
+
+    _reducer: gf2.Reducer | None = None
 
     def __init__(self, m: int, rows: tuple[PauliOperator, ...] = ()):
         self.m = m
-        reducer_rows: list[int] = []
         for i, row in enumerate(rows):
             if row.n != m:
                 raise ValueError(f"row {i} acts on {row.n} qubits, state has {m}")
@@ -239,15 +260,11 @@ class StabilizerMixture:
             for j in range(i):
                 if not commutes(row, rows[j]):
                     raise ValueError(f"rows {j} and {i} anticommute")
-        if rows:
-            mat = np.zeros((len(rows), 2 * m), dtype=np.uint8)
-            for i, row in enumerate(rows):
-                for q in range(m):
-                    mat[i, q] = (row.x >> q) & 1
-                    mat[i, m + q] = (row.z >> q) & 1
-            if gf2.rank(mat) != len(rows):
-                raise ValueError("rows are dependent")
+        reducer = gf2.Reducer(row.vec for row in rows)
+        if reducer.dependencies:
+            raise ValueError("rows are dependent")
         self.rows = tuple(rows)
+        self._reducer = reducer
 
     # r in the class docstring
     @property
@@ -262,36 +279,22 @@ class StabilizerMixture:
     def entropy(self) -> float:
         return float(self.m - self.rank)
 
-    def _bit_matrix(self) -> np.ndarray:
-        mat = np.zeros((len(self.rows), 2 * self.m), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            for q in range(self.m):
-                mat[i, q] = (row.x >> q) & 1
-                mat[i, self.m + q] = (row.z >> q) & 1
-        return mat
-
     def _membership(self, p: PauliOperator) -> int | None:
         """+1 / -1 if +-p is a product of rows (exact sign), else None."""
-        target = np.zeros(2 * self.m, dtype=np.uint8)
-        for q in range(self.m):
-            target[q] = (p.x >> q) & 1
-            target[self.m + q] = (p.z >> q) & 1
-        if not self.rows:
-            return None
-        combo = gf2.solve(self._bit_matrix().T, target)
+        if p.n != self.m:
+            raise ValueError(f"operator on {p.n} qubits against {self.m}-qubit state")
+        if self._reducer is None:
+            self._reducer = gf2.Reducer(row.vec for row in self.rows)
+        combo = self._reducer.solve(p.vec)
         if combo is None:
             return None
-        prod = identity(self.m)
-        for i, c in enumerate(combo):
-            if c:
-                prod = multiply(prod, self.rows[i])
-        assert prod.x == p.x and prod.z == p.z
-        return prod.sign * p.sign
+        return combine(self.m, self.rows, combo).sign * p.sign
 
     def expectation(self, p: PauliOperator) -> float:
         """tr(P rho): +-1 when +-P is in the row group, else exactly 0."""
         if p.x == 0 and p.z == 0:
             return float(p.sign)
+        # most queries anticommute with an early row: cheaper than a reduction
         for row in self.rows:
             if not commutes(p, row):
                 return 0.0
@@ -388,24 +391,19 @@ class StabilizerMixture:
 
     def _supported_subgroup(self, region: tuple[int, ...]) -> list[PauliOperator]:
         """All row products supported inside the region, exact signs."""
-        outside = [q for q in range(self.m) if q not in region]
-        if not self.rows:
-            return [identity(self.m)]
-        mat = np.zeros((len(self.rows), 2 * len(outside)), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            for j, q in enumerate(outside):
-                mat[i, j] = (row.x >> q) & 1
-                mat[i, len(outside) + j] = (row.z >> q) & 1
-        kernel = gf2.kernel_basis(mat.T) if outside else np.eye(len(self.rows), dtype=np.uint8)
+        inside = 0
+        for q in region:
+            inside |= 1 << q
+        outside = ~(inside | (inside << self.m))
+        # row combinations whose product is the identity outside the region
+        kernel = gf2.dependencies([row.vec & outside for row in self.rows])
         members = []
-        for coeff_bits in range(1 << kernel.shape[0]):
-            prod = identity(self.m)
-            for i in range(kernel.shape[0]):
+        for coeff_bits in range(1 << len(kernel)):
+            combo = 0
+            for i, k in enumerate(kernel):
                 if (coeff_bits >> i) & 1:
-                    for j, c in enumerate(kernel[i]):
-                        if c:
-                            prod = multiply(prod, self.rows[j])
-            members.append(prod)
+                    combo ^= k
+            members.append(combine(self.m, self.rows, combo))
         return members
 
     def marginal(self, region) -> np.ndarray:
@@ -505,11 +503,4 @@ def zero_mixture(m: int) -> StabilizerMixture:
 
 def group_mixture(group) -> StabilizerMixture:
     """Maximally mixed code state: independent generators become the rows."""
-    from .paulis import _IntRowReducer
-
-    reducer = _IntRowReducer()
-    rows = []
-    for g in group.generators:
-        if reducer.add(g.x | (g.z << group.n)):
-            rows.append(g)
-    return StabilizerMixture(group.n, tuple(rows))
+    return StabilizerMixture(group.n, group.independent_generators)

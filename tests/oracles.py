@@ -90,6 +90,16 @@ def projector_from_strings(checks: list[str], signs: list[int] | None = None) ->
     return proj
 
 
+def mixture_rho(rows: list[tuple[str, int]], n: int) -> np.ndarray:
+    """Density matrix prod_i (I + s_i C_i) / 2 / 2^(n - r) of r independent
+    commuting signed rows, given as (letters, sign) pairs."""
+    dim = 2**n
+    if not rows:
+        return np.eye(dim, dtype=complex) / dim
+    proj = projector_from_strings([c for c, _ in rows], [s for _, s in rows])
+    return proj / 2 ** (n - len(rows))
+
+
 def apply_gate_matrix(state: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], m: int) -> np.ndarray:
     """Apply a k-qubit gate by materializing the full 2^m unitary. Slow, exact."""
     full = expand_gate(gate, qubits, m)

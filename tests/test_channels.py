@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablab.channels import (
     LogicalDepolarizer,
@@ -16,8 +18,8 @@ from stablab.channels import (
 from stablab.circuits import identity_circuit, random_low_depth
 from stablab.codes import five_qubit_code, toric_code
 from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
-from stablab.states import group_mixture, partial_trace, rho_from_vector, zero_mixture
-from oracles import pauli_matrix, von_neumann_entropy_naive
+from stablab.states import StabilizerMixture, group_mixture, partial_trace, rho_from_vector, zero_mixture
+from oracles import mixture_rho, pauli_matrix, von_neumann_entropy_naive
 
 
 def random_rho(n, seed):
@@ -334,3 +336,29 @@ def test_entropy_audit_wire_mismatch():
     theta = encoded_state(group_mixture(code.group), code.group)
     with pytest.raises(ValueError, match="wires"):
         entropy_audit(theta, identity_circuit(5))
+
+
+_SMALL_CODES = {"five_qubit": five_qubit_code(), "toric2": toric_code(2)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(_SMALL_CODES)),
+    st.integers(0, 8),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+def test_mixture_channel_matches_dense_channel(name, keep, depth, seed):
+    code = _SMALL_CODES[name]
+    chan = logical_depolarizer(code)
+    n = code.n
+    start = StabilizerMixture(n, zero_mixture(n).rows[: min(keep, n)])
+    state = start.apply_circuit(random_low_depth(n, depth, family="clifford", seed=seed))
+    got = logical_depolarize(state, chan)
+    assert isinstance(got, StabilizerMixture)
+
+    def rho(mixture):
+        return mixture_rho([(r.letters(), r.sign) for r in mixture.rows], n)
+
+    # the dense path is itself checked against the Kraus oracle above
+    assert np.allclose(rho(got), logical_depolarize(rho(state), chan), atol=1e-12)

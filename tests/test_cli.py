@@ -1,10 +1,14 @@
 """CLI surface: exit codes, golden outputs, byte stability."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stablab
 import stablab.suites
 from stablab.cli import main
 from stablab.codes import build_code
@@ -255,6 +259,44 @@ def test_frontier_csv_header(runner):
     assert lines[1].startswith("0,pauli-products,")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["frontier", "--builtin", "five_qubit", "--t-max", "-1"], {}),
+        (["frontier", "--builtin", "five_qubit", "--budget", "0"], {}),
+        (["amplify", "check", "--builtin", "five_qubit", "--p", "0"], {}),
+        (["amplify", "check", "--builtin", "five_qubit", "--n-states", "0"], {}),
+        (["sparsify", "--builtin", "five_qubit", "--samples", "0"], {}),
+        (["sparsify", "--builtin", "five_qubit", "--delta", "0"], {}),
+        (["sparsify", "--builtin", "five_qubit"], {"STABLAB_DENSE_LIMIT": "abc"}),
+    ],
+)
+def test_invalid_input_exits_2_with_one_line_error(runner, args, env):
+    result = invoke(runner, args, env=env)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.stderr
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(stablab.__file__).resolve().parents[1])
+    code = "import sys, stablab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_amplify_check_passes_and_reports_seed(runner):
     result = invoke(
         runner,
@@ -262,7 +304,7 @@ def test_amplify_check_passes_and_reports_seed(runner):
          "--n-states", "5", "--seed", "3"],
     )
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout, parse_constant=_reject_constant)
     assert payload["holds"] is True
     assert payload["seed"] == 3
     assert payload["violations"] == 0

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from stablab import codes
+from stablab import codes, paulis
 from stablab.codes import (
     BUILTIN_CODES,
     CssCode,
@@ -87,6 +87,55 @@ def test_toric3_logical_pair_weights():
     assert len(pairs) == 2
     for pair in pairs:
         assert pair.xbar.weight == 3 and pair.zbar.weight == 3
+
+
+# (xbar, zbar) letters per pair, with and without weight reduction; fixed
+# by the numpy-matrix implementation the int engine replaced
+GOLDEN_LOGICAL_PAIRS = {
+    ("five_qubit", True): [("YYIXI", "ZIXXI")],
+    ("five_qubit", False): [("XXXXX", "ZIXXI")],
+    ("toric2", True): [("XIXIIIII", "ZZIIIIII"), ("IIIIXXII", "IIIIZIZI")],
+    ("toric3", True): [
+        ("XIIXIIXIIIIIIIIIII", "ZZZIIIIIIIIIIIIIII"),
+        ("IIIIIIIIIXXXIIIIII", "IIIIIIIIIZIIZIIZII"),
+    ],
+    ("surface5", True): [("XXIII", "ZIZII")],
+    ("surface13", True): [("XXXIIIIIIIIII", "ZIIZIIZIIIIII")],
+    ("punctured", True): [
+        ("XIIXIIXIIIIIIIIIII", "ZZZIIIIIIIIIIIIIII"),
+        ("IIIIXIIIIIXIIIIIII", "ZIIZIIIIIZZIIIIIII"),
+        ("IIIIIIIIIXXXIIIIII", "IIIIIIIIIZIIZIIZII"),
+    ],
+    ("punctured", False): [
+        ("XIIXIIXIIIIIIIIIII", "ZZZIIIIIIIIIIIIIII"),
+        ("IIIIXIIIIIXIIIIIII", "ZZZZZZIIIIIIIIIIII"),
+        ("IIIIIIIIIXXXIIIIII", "IIIIIIIIIZIIZIIZII"),
+    ],
+}
+for _name in ("toric2", "toric3", "surface5", "surface13"):
+    GOLDEN_LOGICAL_PAIRS[(_name, False)] = GOLDEN_LOGICAL_PAIRS[(_name, True)]
+
+MEMO_CODES = {
+    **{name: (lambda name=name: build_code(name)) for name in BUILTIN_CODES},
+    "punctured": lambda: punctured_toric_code(3, [(0, 0), (1, 1)]),
+    "surface3": lambda: surface_code(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CODES))
+def test_per_code_data_memoized_and_equal_to_fresh(name):
+    group = MEMO_CODES[name]().group
+    for reduce_weight in (True, False):
+        pairs = logical_pairs(group, reduce_weight=reduce_weight)
+        assert logical_pairs(group, reduce_weight=reduce_weight) is pairs
+        assert pairs == paulis._logical_pairs(MEMO_CODES[name]().group, reduce_weight)
+        if (name, reduce_weight) in GOLDEN_LOGICAL_PAIRS:
+            letters = [(str(p.xbar), str(p.zbar)) for p in pairs]
+            assert letters == GOLDEN_LOGICAL_PAIRS[(name, reduce_weight)]
+    for cap in (2, 4):
+        params = code_parameters(group, distance_cap=cap)
+        assert code_parameters(group, distance_cap=cap) is params
+        assert params == codes._code_parameters(MEMO_CODES[name]().group, cap)
 
 
 def test_css_orthogonality_enforced():

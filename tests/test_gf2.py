@@ -1,9 +1,11 @@
-"""GF(2) kernel against the naive elimination oracle."""
+"""GF(2) engine and its uint8 adapters against the naive elimination oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablab import gf2
 
@@ -71,3 +73,71 @@ def test_kernel_basis_spans_null_space():
 def test_solve_rejects_mismatched_rhs():
     with pytest.raises(ValueError):
         gf2.solve(np.eye(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+
+
+# --- the int-row engine against the naive eliminators ---
+
+
+@st.composite
+def int_matrices(draw, min_rows=0, max_rows=10, max_width=12):
+    """(rows as ints with column j at bit j, width, rows as 0/1 lists)."""
+    width = draw(st.integers(1, max_width))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=min_rows, max_size=max_rows))
+    return rows, width, [[(v >> j) & 1 for j in range(width)] for v in rows]
+
+
+def _xor_of(vectors, combo):
+    acc = 0
+    for i, v in enumerate(vectors):
+        if (combo >> i) & 1:
+            acc ^= v
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_engine_rank_matches_naive_at_every_prefix(mat):
+    rows, _, lists = mat
+    reducer = gf2.Reducer()
+    for i, v in enumerate(rows):
+        reducer.add(v)
+        assert reducer.rank == gf2_rank_naive(lists[: i + 1])
+    assert len(reducer.dependencies) == len(rows) - reducer.rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(min_rows=1), st.data())
+def test_engine_solve_matches_naive_combination(mat, data):
+    vectors, width, lists = mat
+    target = data.draw(st.integers(0, (1 << width) - 1))
+    combo = gf2.Reducer(vectors).solve(target)
+    # naive: mat @ x = target with the vectors as the matrix's columns; both
+    # set the coefficients of vectors that depend on earlier ones to 0
+    columns = [[row[j] for row in lists] for j in range(width)]
+    naive = gf2_solve_naive(columns, [(target >> j) & 1 for j in range(width)])
+    if naive is None:
+        assert combo is None
+    else:
+        assert combo == sum(bit << i for i, bit in enumerate(naive))
+        assert _xor_of(vectors, combo) == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_engine_kernel_dimension_and_annihilation(mat):
+    rows, width, lists = mat
+    basis = gf2.kernel(rows, width)
+    assert len(basis) == width - gf2_rank_naive(lists)
+    for v in basis:
+        assert all((row & v).bit_count() % 2 == 0 for row in rows)
+    assert gf2_rank_naive([[(v >> j) & 1 for j in range(width)] for v in basis]) == len(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_engine_dependencies_xor_to_zero(mat):
+    vectors, _, _ = mat
+    deps = gf2.dependencies(vectors)
+    for combo in deps:
+        assert combo and _xor_of(vectors, combo) == 0
+    assert len(deps) == len(vectors) - gf2.Reducer(vectors).rank

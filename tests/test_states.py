@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     expand_gate,
+    mixture_rho,
     partial_trace_naive,
     pauli_matrix,
     projector_from_strings,
@@ -18,6 +21,7 @@ from stablab.states import (
     apply_gate_vec,
     apply_pauli_vec,
     basis_vector,
+    dense_qubit_limit,
     fidelity,
     group_mixture,
     partial_trace,
@@ -358,3 +362,56 @@ def test_with_rows_rejects_anticommuting_extension():
     state = zero_mixture(2)
     with pytest.raises(ValueError):
         state.with_rows([from_letters("XI")])
+
+
+def test_dense_qubit_limit_validates_environment(monkeypatch):
+    monkeypatch.delenv("STABLAB_DENSE_LIMIT", raising=False)
+    assert dense_qubit_limit() == 12
+    monkeypatch.setenv("STABLAB_DENSE_LIMIT", "7")
+    assert dense_qubit_limit() == 7
+    for bad in ("abc", "0", "-3", "2.5", ""):
+        monkeypatch.setenv("STABLAB_DENSE_LIMIT", bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            dense_qubit_limit()
+
+
+# --- mixture reads against the dense density matrix (hypothesis-driven) ---
+
+
+@st.composite
+def clifford_mixtures(draw, max_m=6):
+    """Seeded Clifford circuit applied to |0..0> with some Z rows dropped.
+
+    Depth 0 keeps the validated constructor's reducer; deeper circuits go
+    through apply_gate, whose mixtures build their reducer lazily.
+    """
+    m = draw(st.integers(1, max_m))
+    keep = draw(st.integers(0, m))
+    circ = random_low_depth(m, draw(st.integers(0, 3)), family="clifford", seed=draw(st.integers(0, 2**16)))
+    return StabilizerMixture(m, zero_mixture(m).rows[:keep]).apply_circuit(circ)
+
+
+def _paulis(m):
+    return st.builds(PauliOperator, st.just(m), st.integers(0, 2**m - 1), st.integers(0, 2**m - 1), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(clifford_mixtures(), st.data())
+def test_mixture_reads_match_dense_rho(state, data):
+    rho = state.dense_rho()
+    assert np.allclose(rho, mixture_rho([(r.letters(), r.sign) for r in state.rows], state.m), atol=1e-12)
+    p = data.draw(_paulis(state.m))
+    p_mat = p.sign * pauli_matrix(p.letters())
+    assert state.expectation(p) == pytest.approx(np.trace(p_mat @ rho).real, abs=1e-12)
+
+    prob, post = state.project_pauli(p)
+    proj = (np.eye(2**state.m) + p_mat) / 2
+    assert prob == pytest.approx(np.trace(proj @ rho).real, abs=1e-12)
+    if post is None:
+        assert prob == 0.0
+    else:
+        assert np.allclose(post.dense_rho(), proj @ rho @ proj / prob, atol=1e-12)
+
+    size = data.draw(st.integers(1, state.m))
+    region = sorted(data.draw(st.permutations(range(state.m)))[:size])
+    assert np.allclose(state.marginal(region), partial_trace_naive(rho, region, state.m), atol=1e-12)
