@@ -17,25 +17,27 @@ from itertools import combinations
 import numpy as np
 
 from .circuits import LayeredCircuit, lightcone, reverse_circuit
-from .codes import Code, code_parameters
+from .codes import as_group, code_parameters
 from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import LogicalPair, StabilizerGroup, best_distance
 from .states import (
     StabilizerMixture,
     dense_qubit_limit,
+    density_matrix,
+    expectation,
+    num_qubits,
     partial_trace,
-    pauli_expectation_rho,
-    pauli_expectation_vec,
+    project,
     project_pauli_vec,
-    rho_from_vector,
     trace_distance,
+    vector,
     zero_mixture,
-    zero_vector,
 )
 
 __all__ = [
     "BoundInputs",
     "best_distance",
+    "code_overlap",
     "depth_lower_bounds",
     "distinguishing_region",
     "lightcone_count_check",
@@ -74,6 +76,16 @@ class BoundInputs:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
+        for name in ("k", "d"):
+            value = getattr(self, name)
+            if value is not None and not 1 <= value <= self.n:
+                raise ValueError(f"{name} {value} outside [1, n = {self.n}]")
+        for name in ("ell", "n_checks", "m"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.t is not None and self.t < 0:
+            raise ValueError(f"t must be nonnegative, got {self.t}")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon {self.epsilon} outside (0, 1)")
         if self.delta is not None and not 0.0 < self.delta < 0.5:
@@ -209,32 +221,21 @@ def depth_lower_bounds(inputs: BoundInputs) -> dict:
     return report
 
 
-def _as_group(code_or_group) -> StabilizerGroup:
-    return code_or_group.group if isinstance(code_or_group, Code) else code_or_group
+def code_overlap(state, group: StabilizerGroup) -> float:
+    """<psi| Pi |psi> for the code projector Pi, by sequential halving.
 
-
-def _code_overlap(state, group: StabilizerGroup) -> float:
-    """<psi| Pi |psi> for the code projector Pi, by sequential halving."""
+    Takes a pure stabilizer mixture or a state vector within the dense limit.
+    """
     if isinstance(state, StabilizerMixture):
         if not state.is_pure:
             raise ValueError("pure state required")
-        f_sq = 1.0
-        current = state
-        for check in group.generators:
-            prob, current = current.project_pauli(check)
-            f_sq *= prob
-            if current is None:
-                return 0.0
-        return f_sq
-    vec = np.asarray(state, dtype=complex)
-    m = vec.shape[0].bit_length() - 1
-    if m > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {m} qubits")
+    elif num_qubits(state) > dense_qubit_limit():
+        raise ValueError(f"dense limit exceeded: {num_qubits(state)} qubits")
     f_sq = 1.0
     for check in group.generators:
-        prob, vec = project_pauli_vec(vec, check)
+        prob, state = project(state, check)
         f_sq *= prob
-        if vec is None:
+        if state is None:
             return 0.0
     return f_sq
 
@@ -261,8 +262,8 @@ def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None
     above f. When cross_check is on (default for n <= 9) the overlap is
     recomputed through an explicitly assembled dense projector.
     """
-    group = _as_group(code_or_group)
-    f_sq = _code_overlap(state, group)
+    group = as_group(code_or_group)
+    f_sq = code_overlap(state, group)
     f_sq = min(max(f_sq, 0.0), 1.0)
     out = {
         "f_squared": f_sq,
@@ -273,10 +274,8 @@ def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None
     if cross_check is None:
         cross_check = group.n <= 9
     if cross_check and group.n <= 9:
-        vec = state.dense_vector() if isinstance(state, StabilizerMixture) else state
-        vec = np.asarray(vec, dtype=complex)
         proj = _dense_code_projector(group)
-        out["cross_check"] = float(np.linalg.norm(proj @ vec) ** 2)
+        out["cross_check"] = float(np.linalg.norm(proj @ vector(state)) ** 2)
         assert abs(out["cross_check"] - f_sq) < 1e-9
     return out
 
@@ -289,7 +288,7 @@ def zero_state_distance_check(code_or_group, distance: int | None = None) -> dic
     then carries holds = False, which is the honest answer, and the
     built-in sweep only feeds codes with d >= 2.
     """
-    group = _as_group(code_or_group)
+    group = as_group(code_or_group)
     if group.n_logical < 1:
         raise ValueError("code encodes nothing: k = 0")
     if distance is None:
@@ -307,23 +306,15 @@ def zero_state_distance_check(code_or_group, distance: int | None = None) -> dic
     }
 
 
-def _pauli_expectation(state, p) -> float:
-    if isinstance(state, StabilizerMixture):
-        return float(state.expectation(p))
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return float(np.real(pauli_expectation_vec(arr, p)))
-    return float(np.real(pauli_expectation_rho(arr, p)))
-
-
 def uncertainty_check(state, pair: LogicalPair) -> dict:
     """Anti-commuting logicals cannot both be sharp: ex^2 + ez^2 <= 1."""
-    ex = _pauli_expectation(state, pair.xbar)
-    ez = _pauli_expectation(state, pair.zbar)
+    ex = expectation(state, pair.xbar)
+    ez = expectation(state, pair.zbar)
     return {"ex": ex, "ez": ez, "holds": ex**2 + ez**2 <= 1.0 + 1e-9}
 
 
-def _is_product_vector(vec: np.ndarray, m: int) -> bool:
+def _is_product_vector(vec: np.ndarray) -> bool:
+    m = num_qubits(vec)
     for q in range(m):
         mat = np.moveaxis(vec.reshape((2,) * m), q, 0).reshape(2, -1)
         if np.linalg.matrix_rank(mat, tol=1e-10) > 1:
@@ -339,21 +330,15 @@ def product_state_separation_check(state, code_or_group) -> dict:
     holds checks the bound against that conservative floor. Non-product
     input is reported as a precondition violation, not a counterexample.
     """
-    group = _as_group(code_or_group)
+    group = as_group(code_or_group)
+    f_sq = code_overlap(state, group)
     if isinstance(state, StabilizerMixture):
-        if not state.is_pure:
-            raise ValueError("pure state required")
         product = all(
             np.trace(mat @ mat).real > 1.0 - 1e-10
             for mat in (state.marginal((q,)) for q in range(state.m))
         )
-        overlap_state = state
     else:
-        vec = np.asarray(state, dtype=complex)
-        m = vec.shape[0].bit_length() - 1
-        product = _is_product_vector(vec, m)
-        overlap_state = vec
-    f_sq = _code_overlap(overlap_state, group)
+        product = _is_product_vector(vector(state))
     rep = best_distance(group)
     bound = rep.d_prime / (8.0 * rep.w)
     out = {
@@ -374,13 +359,6 @@ def region_distance_threshold(size: int, t: int, w: int) -> float:
     return size / (2.0 ** (t + 4) * w)
 
 
-def _dense_rho(state) -> np.ndarray:
-    if isinstance(state, StabilizerMixture):
-        return state.dense_rho()
-    arr = np.asarray(state, dtype=complex)
-    return rho_from_vector(arr) if arr.ndim == 1 else arr
-
-
 def distinguishing_region(psi, theta, size_cap: int, threshold: float | None = None) -> dict:
     """Smallest region whose marginals tell two states apart.
 
@@ -389,13 +367,13 @@ def distinguishing_region(psi, theta, size_cap: int, threshold: float | None = N
     without one, the maximizing region. region None means no region
     distinguishes the states (identical marginals everywhere).
     """
-    rho = _dense_rho(psi)
-    sigma = _dense_rho(theta)
-    if rho.shape != sigma.shape:
+    m = num_qubits(psi)
+    if num_qubits(theta) != m:
         raise ValueError("states live on different qubit counts")
-    m = rho.shape[0].bit_length() - 1
     if m > dense_qubit_limit():
         raise ValueError(f"dense limit exceeded: {m} qubits")
+    rho = density_matrix(psi)
+    sigma = density_matrix(theta)
     size_cap = min(size_cap, m)
     best_region = None
     best_dist = 0.0
@@ -426,7 +404,7 @@ def lightcone_count_check(w_circuit: LayeredCircuit, code_or_group, phi=None) ->
     register wire) and at most by every wire its reversed cone reaches.
     Energies are per-term values of the data state phi (default |0^m>).
     """
-    group = _as_group(code_or_group)
+    group = as_group(code_or_group)
     n_checks = len(group.generators)
     m = w_circuit.m - n_checks
     if m < group.n:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .codes import Code, code_parameters
+from .codes import Code, as_group, code_parameters
 from .paulis import (
     LogicalPair,
     PauliOperator,
@@ -36,17 +36,23 @@ from .states import (
     apply_circuit_rho,
     apply_pauli_vec,
     basis_vector,
+    conjugate,
     conjugate_pauli_rho,
     dense_qubit_limit,
+    density_matrix,
+    entropy,
     group_mixture,
+    marginal,
+    num_qubits,
     partial_trace,
     pauli_expectation_vec,
     project_pauli_vec,
     rho_from_vector,
+    shannon_entropy,
+    von_neumann_entropy,  # noqa: F401  (part of this module's interface)
 )
-from .states import von_neumann_entropy as _entropy_of_eigs
 from .circuits import LayeredCircuit, reverse_circuit
-from .syndrome import decohere
+from .syndrome import decohere, pack_syndrome
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class LogicalDepolarizer:
 
 
 def logical_depolarizer(code: Code | StabilizerGroup, pairs=None) -> LogicalDepolarizer:
-    group = code.group if isinstance(code, Code) else code
+    group = as_group(code)
     if pairs is None:
         pairs = logical_pairs(group)
     return LogicalDepolarizer(pairs=tuple(pairs), n=group.n)
@@ -103,10 +109,8 @@ def logical_depolarize(state, pairs):
         survivors = [combine(state.m, rows, combo) for combo in gf2.dependencies(anticommuting)]
         return StabilizerMixture(state.m, tuple(survivors))
 
-    rho = np.asarray(state, dtype=complex)
-    if rho.ndim == 1:
-        rho = rho_from_vector(rho)
-    m = rho.shape[0].bit_length() - 1
+    rho = density_matrix(state)
+    m = num_qubits(rho)
     if m > dense_qubit_limit():
         raise ValueError(f"dense limit exceeded: {m} qubits > {dense_qubit_limit()}")
     chan = _as_channel(pairs, m)
@@ -130,43 +134,11 @@ def logical_depolarize(state, pairs):
     return out / 4**chan.k
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits, after checking the input is an actual state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=1e-8):
-        raise ValueError("density matrix is not Hermitian")
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-8:
-        raise ValueError(f"density matrix trace {trace!r} is not 1")
-    vals = np.linalg.eigvalsh(rho)
-    if float(vals.min()) < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {float(vals.min())!r}")
-    return _entropy_of_eigs(np.clip(vals, 0.0, None))
-
-
 def stabilizer_entropy(state: StabilizerMixture) -> int:
     """Exact entropy in bits: qubits minus independent constraints."""
     if not isinstance(state, StabilizerMixture):
         raise TypeError("stabilizer mixture required")
     return state.m - state.rank
-
-
-def _state_entropy(mu) -> float:
-    if isinstance(mu, StabilizerMixture):
-        return float(stabilizer_entropy(mu))
-    return _entropy_of_eigs(np.linalg.eigvalsh(np.asarray(mu)))
-
-
-def _state_marginal(state, region) -> np.ndarray:
-    region = tuple(sorted(region))
-    if isinstance(state, StabilizerMixture):
-        return state.marginal(region)
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        arr = rho_from_vector(arr)
-    return partial_trace(arr, region)
 
 
 @dataclass(frozen=True)
@@ -183,14 +155,12 @@ class EncodedMixedState:
 
     @property
     def mixing_entropy(self) -> float:
-        probs = np.array([p for _, p, _ in self.branches])
-        probs = probs[probs > 1e-14]
-        return float(-(probs * np.log2(probs)).sum())
+        return shannon_entropy([p for _, p, _ in self.branches])
 
     @property
     def total_entropy(self) -> float:
         """S(Theta) = H({p_s}) + sum_s p_s S(mu_s), exact branchwise."""
-        return self.mixing_entropy + sum(p * _state_entropy(mu) for _, p, mu in self.branches)
+        return self.mixing_entropy + sum(p * entropy(mu) for _, p, mu in self.branches)
 
     def dense_theta(self) -> np.ndarray:
         m_total = self.n + self.n_checks
@@ -198,13 +168,10 @@ class EncodedMixedState:
             raise ValueError(f"dense limit exceeded: {m_total} qubits > {dense_qubit_limit()}")
         dim = 2**m_total
         out = np.zeros((dim, dim), dtype=complex)
+        step = 2**self.n_checks
         for bits, p, mu in self.branches:
-            block = mu.dense_rho() if isinstance(mu, StabilizerMixture) else np.asarray(mu)
-            packed = 0
-            for i, b in enumerate(bits):
-                packed |= b << (self.n_checks - 1 - i)
-            step = 2**self.n_checks
-            out[packed::step, packed::step] += p * block
+            packed = pack_syndrome(bits)
+            out[packed::step, packed::step] += p * density_matrix(mu)
         return out
 
 
@@ -249,19 +216,15 @@ def entropy_audit(theta: EncodedMixedState, w: LayeredCircuit) -> dict:
         else:
             if m_total > dense_qubit_limit():
                 raise ValueError(f"dense limit exceeded: {m_total} qubits > {dense_qubit_limit()}")
-            block = mu.dense_rho() if isinstance(mu, StabilizerMixture) else np.asarray(mu)
-            packed = 0
-            for i, b in enumerate(bits):
-                packed |= b << (theta.n_checks - 1 - i)
             reg = np.zeros(2**theta.n_checks, dtype=complex)
-            reg[packed] = 1.0
-            sigma = np.kron(block, rho_from_vector(reg))
+            reg[pack_syndrome(bits)] = 1.0
+            sigma = np.kron(density_matrix(mu), rho_from_vector(reg))
             rotated = apply_circuit_rho(sigma, wdag)
             for j in range(m_total):
                 marginals[j] += p * partial_trace(rotated, (j,), m_total)
 
     total = theta.total_entropy
-    per_qubit_sum = float(sum(_entropy_of_eigs(np.linalg.eigvalsh(mj)) for mj in marginals))
+    per_qubit_sum = float(sum(shannon_entropy(np.linalg.eigvalsh(mj)) for mj in marginals))
     assert theta.k <= total + 1e-9
     assert total <= per_qubit_sum + 1e-9
     return {"k": theta.k, "S_Theta": total, "per_qubit_sum": per_qubit_sum}
@@ -293,15 +256,6 @@ def _nonzero_syndrome_error(group: StabilizerGroup) -> PauliOperator | None:
     return None
 
 
-def _conjugated(state, p: PauliOperator):
-    if isinstance(state, StabilizerMixture):
-        return state.conjugate_pauli(p)
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        arr = rho_from_vector(arr)
-    return conjugate_pauli_rho(arr, p)
-
-
 def marginal_invariance_suite(code, family=None, region=(), distance=None) -> dict:
     """Distance-protected regions carry no information: three checks at 1e-10.
 
@@ -310,7 +264,7 @@ def marginal_invariance_suite(code, family=None, region=(), distance=None) -> di
         marginal untouched;
     (c) the depolarizing channel leaves marginals on the region untouched.
     """
-    group = code.group if isinstance(code, Code) else code
+    group = as_group(code)
     region = tuple(sorted(int(q) for q in region))
     if distance is None:
         distance = code_parameters(group).d
@@ -325,7 +279,7 @@ def marginal_invariance_suite(code, family=None, region=(), distance=None) -> di
         family = _logical_basis_family(group, pairs)
     family = list(family)
 
-    marginals = [_state_marginal(s, region) for s in family]
+    marginals = [marginal(s, region) for s in family]
     dev_a = max(
         (float(np.abs(mi - marginals[0]).max()) for mi in marginals[1:]), default=0.0
     )
@@ -333,15 +287,15 @@ def marginal_invariance_suite(code, family=None, region=(), distance=None) -> di
     sector_states = list(family)
     err = _nonzero_syndrome_error(group)
     if err is not None:
-        sector_states.append(_conjugated(family[0], err))
+        sector_states.append(conjugate(family[0], err))
     dev_b = 0.0
     dev_c = 0.0
     for state in sector_states:
-        base = _state_marginal(state, region)
+        base = marginal(state, region)
         for logical in chan.logicals():
-            moved = _state_marginal(_conjugated(state, logical), region)
+            moved = marginal(conjugate(state, logical), region)
             dev_b = max(dev_b, float(np.abs(moved - base).max()))
-        pushed = _state_marginal(logical_depolarize(state, chan), region)
+        pushed = marginal(logical_depolarize(state, chan), region)
         dev_c = max(dev_c, float(np.abs(pushed - base).max()))
 
     tol = 1e-10
@@ -387,7 +341,7 @@ def zero_expectation_suite(code, sector, n_samples: int = 5, seed: int = 0, max_
     has expectation 0 (to 1e-10), and conjugation by logicals keeps every
     check expectation at (-1)^{s_i}.
     """
-    group = code.group if isinstance(code, Code) else code
+    group = as_group(code)
     n = group.n
     sector = tuple(int(b) & 1 for b in sector)
     if len(sector) != len(group.generators):
@@ -440,7 +394,7 @@ def extended_invariance_check(code, region1, region2, seed: int = 0, distance=No
     R1 sits in the code block (|R1| < d), R2 in the k entangled reference
     qubits appended after it; the marginals must agree to 1e-10.
     """
-    group = code.group if isinstance(code, Code) else code
+    group = as_group(code)
     pairs = logical_pairs(group)
     k = len(pairs)
     n = group.n

@@ -5,7 +5,8 @@ same invocation always produces the same bytes; pass --out to write the
 payload atomically instead. Randomized commands embed their seed in the
 output. Exit codes: 0 success, 1 a checked inequality came back false,
 2 usage errors (including unknown built-ins, file parse errors and
-out-of-range options).
+out-of-range options), 3 an internal error (one line on stderr, no
+traceback), so that a crash never reads as a failed bound.
 
 The dense-simulation ceiling honors the STABLAB_DENSE_LIMIT environment
 variable, which must be a positive integer (else exit 2); there is no
@@ -112,7 +113,19 @@ def _with_code_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+            raise
+        except Exception as err:
+            message = " ".join(str(err).split())
+            click.echo(f"Internal error: {type(err).__name__}: {message}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Stabilizer-code laboratory: codes, circuits, bounds, search."""
     try:

@@ -19,7 +19,6 @@ from .paulis import (
     PauliOperator,
     StabilizerGroup,
     from_letters,
-    logical_pairs,
     min_weight_logical,
 )
 
@@ -93,6 +92,11 @@ class Code:
         return len(self.group.generators)
 
 
+def as_group(code: Code | StabilizerGroup) -> StabilizerGroup:
+    """The check group of a Code; a StabilizerGroup passes through."""
+    return code.group if isinstance(code, Code) else code
+
+
 @dataclass(frozen=True)
 class CodeParameters:
     """n, k from symplectic rank; d searched up to the cap; locality bound."""
@@ -115,7 +119,7 @@ class CodeParameters:
 
 def code_parameters(code: Code | StabilizerGroup, distance_cap: int = 4) -> CodeParameters:
     """Computed once per group and cap; later calls return the same object."""
-    group = code.group if isinstance(code, Code) else code
+    group = as_group(code)
     return group.derived(("code_parameters", distance_cap), lambda: _code_parameters(group, distance_cap))
 
 

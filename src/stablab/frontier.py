@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundInputs, depth_lower_bounds
 from .circuits import Gate, LayeredCircuit, random_low_depth
-from .codes import Code
+from .codes import as_group
 from .hamiltonians import EnergyReport, build_code_hamiltonian, energy_report
 from .paulis import StabilizerGroup
 from .states import zero_mixture
@@ -57,10 +57,6 @@ class FrontierRecord:
         }
 
 
-def _as_group(code_or_group) -> StabilizerGroup:
-    return code_or_group.group if isinstance(code_or_group, Code) else code_or_group
-
-
 def _check_tables(group: StabilizerGroup):
     """Per check: sign, {qubit: letter}; per qubit: list of check indices."""
     letters = []
@@ -82,7 +78,7 @@ def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], 
     the check at energy 1/2 immediately and settled energy is an
     admissible bound; uniform assignments seed the incumbent.
     """
-    group = _as_group(code_or_group)
+    group = as_group(code_or_group)
     n = group.n
     if n > 20:
         raise ValueError("exhaustive product search capped at 20 qubits")
@@ -319,7 +315,7 @@ def frontier_search(
         raise ValueError("budget must be at least 1")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    group = _as_group(code_or_group)
+    group = as_group(code_or_group)
     ham = build_code_hamiltonian(group)
     records: list[FrontierRecord] = []
 

@@ -7,9 +7,9 @@ vector offered). From it come rank, solve (a combination of the vectors that
 hits a target) and kernel (the combinations that XOR to zero). Symplectic
 Pauli vectors ``x | z << n`` and syndrome masks go through it directly.
 
-The uint8 functions (``as_gf2``, ``row_echelon``, ``rank``, ``solve``,
-``kernel_basis``) are adapters for matrix-shaped callers: they pack each
-matrix row into an int (column j is bit j), run the engine, and unpack.
+``as_gf2`` and ``row_echelon`` are uint8 adapters for matrix-shaped callers:
+they pack each matrix row into an int (column j is bit j), run the engine,
+and unpack.
 """
 
 from __future__ import annotations
@@ -155,48 +155,3 @@ def row_echelon(mat) -> tuple[np.ndarray, list[int]]:
                 reduced[k] |= 1 << free
     return _unpack(reduced + [0] * (len(rows) - len(reduced)), width), pivot_cols
 
-
-def rank(mat) -> int:
-    """GF(2) rank."""
-    return Reducer(_pack(mat)[0]).rank
-
-
-def residue(vec, rref: np.ndarray, pivot_cols: list[int]) -> np.ndarray:
-    """Reduce a vector against a row-reduced basis; zero iff in the row space."""
-    (v,), width = _pack(vec)
-    for row, col in zip(_pack(rref)[0], pivot_cols):
-        if (v >> col) & 1:
-            v ^= row
-    return _unpack([v], width)[0]
-
-
-def in_rowspace(vec, rref: np.ndarray, pivot_cols: list[int]) -> bool:
-    return not residue(vec, rref, pivot_cols).any()
-
-
-def solve(mat, rhs) -> np.ndarray | None:
-    """One solution x of ``mat @ x = rhs`` over GF(2), or None if inconsistent.
-
-    Args:
-        mat: (m, n) coefficient matrix.
-        rhs: length-m right-hand side.
-
-    Returns:
-        A length-n uint8 solution vector (free variables set to 0), or None.
-    """
-    rows, width = _pack(mat)
-    (target,), m = _pack(as_gf2(rhs).ravel())
-    if m != len(rows):
-        raise ValueError(f"rhs length {m} does not match {len(rows)} rows")
-    combo = Reducer(transpose(rows, width)).solve(target)
-    return None if combo is None else _unpack([combo], width)[0]
-
-
-def kernel_basis(mat) -> np.ndarray:
-    """Rows spanning the right null space {x : mat @ x = 0} over GF(2).
-
-    Returns a (dim, n) uint8 matrix; dim = n - rank(mat). The basis follows
-    the standard free-variable construction and is deterministic.
-    """
-    rows, width = _pack(mat)
-    return _unpack(kernel(rows, width), width)

@@ -30,13 +30,7 @@ import numpy as np
 
 from . import gf2
 from .paulis import PauliOperator, StabilizerGroup, dense_matrix, embed_pauli, identity, multiply, single
-from .states import (
-    StabilizerMixture,
-    dense_qubit_limit,
-    pauli_expectation_rho,
-    pauli_expectation_vec,
-    project_pauli_vec,
-)
+from .states import dense_qubit_limit, expectation, num_qubits, project
 
 
 @dataclass(frozen=True)
@@ -72,26 +66,8 @@ class EnergyReport:
     mean: float
 
 
-def _expectation(state, p: PauliOperator) -> float:
-    if isinstance(state, StabilizerMixture):
-        return state.expectation(p)
-    arr = np.asarray(state)
-    if arr.ndim == 1:
-        return pauli_expectation_vec(arr, p)
-    if arr.ndim == 2:
-        return pauli_expectation_rho(arr, p)
-    raise TypeError("state must be a StabilizerMixture, vector, or density matrix")
-
-
-def _state_qubits(state) -> int:
-    if isinstance(state, StabilizerMixture):
-        return state.m
-    arr = np.asarray(state)
-    return int(arr.shape[0]).bit_length() - 1
-
-
 def _embedded_checks(state, ham: CodeHamiltonian, code_qubits) -> list[PauliOperator]:
-    m = _state_qubits(state)
+    m = num_qubits(state)
     if code_qubits is None:
         if m != ham.n:
             raise ValueError(
@@ -107,7 +83,7 @@ def _embedded_checks(state, ham: CodeHamiltonian, code_qubits) -> list[PauliOper
 def energy_report(state, ham: CodeHamiltonian, code_qubits=None) -> EnergyReport:
     """Per-term energies eps_i = (1 - <C_i>)/2 plus their total and mean."""
     checks = _embedded_checks(state, ham, code_qubits)
-    per_term = tuple(0.5 - 0.5 * _expectation(state, c) for c in checks)
+    per_term = tuple(0.5 - 0.5 * expectation(state, c) for c in checks)
     total = float(sum(per_term))
     return EnergyReport(per_term=per_term, total=total, mean=total / len(per_term) if per_term else 0.0)
 
@@ -132,10 +108,7 @@ def project_eigenspace(state, ham: CodeHamiltonian, syndrome) -> tuple[float, ob
     current = state
     for bit, check in zip(syndrome, ham.group.generators):
         signed = PauliOperator(check.n, check.x, check.z, -check.sign if bit else check.sign)
-        if isinstance(current, StabilizerMixture):
-            q, current = current.project_pauli(signed)
-        else:
-            q, current = project_pauli_vec(np.asarray(current, dtype=complex), signed)
+        q, current = project(current, signed)
         prob *= q
         if current is None or prob < 1e-14:
             return 0.0, None
@@ -220,7 +193,7 @@ def _tuple_product_expectation(state, checks: list[PauliOperator], indices: tupl
         for j in range(p):
             if (mask >> j) & 1:
                 prod = multiply(prod, checks[indices[j]])
-        total += _expectation(state, prod)
+        total += expectation(state, prod)
     return total / (1 << p)
 
 
@@ -398,7 +371,7 @@ def cat_energy_report(state, cat: CatHamiltonian) -> EnergyReport:
     per_term = []
     for block in cat.blocks:
         members = _cat_block_group(cat, block)
-        overlap = sum(_expectation(state, m) for m in members) / len(members)
+        overlap = sum(expectation(state, m) for m in members) / len(members)
         per_term.append(1.0 - overlap)
     total = float(sum(per_term))
     return EnergyReport(per_term=tuple(per_term), total=total, mean=total / len(per_term))

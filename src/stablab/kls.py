@@ -17,9 +17,10 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .circuits import LayeredCircuit
-from .codes import Code, code_parameters
+from .bounds import code_overlap
+from .codes import Code, as_group, code_parameters
 from .paulis import StabilizerGroup
-from .states import apply_circuit_vec, dense_qubit_limit, project_pauli_vec, zero_vector
+from .states import apply_circuit_vec, dense_qubit_limit, num_qubits
 
 
 @dataclass(frozen=True)
@@ -144,20 +145,14 @@ def agsp_projector_check(
     }
 
     if group is not None:
-        g = group.group if isinstance(group, Code) else group
+        g = as_group(group)
         if distance is None:
             distance = code_parameters(g).d
         if distance is None:
             raise ValueError("distance unknown; pass distance explicitly")
         if g.n != m:
             raise ValueError("code and circuit qubit counts differ")
-        vec = psi
-        f_sq = 1.0
-        for check in g.generators:
-            prob, vec = project_pauli_vec(vec, check)
-            f_sq *= prob
-            if vec is None:
-                break
+        f_sq = code_overlap(psi, g)
         t = circuit.depth
         applicable = 2**t <= distance / 2
         rhs = 2.0 * float(np.exp(-(distance**2) / (2 ** (2 * t + 10) * m)))
@@ -177,7 +172,7 @@ def schmidt_rank(op: np.ndarray, region, m: int | None = None, tol: float = 1e-1
     """Operator Schmidt rank across region | rest, by realignment SVD."""
     op = np.asarray(op, dtype=complex)
     if m is None:
-        m = op.shape[0].bit_length() - 1
+        m = num_qubits(op)
     if op.shape != (2**m, 2**m):
         raise ValueError("operator shape does not match qubit count")
     region = tuple(sorted(int(q) for q in region))

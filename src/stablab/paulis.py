@@ -19,7 +19,7 @@ the most significant bit of a computational-basis index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,6 +14,10 @@ which is pure exactly when r = m and has entropy m - r bits. Clifford
 conjugation, Pauli-projector measurement, marginals and expectations all stay
 in the symplectic representation; dense materialization is only for
 cross-checks at small m.
+
+``num_qubits``, ``expectation``, ``project``, ``conjugate``, ``marginal``,
+``density_matrix``, ``vector`` and ``entropy`` take either backend; they are
+the one place that chooses between the two.
 """
 
 from __future__ import annotations
@@ -203,15 +207,27 @@ def partial_trace(rho: np.ndarray, keep, m: int | None = None) -> np.ndarray:
     return tensor.reshape(dim, dim)
 
 
+def shannon_entropy(probs) -> float:
+    """Entropy in bits of a probability list; entries at or below 1e-14 count as zero."""
+    probs = np.asarray(probs, dtype=float)
+    probs = probs[probs > 1e-14]
+    return float(-(probs * np.log2(probs)).sum())
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits; eigenvalues clamped at zero against roundoff."""
-    if rho.ndim == 1:
-        probs = np.asarray(rho, dtype=float)
-    else:
-        probs = np.linalg.eigvalsh(rho)
-    probs = np.clip(probs.real, 0.0, None)
-    mask = probs > 1e-14
-    return float(-(probs[mask] * np.log2(probs[mask])).sum())
+    """Entropy in bits, after checking the input is an actual state."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if not np.allclose(rho, rho.conj().T, atol=1e-8):
+        raise ValueError("density matrix is not Hermitian")
+    trace = float(np.trace(rho).real)
+    if abs(trace - 1.0) > 1e-8:
+        raise ValueError(f"density matrix trace {trace!r} is not 1")
+    vals = np.linalg.eigvalsh(rho)
+    if float(vals.min()) < -1e-10:
+        raise ValueError(f"density matrix has negative eigenvalue {float(vals.min())!r}")
+    return shannon_entropy(vals)
 
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
@@ -245,7 +261,7 @@ class StabilizerMixture:
     (``expectation``, ``project_pauli``) need, is therefore built at most once
     per instance: by ``__init__``, which needs it to check independence, or
     else lazily at the first query, so that mixtures made by ``apply_gate``
-    and the other ``__new__`` paths pay nothing for it until asked.
+    and the other ``_trusted`` paths pay nothing for it until asked.
     """
 
     _reducer: gf2.Reducer | None = None
@@ -323,10 +339,7 @@ class StabilizerMixture:
         return tuple(rows)
 
     def apply_gate(self, gate: Gate) -> "StabilizerMixture":
-        out = StabilizerMixture.__new__(StabilizerMixture)
-        out.m = self.m
-        out.rows = self._conjugated_rows(gate)
-        return out
+        return _trusted(self.m, self._conjugated_rows(gate))
 
     def apply_circuit(self, circuit: LayeredCircuit) -> "StabilizerMixture":
         state = self
@@ -340,10 +353,7 @@ class StabilizerMixture:
         rows = tuple(
             PauliOperator(r.n, r.x, r.z, -r.sign) if not commutes(r, p) else r for r in self.rows
         )
-        out = StabilizerMixture.__new__(StabilizerMixture)
-        out.m = self.m
-        out.rows = rows
-        return out
+        return _trusted(self.m, rows)
 
     # --- measurement ---
 
@@ -360,17 +370,11 @@ class StabilizerMixture:
                     new_rows.append(row)
                 else:
                     new_rows.append(multiply(row, pivot))
-            out = StabilizerMixture.__new__(StabilizerMixture)
-            out.m = self.m
-            out.rows = tuple(new_rows)
-            return 0.5, out
+            return 0.5, _trusted(self.m, tuple(new_rows))
         sign = self._membership(p)
         if sign is not None:
             return (1.0, self) if sign > 0 else (0.0, None)
-        out = StabilizerMixture.__new__(StabilizerMixture)
-        out.m = self.m
-        out.rows = self.rows + (p,)
-        return 0.5, out
+        return 0.5, _trusted(self.m, self.rows + (p,))
 
     # --- composition and materialization ---
 
@@ -380,10 +384,7 @@ class StabilizerMixture:
         rows = [PauliOperator(m_new, r.x, r.z, r.sign) for r in self.rows]
         for q in range(self.m, m_new):
             rows.append(PauliOperator(m_new, 0, 1 << q, 1))
-        out = StabilizerMixture.__new__(StabilizerMixture)
-        out.m = m_new
-        out.rows = tuple(rows)
-        return out
+        return _trusted(m_new, tuple(rows))
 
     def with_rows(self, extra_rows) -> "StabilizerMixture":
         """Re-validate with extra rows appended (rank must grow)."""
@@ -442,6 +443,14 @@ class StabilizerMixture:
                 pivot = int(np.argmax(np.abs(psi)))
                 return psi * (abs(psi[pivot]) / psi[pivot])
         raise RuntimeError("probe vectors kept annihilating; state inconsistent")
+
+
+def _trusted(m: int, rows: tuple[PauliOperator, ...]) -> StabilizerMixture:
+    """Mixture from rows already known to be valid: no checks, no reducer."""
+    out = StabilizerMixture.__new__(StabilizerMixture)
+    out.m = m
+    out.rows = rows
+    return out
 
 
 def _restrict_pauli(p: PauliOperator, region: tuple[int, ...]) -> PauliOperator:
@@ -504,3 +513,76 @@ def zero_mixture(m: int) -> StabilizerMixture:
 def group_mixture(group) -> StabilizerMixture:
     """Maximally mixed code state: independent generators become the rows."""
     return StabilizerMixture(group.n, group.independent_generators)
+
+
+# --- one dispatch over both backends ---
+#
+# Each function takes a StabilizerMixture, a state vector or a density matrix
+# and picks the backend with one isinstance check; mixtures go straight to
+# their method, so the dispatch costs no more than the method call itself.
+
+
+def _dense(state) -> np.ndarray:
+    arr = np.asarray(state, dtype=complex)
+    if arr.ndim not in (1, 2):
+        raise TypeError("state must be a StabilizerMixture, vector, or density matrix")
+    return arr
+
+
+def num_qubits(state) -> int:
+    if isinstance(state, StabilizerMixture):
+        return state.m
+    return _num_qubits(_dense(state))
+
+
+def expectation(state, p: PauliOperator) -> float:
+    """tr(P rho)."""
+    if isinstance(state, StabilizerMixture):
+        return state.expectation(p)
+    arr = _dense(state)
+    return pauli_expectation_vec(arr, p) if arr.ndim == 1 else pauli_expectation_rho(arr, p)
+
+
+def project(state, p: PauliOperator) -> tuple[float, "StabilizerMixture | np.ndarray | None"]:
+    """Outcome +1 of P on a mixture or a vector: (probability, normalized state or None)."""
+    if isinstance(state, StabilizerMixture):
+        return state.project_pauli(p)
+    return project_pauli_vec(vector(state), p)
+
+
+def conjugate(state, p: PauliOperator):
+    """P rho P; a mixture stays a mixture, dense input gives a density matrix."""
+    if isinstance(state, StabilizerMixture):
+        return state.conjugate_pauli(p)
+    return conjugate_pauli_rho(density_matrix(state), p)
+
+
+def marginal(state, region) -> np.ndarray:
+    """Dense reduced density matrix on the region (ascending order)."""
+    if isinstance(state, StabilizerMixture):
+        return state.marginal(region)
+    return partial_trace(density_matrix(state), region)
+
+
+def density_matrix(state) -> np.ndarray:
+    if isinstance(state, StabilizerMixture):
+        return state.dense_rho()
+    arr = _dense(state)
+    return rho_from_vector(arr) if arr.ndim == 1 else arr
+
+
+def vector(state) -> np.ndarray:
+    """State vector of a pure state; a mixture is materialized."""
+    if isinstance(state, StabilizerMixture):
+        return state.dense_vector()
+    arr = _dense(state)
+    if arr.ndim != 1:
+        raise ValueError("a state vector is required, got a density matrix")
+    return arr
+
+
+def entropy(state) -> float:
+    """Von Neumann entropy in bits; exactly m - r for a mixture."""
+    if isinstance(state, StabilizerMixture):
+        return state.entropy
+    return von_neumann_entropy(density_matrix(state))

@@ -25,12 +25,13 @@ from .circuits import Gate, LayeredCircuit
 from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import PauliOperator, StabilizerGroup
 from .states import (
-    StabilizerMixture,
     apply_pauli_vec,
     dense_qubit_limit,
     fidelity,
     partial_trace,
-    project_pauli_vec,
+    project,
+    shannon_entropy,
+    vector,
 )
 
 _CONTROLLED = {"X": "CX", "Y": "CY", "Z": "CZ"}
@@ -205,9 +206,7 @@ class DecoheredState:
     @property
     def mixing_entropy(self) -> float:
         """Shannon entropy (bits) of the syndrome distribution."""
-        probs = np.array([p for _, p, _ in self.branches])
-        probs = probs[probs > 1e-14]
-        return float(-(probs * np.log2(probs)).sum())
+        return shannon_entropy([p for _, p, _ in self.branches])
 
     @property
     def average_syndrome_weight(self) -> float:
@@ -224,39 +223,33 @@ class DecoheredState:
 def decohere(state, group: StabilizerGroup, prune: float = 1e-14) -> DecoheredState:
     """Measure every check; returns the branch map ordered by syndrome.
 
-    Works on stabilizer mixtures (exact probabilities) and dense vectors.
-    The commuting checks make the measurement order irrelevant.
+    Works on stabilizer mixtures and dense vectors. The commuting checks make
+    the measurement order irrelevant. Branches of probability at most prune
+    are dropped as roundoff; mixture probabilities are exact powers of 1/2,
+    at least 2^-n, so at the default prune no mixture branch is dropped.
     """
-    if isinstance(state, StabilizerMixture):
-        work = [((), 1.0, state)]
-        for g in group.generators:
-            nxt = []
-            for bits, p, st in work:
-                q_plus, st_plus = st.project_pauli(g)
-                if q_plus > 0 and st_plus is not None:
-                    nxt.append((bits + (0,), p * q_plus, st_plus))
-                neg = PauliOperator(g.n, g.x, g.z, -g.sign)
-                q_minus, st_minus = st.project_pauli(neg)
-                if q_minus > 0 and st_minus is not None:
-                    nxt.append((bits + (1,), p * q_minus, st_minus))
-            work = nxt
-    else:
-        psi = np.asarray(state, dtype=complex)
-        work = [((), 1.0, psi)]
-        for g in group.generators:
-            nxt = []
-            for bits, p, vec in work:
-                for outcome, sgn in ((0, 1), (1, -1)):
-                    signed = PauliOperator(g.n, g.x, g.z, sgn * g.sign)
-                    q, branch = project_pauli_vec(vec, signed)
-                    if branch is not None and p * q > prune:
-                        nxt.append((bits + (outcome,), p * q, branch))
-            work = nxt
+    work = [((), 1.0, state)]
+    for g in group.generators:
+        nxt = []
+        for bits, p, st in work:
+            for outcome, sign in ((0, g.sign), (1, -g.sign)):
+                q, branch = project(st, PauliOperator(g.n, g.x, g.z, sign))
+                if branch is not None and p * q > prune:
+                    nxt.append((bits + (outcome,), p * q, branch))
+        work = nxt
     work.sort(key=lambda item: item[0])
     return DecoheredState(
         n_checks=len(group.generators),
         branches=tuple((bits, float(p), st) for bits, p, st in work),
     )
+
+
+def pack_syndrome(bits) -> int:
+    """Syndrome bits as a register basis index, bit 0 most significant."""
+    packed = 0
+    for b in bits:
+        packed = (packed << 1) | b
+    return packed
 
 
 def coherent_extension(phi: np.ndarray, group: StabilizerGroup) -> np.ndarray:
@@ -278,10 +271,7 @@ def coherent_extension(phi: np.ndarray, group: StabilizerGroup) -> np.ndarray:
         components = nxt
     out = np.zeros(2 ** (n + N), dtype=complex)
     for bits, vec in components:
-        s_packed = 0
-        for i, b in enumerate(bits):
-            s_packed |= b << (N - 1 - i)
-        out[s_packed :: 2**N] += vec  # data index strides the high bits
+        out[pack_syndrome(bits) :: 2**N] += vec  # data index strides the high bits
     return out
 
 
@@ -300,9 +290,7 @@ def gentle_measurement_report(phi, group: StabilizerGroup, region) -> GentleMeas
     The guarantee: F(psi_R, Psi_R) >= 1 - sum of the input state's per-check
     energies over checks whose ancilla lies in R.
     """
-    if isinstance(phi, StabilizerMixture):
-        phi = phi.dense_vector()
-    phi = np.asarray(phi, dtype=complex)
+    phi = vector(phi)
     n = group.n
     N = len(group.generators)
     if n + N > dense_qubit_limit():
@@ -317,11 +305,8 @@ def gentle_measurement_report(phi, group: StabilizerGroup, region) -> GentleMeas
     dim = 2 ** (n + N)
     theta = np.zeros((dim, dim), dtype=complex)
     for bits, p, branch in decohere(phi, group).branches:
-        s_packed = 0
-        for i, b in enumerate(bits):
-            s_packed |= b << (N - 1 - i)
-        block = p * np.outer(branch, branch.conj())
-        theta[s_packed :: 2**N, s_packed :: 2**N] += block
+        s_packed = pack_syndrome(bits)
+        theta[s_packed :: 2**N, s_packed :: 2**N] += p * np.outer(branch, branch.conj())
     theta_r = partial_trace(theta, region, n + N)
 
     sma = tuple(i for i in range(N) if n + i in region)

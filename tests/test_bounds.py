@@ -44,6 +44,14 @@ def test_inputs_validate_ranges():
         BoundInputs(n=8, f=0.0)
     with pytest.raises(ValueError):
         BoundInputs(n=8, c_ell=-1.0)
+    # integer premises: 1 <= k, d <= n; ell, n_checks, m >= 1; t >= 0
+    for bad in (
+        {"k": 0}, {"k": 9}, {"d": 0}, {"d": 9}, {"ell": 0},
+        {"n_checks": 0}, {"t": -1}, {"m": 0},
+    ):
+        with pytest.raises(ValueError):
+            BoundInputs(n=8, **bad)
+    BoundInputs(n=8, k=8, d=8, ell=1, n_checks=1, t=0, m=1)
 
 
 def test_inputs_trim_total_qubits():

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import stablab
+import stablab.cli
 import stablab.suites
 from stablab.cli import main
 from stablab.codes import build_code
@@ -259,6 +260,15 @@ def test_frontier_csv_header(runner):
     assert lines[1].startswith("0,pauli-products,")
 
 
+def _bounds_eval(**override):
+    """`bounds eval` on n = 10 with in-premise values except the overrides."""
+    opts = {"n": 10, "k": 2, "d": 3, "ell": 2, "eps": 0.01, "t": 1, **override}
+    args = ["bounds", "eval"]
+    for key, value in opts.items():
+        args += [f"--{key.replace('_', '-')}", str(value)]
+    return args
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -273,6 +283,13 @@ def _reject_constant(name):
         (["sparsify", "--builtin", "five_qubit", "--samples", "0"], {}),
         (["sparsify", "--builtin", "five_qubit", "--delta", "0"], {}),
         (["sparsify", "--builtin", "five_qubit"], {"STABLAB_DENSE_LIMIT": "abc"}),
+        *(
+            (_bounds_eval(**bad), {})
+            for bad in (
+                {"k": 0}, {"k": 20}, {"d": 0}, {"d": 11},
+                {"ell": 0}, {"n_checks": 0}, {"t": -1}, {"m": 0},
+            )
+        ),
     ],
 )
 def test_invalid_input_exits_2_with_one_line_error(runner, args, env):
@@ -282,6 +299,18 @@ def test_invalid_input_exits_2_with_one_line_error(runner, args, env):
     assert "Traceback" not in result.output
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1, result.stderr
+
+
+def test_internal_error_exits_3_without_traceback(runner, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("simulated\nfailure")
+
+    monkeypatch.setattr(stablab.cli, "code_parameters", boom)
+    result = invoke(runner, ["code", "params", "--builtin", "five_qubit"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "Internal error: RuntimeError: simulated failure\n"
+    assert "Traceback" not in result.output
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -173,16 +173,19 @@ def test_consistency_clean_at_desk_scale():
 
 
 def test_consistency_detects_injected_violation():
-    # fictitious giant distance opens the applicability window; a shallow
-    # low-energy record must then be flagged
+    # fictitious giant 1-local code (n = k = d = 512) opens the rate bound's
+    # applicability window; a shallow low-energy record must then be flagged
     code = build_code("five_qubit")
     records = frontier_search(code, 0, "random-clifford", budget=20, seed=0)
     rec = records[0]
     assert 0.0 < rec.best_energy.mean < 1.0
-    report = theorem_consistency([rec], k=512, d=2**9, ell=2, n=5)
+    report = theorem_consistency([rec], k=512, d=2**9, ell=1, n=512)
     assert not report["consistent"]
     names = {v["bound"] for v in report["violations"]}
-    assert "thm3_distance" in names
+    assert "thm2_rate" in names
+    # k and d above n lie outside every theorem's premises
+    with pytest.raises(ValueError):
+        theorem_consistency([rec], k=512, d=2**9, ell=2, n=5)
 
 
 def test_record_row_columns():

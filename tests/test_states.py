@@ -11,8 +11,9 @@ from oracles import (
     projector_from_strings,
     von_neumann_entropy_naive,
 )
+from stablab import states
 from stablab.circuits import Gate, gate_matrix, random_low_depth
-from stablab.codes import five_qubit_code
+from stablab.codes import build_code, five_qubit_code
 from stablab.paulis import PauliOperator, from_letters, random_pauli
 from stablab.states import (
     StabilizerMixture,
@@ -34,6 +35,7 @@ from stablab.states import (
     zero_mixture,
     zero_vector,
 )
+from stablab.syndrome import decohere
 
 
 def random_state(m, rng):
@@ -379,14 +381,15 @@ def test_dense_qubit_limit_validates_environment(monkeypatch):
 
 
 @st.composite
-def clifford_mixtures(draw, max_m=6):
+def clifford_mixtures(draw, max_m=6, pure=False):
     """Seeded Clifford circuit applied to |0..0> with some Z rows dropped.
 
     Depth 0 keeps the validated constructor's reducer; deeper circuits go
-    through apply_gate, whose mixtures build their reducer lazily.
+    through apply_gate, whose mixtures build their reducer lazily. With
+    pure=True no row is dropped.
     """
     m = draw(st.integers(1, max_m))
-    keep = draw(st.integers(0, m))
+    keep = m if pure else draw(st.integers(0, m))
     circ = random_low_depth(m, draw(st.integers(0, 3)), family="clifford", seed=draw(st.integers(0, 2**16)))
     return StabilizerMixture(m, zero_mixture(m).rows[:keep]).apply_circuit(circ)
 
@@ -415,3 +418,63 @@ def test_mixture_reads_match_dense_rho(state, data):
     size = data.draw(st.integers(1, state.m))
     region = sorted(data.draw(st.permutations(range(state.m)))[:size])
     assert np.allclose(state.marginal(region), partial_trace_naive(rho, region, state.m), atol=1e-12)
+
+
+# --- the backend dispatch layer: one answer whatever the backend ---
+
+
+def _same_rho(a, b):
+    return np.allclose(states.density_matrix(a), states.density_matrix(b), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clifford_mixtures(pure=True), st.data())
+def test_dispatch_agrees_on_mixture_vector_and_rho(state, data):
+    vec, rho = state.dense_vector(), state.dense_rho()
+    forms = (state, vec, rho)
+    p = data.draw(_paulis(state.m))
+    size = data.draw(st.integers(1, state.m))
+    region = data.draw(st.permutations(range(state.m)))[:size]  # unsorted on purpose
+    for form in forms:
+        assert states.num_qubits(form) == state.m
+        assert states.expectation(form, p) == pytest.approx(state.expectation(p), abs=1e-12)
+        assert _same_rho(states.conjugate(form, p), state.conjugate_pauli(p))
+        assert np.allclose(states.marginal(form, region), state.marginal(region), atol=1e-12)
+        assert np.allclose(states.density_matrix(form), rho, atol=1e-12)
+        assert states.entropy(form) == pytest.approx(0.0, abs=1e-9)
+    for form in (state, vec):
+        assert np.allclose(rho_from_vector(states.vector(form)), rho, atol=1e-12)
+        prob, post = states.project(form, p)
+        want_prob, want_post = state.project_pauli(p)
+        assert prob == pytest.approx(want_prob, abs=1e-12)
+        assert (post is None) == (want_post is None)
+        if post is not None:
+            assert _same_rho(post, want_post)
+    with pytest.raises(ValueError):
+        states.vector(rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clifford_mixtures(), st.data())
+def test_dispatch_agrees_on_mixed_mixture_and_rho(state, data):
+    rho = state.dense_rho()
+    p = data.draw(_paulis(state.m))
+    for form in (state, rho):
+        assert states.num_qubits(form) == state.m
+        assert states.expectation(form, p) == pytest.approx(state.expectation(p), abs=1e-12)
+        assert _same_rho(states.conjugate(form, p), state.conjugate_pauli(p))
+        assert states.entropy(form) == pytest.approx(state.m - state.rank, abs=1e-9)
+    assert isinstance(states.entropy(state), float)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "toric2"])
+def test_decohere_branch_map_same_for_mixture_and_vector(name):
+    group = build_code(name).group
+    for seed in range(6):
+        circ = random_low_depth(group.n, seed % 3, family="clifford", seed=seed)
+        mixture = zero_mixture(group.n).apply_circuit(circ)
+        exact = decohere(mixture, group)
+        dense = decohere(mixture.dense_vector(), group)
+        assert [bits for bits, _, _ in exact.branches] == [bits for bits, _, _ in dense.branches]
+        for (_, p_exact, _), (_, p_dense, _) in zip(exact.branches, dense.branches):
+            assert p_dense == pytest.approx(p_exact, abs=1e-12)
