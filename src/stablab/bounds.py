@@ -22,13 +22,13 @@ from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import LogicalPair, StabilizerGroup, best_distance
 from .states import (
     StabilizerMixture,
-    dense_qubit_limit,
     density_matrix,
     expectation,
     num_qubits,
     partial_trace,
-    project,
+    project_all,
     project_pauli_vec,
+    require_dense,
     trace_distance,
     vector,
     zero_mixture,
@@ -229,15 +229,9 @@ def code_overlap(state, group: StabilizerGroup) -> float:
     if isinstance(state, StabilizerMixture):
         if not state.is_pure:
             raise ValueError("pure state required")
-    elif num_qubits(state) > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {num_qubits(state)} qubits")
-    f_sq = 1.0
-    for check in group.generators:
-        prob, state = project(state, check)
-        f_sq *= prob
-        if state is None:
-            return 0.0
-    return f_sq
+    else:
+        require_dense(num_qubits(state))
+    return project_all(state, group.generators)[0]
 
 
 def _dense_code_projector(group: StabilizerGroup) -> np.ndarray:
@@ -370,8 +364,7 @@ def distinguishing_region(psi, theta, size_cap: int, threshold: float | None = N
     m = num_qubits(psi)
     if num_qubits(theta) != m:
         raise ValueError("states live on different qubit counts")
-    if m > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {m} qubits")
+    require_dense(m)
     rho = density_matrix(psi)
     sigma = density_matrix(theta)
     size_cap = min(size_cap, m)

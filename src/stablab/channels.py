@@ -38,7 +38,6 @@ from .states import (
     basis_vector,
     conjugate,
     conjugate_pauli_rho,
-    dense_qubit_limit,
     density_matrix,
     entropy,
     group_mixture,
@@ -46,12 +45,13 @@ from .states import (
     num_qubits,
     partial_trace,
     pauli_expectation_vec,
-    project_pauli_vec,
+    require_dense,
     rho_from_vector,
     shannon_entropy,
     von_neumann_entropy,  # noqa: F401  (part of this module's interface)
 )
 from .circuits import LayeredCircuit, reverse_circuit
+from .hamiltonians import build_code_hamiltonian, project_eigenspace
 from .syndrome import decohere, pack_syndrome
 
 
@@ -111,8 +111,7 @@ def logical_depolarize(state, pairs):
 
     rho = density_matrix(state)
     m = num_qubits(rho)
-    if m > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {m} qubits > {dense_qubit_limit()}")
+    require_dense(m)
     chan = _as_channel(pairs, m)
     if chan.k == 0:
         return rho
@@ -164,8 +163,7 @@ class EncodedMixedState:
 
     def dense_theta(self) -> np.ndarray:
         m_total = self.n + self.n_checks
-        if m_total > dense_qubit_limit():
-            raise ValueError(f"dense limit exceeded: {m_total} qubits > {dense_qubit_limit()}")
+        require_dense(m_total)
         dim = 2**m_total
         out = np.zeros((dim, dim), dtype=complex)
         step = 2**self.n_checks
@@ -214,8 +212,7 @@ def entropy_audit(theta: EncodedMixedState, w: LayeredCircuit) -> dict:
             for j in range(m_total):
                 marginals[j] += p * rotated.marginal((j,))
         else:
-            if m_total > dense_qubit_limit():
-                raise ValueError(f"dense limit exceeded: {m_total} qubits > {dense_qubit_limit()}")
+            require_dense(m_total)
             reg = np.zeros(2**theta.n_checks, dtype=complex)
             reg[pack_syndrome(bits)] = 1.0
             sigma = np.kron(density_matrix(mu), rho_from_vector(reg))
@@ -319,17 +316,12 @@ def marginal_invariance_suite(code, family=None, region=(), distance=None) -> di
 def _sector_state(group: StabilizerGroup, sector, rng: np.random.Generator) -> np.ndarray:
     """Random pure state in D_s, by projecting a generic dense vector."""
     n = group.n
+    ham = build_code_hamiltonian(group)
     for _ in range(8):
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         vec /= np.linalg.norm(vec)
-        dead = False
-        for bit, g in zip(sector, group.generators):
-            signed = PauliOperator(g.n, g.x, g.z, (-1 if bit else 1) * g.sign)
-            prob, vec = project_pauli_vec(vec, signed)
-            if vec is None:
-                dead = True
-                break
-        if not dead:
+        _, vec = project_eigenspace(vec, ham, sector)
+        if vec is not None:
             return vec
     raise ValueError("syndrome sector is empty (inconsistent with dependent checks)")
 
@@ -410,8 +402,7 @@ def extended_invariance_check(code, region1, region2, seed: int = 0, distance=No
         raise ValueError("region1 must sit in the code block")
     if any(not n <= q < n + k for q in region2):
         raise ValueError("region2 must sit in the reference block")
-    if n + k > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {n + k} qubits > {dense_qubit_limit()}")
+    require_dense(n + k)
 
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)

@@ -49,7 +49,7 @@ _DAGGER_NAME = {name: name for name in NAMED_GATES} | {"S": "SDG", "SDG": "S"}
 WordStep = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     """One gate slot: exactly one of name / word / matrix is set.
 

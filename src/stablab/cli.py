@@ -9,8 +9,8 @@ out-of-range options), 3 an internal error (one line on stderr, no
 traceback), so that a crash never reads as a failed bound.
 
 The dense-simulation ceiling honors the STABLAB_DENSE_LIMIT environment
-variable, which must be a positive integer (else exit 2); there is no
-interactive mode.
+variable, which must be a positive integer (else exit 2); an input that
+needs a dense path past it also exits 2. There is no interactive mode.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ from .hamiltonians import (
     amplification_gap_check,
     amplify,
     build_code_hamiltonian,
-    dense_g,
-    dense_sparsified_g,
     energy_report,
+    sparsifier_deviation,
     sparsifier_sample_count,
     sparsify,
-    spectral_deviation,
 )
 from .io import canonical_json, frontier_csv, write_frontier_csv, write_json, write_text
 from .states import (
+    DenseLimitError,
     apply_circuit_vec,
     dense_qubit_limit,
+    require_dense,
     zero_mixture,
     zero_vector,
 )
@@ -84,10 +84,7 @@ def _prepared_state(n: int, circuit_path: str | None):
     )
     if clifford:
         return zero_mixture(n).apply_circuit(circuit)
-    if n > dense_qubit_limit():
-        raise click.UsageError(
-            f"non-Clifford prep on {n} qubits exceeds the dense limit {dense_qubit_limit()}"
-        )
+    require_dense(n)
     return apply_circuit_vec(zero_vector(n), circuit)
 
 
@@ -119,6 +116,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
             raise
+        except DenseLimitError as err:
+            raise click.UsageError(str(err))
         except Exception as err:
             message = " ".join(str(err).split())
             click.echo(f"Internal error: {type(err).__name__}: {message}", err=True)
@@ -471,12 +470,11 @@ def sparsify_cmd(builtin, file_path, delta, seed, samples, out):
     amp = amplify(build_code_hamiltonian(group, "mean"), 1)
     if samples is None:
         samples = sparsifier_sample_count(group.n, delta, group.locality)
-    if group.n > dense_qubit_limit():
-        raise click.UsageError(
-            f"dense deviation needs {group.n} qubits <= limit {dense_qubit_limit()}"
-        )
     sparse = sparsify(amp, samples, seed=seed)
-    deviation = spectral_deviation(dense_g(amp), dense_sparsified_g(sparse))
+    try:
+        deviation = sparsifier_deviation(sparse)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     payload = {
         "code": chosen.name,
         "delta": delta,

@@ -1,17 +1,27 @@
 """Commuting-projector Hamiltonians from check groups, and two transformations.
 
 The base object is H = sum_i (I - C_i)/2 over the generators of a stabilizer
-group ("sum" normalization; "mean" divides by the term count N). Because the
-checks commute, the sum-normalized spectrum is exactly the set of syndrome
-Hamming weights |s|, each sector of dimension 2^(n - rank).
+group ("sum" normalization; "mean" divides by the term count N). The checks
+commute, so H and every polynomial in the check projectors g_i = (I + C_i)/2
+are diagonal in the joint check eigenbasis: on the sector with syndrome s
+(C_i = (-1)^(s_i)) the projector g_i is [s_i = 0] and H is |s|. The
+sum-normalized spectrum is therefore the set of attainable syndrome weights,
+each sector of dimension 2^(n - rank).
 
 Two operator transformations are provided:
 
-  * amplification: H^(p) = I - (I - H)^p for mean-normalized H. Expectations
-    of H^(p) are available densely and, for stabilizer states, through the
-    subset expansion of products of projectors g_i = (I + C_i)/2.
-  * sparsification: (I - H)^p is a mean over N^p projector products; a
-    sparsifier samples k of those tuples i.i.d. and takes their mean.
+  * amplification: H^(p) = I - (I - H)^p for mean-normalized H. (I - H)^p is
+    the mean over the N^p p-tuples of projector products, and a product of
+    commuting projectors is the projector onto the joint +1 eigenspace of its
+    distinct checks, so tr(H^(p) rho) needs one joint-outcome probability per
+    distinct check set.
+  * sparsification: a sparsifier samples k of those tuples i.i.d. and takes
+    their mean G'. Its deviation from (I - H)^p is exact on the attainable
+    syndromes: max_s |mean_j prod_{i in tuple_j} [s_i = 0] - (1 - |s|/N)^p|.
+
+The dense builders (``dense_hamiltonian``, ``dense_amplified``, ``dense_g``,
+``dense_sparsified_g``, ``spectral_deviation``) are oracles for tests and
+benchmarks, capped at the dense qubit limit; no production path uses them.
 
 Energy gain of amplification on a depth-t state is checked against
     tr(H^(p) phi) >= min{1, p tr(H phi)}/2 - 2^t p^2 ell^2 / n.
@@ -23,14 +33,16 @@ built here; it serves as a search target elsewhere.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
 from . import gf2
-from .paulis import PauliOperator, StabilizerGroup, dense_matrix, embed_pauli, identity, multiply, single
-from .states import dense_qubit_limit, expectation, num_qubits, project
+from .paulis import PauliOperator, StabilizerGroup, dense_matrix, embed_pauli, single
+from .states import expectation, num_qubits, project_all, require_dense
 
 
 @dataclass(frozen=True)
@@ -104,52 +116,47 @@ def project_eigenspace(state, ham: CodeHamiltonian, syndrome) -> tuple[float, ob
     syndrome = [int(b) & 1 for b in syndrome]
     if len(syndrome) != ham.n_terms:
         raise ValueError(f"syndrome length {len(syndrome)} != {ham.n_terms} checks")
-    prob = 1.0
-    current = state
-    for bit, check in zip(syndrome, ham.group.generators):
-        signed = PauliOperator(check.n, check.x, check.z, -check.sign if bit else check.sign)
-        q, current = project(current, signed)
-        prob *= q
-        if current is None or prob < 1e-14:
-            return 0.0, None
-    return prob, current
+    signed = (
+        PauliOperator(c.n, c.x, c.z, -c.sign if bit else c.sign)
+        for bit, c in zip(syndrome, ham.group.generators)
+    )
+    return project_all(state, signed)
 
 
-def syndrome_image_basis(group: StabilizerGroup) -> np.ndarray:
-    """Basis of attainable syndrome vectors (rank rows of length N)."""
-    rows = []
-    for q in range(group.n):
-        for letter in ("X", "Z"):
-            rows.append(group.syndrome_of(single(group.n, q, letter)))
-    mat = np.array(rows, dtype=np.uint8)
-    rref, pivots = gf2.row_echelon(mat)
-    return rref[: len(pivots)]
+def attainable_syndromes(group: StabilizerGroup, max_rank: int = 22) -> np.ndarray:
+    """Every attainable syndrome once, as a uint64 array with bit i for check i.
+
+    The attainable syndromes are the span of the single-qubit X and Z
+    syndromes; the array is that span listed by XOR-doubling a basis of it,
+    2^rank entries. Raises ValueError above 64 checks or past 2^max_rank.
+    """
+    n_checks = len(group.generators)
+    if n_checks > 64:
+        raise ValueError(f"syndromes of {n_checks} checks do not fit in 64 bits")
+    reducer = gf2.Reducer(
+        sum(bit << i for i, bit in enumerate(group.syndrome_of(single(group.n, q, letter))))
+        for q in range(group.n)
+        for letter in ("X", "Z")
+    )
+    if reducer.rank > max_rank:
+        raise ValueError(f"syndrome enumeration needs 2^{reducer.rank} > 2^{max_rank} sectors")
+    syndromes = np.zeros(1, dtype=np.uint64)
+    for _, row in reducer.rows:
+        syndromes = np.concatenate([syndromes, syndromes ^ np.uint64(row)])
+    return syndromes
 
 
 def spectrum(ham: CodeHamiltonian, max_rank: int = 22) -> tuple[tuple[float, int], ...]:
     """Exact spectrum as (energy, multiplicity) pairs via syndrome weights."""
-    basis = syndrome_image_basis(ham.group)
-    r = basis.shape[0]
-    if r > max_rank:
-        raise ValueError(f"syndrome enumeration needs 2^{r} > 2^{max_rank} sectors")
-    packed = [int("".join(str(int(b)) for b in row), 2) if row.size else 0 for row in basis]
-    counts: dict[int, int] = {}
-    # Gray-code walk over the image space
-    current = 0
-    counts[0] = 1
-    for idx in range(1, 1 << r):
-        current ^= packed[(idx & -idx).bit_length() - 1]
-        w = current.bit_count()
-        counts[w] = counts.get(w, 0) + 1
-    sector_dim = 2 ** (ham.n - r)
+    syndromes = attainable_syndromes(ham.group, max_rank)
+    counts = np.bincount(np.bitwise_count(syndromes))
+    sector_dim = 2**ham.n // len(syndromes)
     scale = 1.0 / ham.n_terms if ham.normalization == "mean" else 1.0
-    return tuple(sorted((w * scale, c * sector_dim) for w, c in counts.items()))
+    return tuple((w * scale, int(c) * sector_dim) for w, c in enumerate(counts) if c)
 
 
-def dense_hamiltonian(ham: CodeHamiltonian, max_qubits: int | None = None) -> np.ndarray:
-    limit = dense_qubit_limit() if max_qubits is None else max_qubits
-    if ham.n > limit:
-        raise ValueError(f"dense limit exceeded: {ham.n} qubits > {limit}")
+def dense_hamiltonian(ham: CodeHamiltonian) -> np.ndarray:
+    require_dense(ham.n)
     dim = 2**ham.n
     out = np.zeros((dim, dim), dtype=complex)
     for g in ham.group.generators:
@@ -184,45 +191,34 @@ def amplify(ham: CodeHamiltonian, p: int) -> AmplifiedHamiltonian:
     return AmplifiedHamiltonian(base=ham, p=p)
 
 
-def _tuple_product_expectation(state, checks: list[PauliOperator], indices: tuple[int, ...]) -> float:
-    """tr(rho g_{i1}..g_{ip}) by the 2^-p subset expansion of (I+C)/2 factors."""
-    p = len(indices)
-    total = 0.0
-    for mask in range(1 << p):
-        prod = identity(checks[0].n)
-        for j in range(p):
-            if (mask >> j) & 1:
-                prod = multiply(prod, checks[indices[j]])
-        total += expectation(state, prod)
-    return total / (1 << p)
-
-
 def amplified_energy(state, amp: AmplifiedHamiltonian, code_qubits=None) -> float:
-    """tr(H^(p) rho) = 1 - mean over p-tuples of projector-product expectations.
+    """tr(H^(p) rho) = 1 - mean over p-tuples of tr(rho g_{i1} .. g_{ip}).
 
-    Stabilizer mixtures stay in the tableau representation throughout; dense
-    states evaluate the same expansion with dense Pauli expectations.
+    The product of commuting projectors is the projector onto the joint +1
+    eigenspace of the tuple's distinct checks, so each term is the
+    probability that those checks all read +1; it is computed once per
+    distinct check set. Takes a stabilizer mixture or a state vector (not a
+    density matrix).
     """
     checks = _embedded_checks(state, amp.base, code_qubits)
     n_terms = len(checks)
+    probs: dict[frozenset, float] = {}
     total = 0.0
-    for flat in range(n_terms**amp.p):
-        indices = []
-        rem = flat
-        for _ in range(amp.p):
-            indices.append(rem % n_terms)
-            rem //= n_terms
-        total += _tuple_product_expectation(state, checks, tuple(indices))
+    for indices in product(range(n_terms), repeat=amp.p):
+        key = frozenset(indices)
+        if key not in probs:
+            probs[key] = project_all(state, (checks[i] for i in sorted(key)))[0]
+        total += probs[key]
     return 1.0 - total / n_terms**amp.p
 
 
-def dense_amplified(amp: AmplifiedHamiltonian, max_qubits: int | None = None) -> np.ndarray:
-    h = dense_hamiltonian(amp.base, max_qubits)
+def dense_amplified(amp: AmplifiedHamiltonian) -> np.ndarray:
+    h = dense_hamiltonian(amp.base)
     dim = h.shape[0]
     return np.eye(dim) - np.linalg.matrix_power(np.eye(dim) - h, amp.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapAmplificationReport:
     lhs: float
     rhs: float
@@ -277,17 +273,33 @@ def sparsify(amp: AmplifiedHamiltonian, k_samples: int, seed: int | None = None)
     return SparsifiedHamiltonian(amplified=amp, sampled_indices=indices, seed=seed)
 
 
+def sparsifier_deviation(sparse: SparsifiedHamiltonian) -> float:
+    """||G' - (I - H)^p||, exact on the attainable syndromes.
+
+    Both operators are diagonal in the joint check eigenbasis, with value
+    mean_j prod_{i in tuple_j} [s_i = 0] and (1 - |s|/N)^p on sector s, and
+    every attainable sector is nonempty. Memory stays O(2^rank): one pass
+    per distinct tuple mask.
+    """
+    amp = sparse.amplified
+    syndromes = attainable_syndromes(amp.base.group)
+    masks = Counter(sum(1 << i for i in set(indices)) for indices in sparse.sampled_indices)
+    hits = np.zeros(len(syndromes), dtype=np.int64)
+    for mask, count in masks.items():
+        hits += count * ((syndromes & np.uint64(mask)) == 0)
+    target = (1.0 - np.bitwise_count(syndromes) / amp.base.n_terms) ** amp.p
+    return float(np.max(np.abs(hits / sparse.k_samples - target)))
+
+
 def _dense_projector_product(ham: CodeHamiltonian, indices: tuple[int, ...]) -> np.ndarray:
     dim = 2**ham.n
     mats = [(np.eye(dim) + dense_matrix(ham.group.generators[i])) / 2 for i in indices]
     return reduce(lambda a, b: a @ b, mats)
 
 
-def dense_sparsified_g(sparse: SparsifiedHamiltonian, max_qubits: int | None = None) -> np.ndarray:
+def dense_sparsified_g(sparse: SparsifiedHamiltonian) -> np.ndarray:
     ham = sparse.amplified.base
-    limit = dense_qubit_limit() if max_qubits is None else max_qubits
-    if ham.n > limit:
-        raise ValueError(f"dense limit exceeded: {ham.n} qubits > {limit}")
+    require_dense(ham.n)
     dim = 2**ham.n
     out = np.zeros((dim, dim), dtype=complex)
     for indices in sparse.sampled_indices:
@@ -295,36 +307,16 @@ def dense_sparsified_g(sparse: SparsifiedHamiltonian, max_qubits: int | None = N
     return out / sparse.k_samples
 
 
-def dense_g(amp: AmplifiedHamiltonian, max_qubits: int | None = None) -> np.ndarray:
+def dense_g(amp: AmplifiedHamiltonian) -> np.ndarray:
     """(I - H)^p, the operator the sparsifier approximates."""
-    h = dense_hamiltonian(amp.base, max_qubits)
+    h = dense_hamiltonian(amp.base)
     return np.linalg.matrix_power(np.eye(h.shape[0]) - h, amp.p)
 
 
-def spectral_deviation(a: np.ndarray, b: np.ndarray, method: str = "auto") -> float:
-    """Operator norm of the Hermitian difference a - b."""
-    diff = np.asarray(a) - np.asarray(b)
-    if method not in ("auto", "eig", "power"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "eig" or (method == "auto" and diff.shape[0] <= 2048):
-        vals = np.linalg.eigvalsh(diff)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    # power iteration on diff^2 (Hermitian, so |eig| pairs are handled)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(diff.shape[0]) + 1j * rng.standard_normal(diff.shape[0])
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(10000):
-        w = diff @ (diff @ v)
-        norm = np.linalg.norm(w)
-        if norm < 1e-18:
-            return 0.0
-        v = w / norm
-        est = math.sqrt(norm)
-        if abs(est - last) <= 1e-9 * max(1.0, est):
-            return float(est)
-        last = est
-    return float(last)
+def spectral_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Operator norm of the Hermitian difference a - b, by a dense eigensolve."""
+    vals = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
+    return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 # --- cat-state blocks ---
@@ -352,26 +344,20 @@ def cat_state_hamiltonian(n: int, block_size: int) -> CatHamiltonian:
     return CatHamiltonian(n=n, block_size=block_size, blocks=blocks)
 
 
-def _cat_block_group(cat: CatHamiltonian, block: tuple[int, ...]) -> list[PauliOperator]:
-    """All 2^p elements of the cat state's stabilizer group, embedded."""
-    p = cat.block_size
-    gens = []
-    x_all = PauliOperator(p, (1 << p) - 1, 0, 1)
-    gens.append(x_all)
-    for i in range(p - 1):
-        gens.append(PauliOperator(p, 0, (1 << i) | (1 << (i + 1)), 1))
-    members = [identity(p)]
-    for g in gens:
-        members += [multiply(m, g) for m in members]
-    return [embed_pauli(m, cat.n, block) for m in members]
-
-
 def cat_energy_report(state, cat: CatHamiltonian) -> EnergyReport:
-    """Per-block 1 - <cat|rho_block|cat> via the stabilizer-group expansion."""
+    """Per-block 1 - <cat|rho_block|cat>.
+
+    |cat><cat| on a block is the joint +1 projector of X^p and the p - 1
+    neighbouring Z_i Z_{i+1}, so the overlap is the probability that all of
+    them read +1. Takes a stabilizer mixture or a state vector (not a
+    density matrix).
+    """
+    p = cat.block_size
+    gens = [PauliOperator(p, (1 << p) - 1, 0, 1)]
+    gens += [PauliOperator(p, 0, (1 << i) | (1 << (i + 1)), 1) for i in range(p - 1)]
     per_term = []
     for block in cat.blocks:
-        members = _cat_block_group(cat, block)
-        overlap = sum(expectation(state, m) for m in members) / len(members)
+        overlap, _ = project_all(state, (embed_pauli(g, cat.n, block) for g in gens))
         per_term.append(1.0 - overlap)
     total = float(sum(per_term))
     return EnergyReport(per_term=tuple(per_term), total=total, mean=total / len(per_term))

@@ -20,7 +20,7 @@ from .circuits import LayeredCircuit
 from .bounds import code_overlap
 from .codes import Code, as_group, code_parameters
 from .paulis import StabilizerGroup
-from .states import apply_circuit_vec, dense_qubit_limit, num_qubits
+from .states import apply_circuit_vec, num_qubits, require_dense
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def agsp_projector_check(
     2 and therefore weak at desk scale, but asserted).
     """
     m = circuit.m
-    if m > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {m} qubits > {dense_qubit_limit()}")
+    require_dense(m)
     poly = kls_polynomial(m, deg)
     unitary = _circuit_unitary(circuit)
     psi = unitary[:, 0]

@@ -36,7 +36,7 @@ _SINGLE_QUBIT_MATS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliOperator:
     """sign * tensor of single-qubit letters, letters packed as x/z bit ints."""
 

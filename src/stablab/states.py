@@ -15,9 +15,11 @@ conjugation, Pauli-projector measurement, marginals and expectations all stay
 in the symplectic representation; dense materialization is only for
 cross-checks at small m.
 
-``num_qubits``, ``expectation``, ``project``, ``conjugate``, ``marginal``,
-``density_matrix``, ``vector`` and ``entropy`` take either backend; they are
-the one place that chooses between the two.
+``num_qubits``, ``expectation``, ``project``, ``project_all``,
+``conjugate``, ``marginal``, ``density_matrix``, ``vector`` and ``entropy``
+take either backend; they are the one place that chooses between the two.
+Dense paths call ``require_dense`` first, so an input past the dense qubit
+limit raises one error type, :class:`DenseLimitError`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ def dense_qubit_limit() -> int:
     if limit < 1:
         raise ValueError(f"STABLAB_DENSE_LIMIT must be a positive integer, got {raw!r}")
     return limit
+
+
+class DenseLimitError(ValueError):
+    """A dense path was asked for more qubits than :func:`dense_qubit_limit`."""
+
+
+def require_dense(m: int) -> None:
+    """Raise DenseLimitError unless m qubits fit under the dense limit."""
+    limit = dense_qubit_limit()
+    if m > limit:
+        raise DenseLimitError(f"dense limit exceeded: {m} qubits > {limit}")
 
 
 _TWO_QUBIT_CLIFFORD_RULES = {
@@ -122,7 +135,7 @@ def apply_pauli_vec(psi: np.ndarray, p: PauliOperator) -> np.ndarray:
     x_idx, z_idx = _index_masks(p, m)
     indices = np.arange(psi.shape[0], dtype=np.uint64)
     zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
-    out = np.empty_like(psi)
+    out = np.empty(psi.shape, dtype=complex)
     out[indices ^ np.uint64(x_idx)] = (p.sign * 1j**p.y_count) * zphase * psi
     return out
 
@@ -548,6 +561,22 @@ def project(state, p: PauliOperator) -> tuple[float, "StabilizerMixture | np.nda
     if isinstance(state, StabilizerMixture):
         return state.project_pauli(p)
     return project_pauli_vec(vector(state), p)
+
+
+def project_all(state, ops) -> tuple[float, "StabilizerMixture | np.ndarray | None"]:
+    """Outcome +1 of every P in ops, in turn: (joint probability, state or None).
+
+    Stops with (0.0, None) as soon as the running probability drops below
+    1e-14. For commuting ops the probability is tr(rho prod_P (I + P)/2),
+    whatever their order.
+    """
+    prob = 1.0
+    for p in ops:
+        q, state = project(state, p)
+        prob *= q
+        if state is None or prob < 1e-14:
+            return 0.0, None
+    return prob, state
 
 
 def conjugate(state, p: PauliOperator):

@@ -26,10 +26,10 @@ from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import PauliOperator, StabilizerGroup
 from .states import (
     apply_pauli_vec,
-    dense_qubit_limit,
     fidelity,
     partial_trace,
     project,
+    require_dense,
     shannon_entropy,
     vector,
 )
@@ -293,8 +293,7 @@ def gentle_measurement_report(phi, group: StabilizerGroup, region) -> GentleMeas
     phi = vector(phi)
     n = group.n
     N = len(group.generators)
-    if n + N > dense_qubit_limit():
-        raise ValueError(f"dense limit exceeded: {n + N} qubits > {dense_qubit_limit()}")
+    require_dense(n + N)
     region = tuple(sorted(int(q) for q in region))
     if any(not 0 <= q < n + N for q in region):
         raise ValueError("region outside the data + ancilla wires")

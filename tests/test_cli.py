@@ -13,7 +13,14 @@ import stablab.cli
 import stablab.suites
 from stablab.cli import main
 from stablab.codes import build_code
-from stablab.hamiltonians import build_code_hamiltonian, energy_report
+from stablab.hamiltonians import (
+    amplify,
+    build_code_hamiltonian,
+    energy_report,
+    sparsifier_deviation,
+    sparsifier_sample_count,
+    sparsify,
+)
 from stablab.io import FRONTIER_COLUMNS
 from stablab.states import zero_mixture
 
@@ -269,6 +276,28 @@ def _bounds_eval(**override):
     return args
 
 
+# placeholders in argument lists for input files a test writes first
+NON_CLIFFORD_PREP = "<non-Clifford prep on {m} wires>"
+RANK_23_CODE = "<23 independent Z checks>"
+
+
+def _materialize(arg, tmp_path):
+    """Write the file an argument placeholder names and return its path."""
+    for m in (5, 8, 18):
+        if arg == NON_CLIFFORD_PREP.format(m=m):
+            t_gate = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2**-0.5, 2**-0.5]]]
+            circ = {"m": m, "layers": [[{"gate": {"dense": t_gate}, "qubits": [0]}]]}
+            path = tmp_path / f"t{m}.json"
+            path.write_text(json.dumps(circ))
+            return str(path)
+    if arg == RANK_23_CODE:
+        checks = ["I" * q + "Z" + "I" * (22 - q) for q in range(23)]
+        path = tmp_path / "z23.json"
+        path.write_text(json.dumps({"checks": checks}))
+        return str(path)
+    return arg
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
@@ -290,9 +319,17 @@ def _reject_constant(name):
                 {"ell": 0}, {"n_checks": 0}, {"t": -1}, {"m": 0},
             )
         ),
+        # inputs past the dense limit
+        (["entropy", "audit", "--builtin", "toric2", "--circuit", NON_CLIFFORD_PREP.format(m=8)], {}),
+        (["ham", "energy", "--builtin", "toric3", "--circuit", NON_CLIFFORD_PREP.format(m=18)], {}),
+        (["ham", "energy", "--builtin", "five_qubit", "--circuit", NON_CLIFFORD_PREP.format(m=5)],
+         {"STABLAB_DENSE_LIMIT": "4"}),
+        # more sectors than the syndrome enumeration lists
+        (["sparsify", "--file", RANK_23_CODE, "--samples", "4"], {}),
     ],
 )
-def test_invalid_input_exits_2_with_one_line_error(runner, args, env):
+def test_invalid_input_exits_2_with_one_line_error(runner, args, env, tmp_path):
+    args = [_materialize(arg, tmp_path) for arg in args]
     result = invoke(runner, args, env=env)
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -345,6 +382,18 @@ def test_sparsify_uses_lemma_sample_count(runner):
     payload = json.loads(result.output)
     assert payload["samples"] == 2560
     assert payload["seed"] == 0
+    assert payload["within_delta"] is True
+
+
+@pytest.mark.parametrize("name", ["toric3", "surface13"])
+def test_sparsify_runs_past_the_dense_cap(runner, name):
+    result = invoke(runner, ["sparsify", "--builtin", name, "--seed", "2"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    group = build_code(name).group
+    assert payload["samples"] == sparsifier_sample_count(group.n, 0.25, group.locality)
+    sparse = sparsify(amplify(build_code_hamiltonian(group, "mean"), 1), payload["samples"], seed=2)
+    assert payload["deviation"] == sparsifier_deviation(sparse)
     assert payload["within_delta"] is True
 
 

@@ -1,7 +1,13 @@
+import json
+import sys
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from oracles import pauli_matrix, projector_from_strings
+from oracles import gf2_rank_naive, pauli_matrix, projector_from_strings
+from stablab import paulis
+from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab.codes import build_code, five_qubit_code, toric_code
 from stablab.hamiltonians import (
@@ -9,6 +15,7 @@ from stablab.hamiltonians import (
     amplification_gap_check,
     amplified_energy,
     amplify,
+    attainable_syndromes,
     build_code_hamiltonian,
     cat_energy_report,
     cat_state_hamiltonian,
@@ -19,15 +26,18 @@ from stablab.hamiltonians import (
     energy_report,
     energy_value,
     project_eigenspace,
+    sparsifier_deviation,
     sparsifier_sample_count,
     sparsify,
     spectral_deviation,
     spectrum,
 )
 from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
+from stablab.suites import SUITES
 from stablab.states import (
     StabilizerMixture,
     apply_circuit_vec,
+    dense_qubit_limit,
     group_mixture,
     pauli_expectation_vec,
     zero_mixture,
@@ -302,20 +312,6 @@ def test_spectral_deviation_basics():
     a = np.diag([1.0, 2.0, 3.0])
     assert spectral_deviation(a, a) == 0.0
     assert np.isclose(spectral_deviation(a + 0.5 * np.eye(3), a), 0.5)
-    with pytest.raises(ValueError, match="method"):
-        spectral_deviation(a, a, method="qr")
-
-
-def test_spectral_deviation_power_matches_eig():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        a = a + a.conj().T
-        b = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        b = b + b.conj().T
-        eig = spectral_deviation(a, b, method="eig")
-        pwr = spectral_deviation(a, b, method="power")
-        assert np.isclose(eig, pwr, atol=1e-6)
 
 
 def test_sparsified_deviation_against_eigen_oracle():
@@ -402,3 +398,189 @@ def test_energy_value_normalization():
     s = energy_value(state, build_code_hamiltonian(code.group, "sum"))
     m = energy_value(state, build_code_hamiltonian(code.group, "mean"))
     assert np.isclose(s, 4 * m)
+
+
+# --- the syndrome basis against independent enumerations and the dense oracle ---
+
+
+# dependent checks whose attainable syndromes (s2 = s0 + s1) are not closed
+# under reversing the check order, unlike those of every built-in code
+ASYMMETRIC = StabilizerGroup(tuple(from_letters(c) for c in ("ZZII", "IIZZ", "ZZZZ", "XXXX")))
+
+
+def _group(name):
+    return ASYMMETRIC if name == "asymmetric" else build_code(name).group
+
+
+def _syndrome_set_oracle(name, group):
+    """Attainable syndromes (bit i for check i), found without the package's GF(2) code.
+
+    Up to 8 qubits: the syndrome of every Pauli, by broadcasting over all
+    (x, z). toric3: every syndrome with an even number of violated stars and
+    of violated plaquettes. surface13: its 12 checks are independent, so
+    every 12-bit syndrome.
+    """
+    n_checks = len(group.generators)
+    if group.n <= 8:
+        xs = np.arange(2**group.n, dtype=np.uint64)[:, None]
+        zs = np.arange(2**group.n, dtype=np.uint64)[None, :]
+        out = np.zeros((2**group.n, 2**group.n), dtype=np.uint64)
+        for i, g in enumerate(group.generators):
+            odd = (np.bitwise_count(xs & np.uint64(g.z)) + np.bitwise_count(zs & np.uint64(g.x))) & 1
+            out |= odd.astype(np.uint64) << np.uint64(i)
+        return sorted(set(out.ravel().tolist()))
+    everything = np.arange(2**n_checks, dtype=np.uint64)
+    if name == "toric3":
+        stars = sum(1 << i for i, g in enumerate(group.generators) if g.x)
+        plaquettes = sum(1 << i for i, g in enumerate(group.generators) if g.z)
+        assert stars | plaquettes == 2**n_checks - 1 and stars & plaquettes == 0
+        even = (np.bitwise_count(everything & np.uint64(stars)) % 2 == 0) & (
+            np.bitwise_count(everything & np.uint64(plaquettes)) % 2 == 0
+        )
+        return everything[even].tolist()
+    assert name == "surface13"
+    rows = [[(g.vec >> j) & 1 for j in range(2 * group.n)] for g in group.generators]
+    assert gf2_rank_naive(rows) == n_checks
+    return everything.tolist()
+
+
+def _deviation_oracle(syndromes, tuples, n_checks, p):
+    """max_s |mean_j prod_{i in tuple_j} (1 - s_i) - (1 - |s|/N)^p| over the given syndromes."""
+    s = np.array(syndromes, dtype=np.uint64)
+    bits = ((s[:, None] >> np.arange(n_checks, dtype=np.uint64)) & np.uint64(1)).astype(float)
+    sampled = np.zeros(len(s))
+    for t in tuples:
+        sampled += np.prod(1.0 - bits[:, list(t)], axis=1)
+    exact = (1.0 - bits.sum(axis=1) / n_checks) ** p
+    return float(np.max(np.abs(sampled / len(tuples) - exact)))
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "surface5", "toric2", "toric3", "surface13", "asymmetric"])
+def test_attainable_syndromes_match_independent_enumeration(name):
+    group = _group(name)
+    got = attainable_syndromes(group)
+    assert got.dtype == np.uint64
+    assert sorted(got.tolist()) == _syndrome_set_oracle(name, group)
+    with pytest.raises(ValueError, match="sectors"):
+        attainable_syndromes(group, max_rank=group.rank - 1)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "surface5", "toric2", "asymmetric"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sparsifier_deviation_matches_dense_oracle(name, p):
+    amp = amplify(build_code_hamiltonian(_group(name), "mean"), p)
+    g = dense_g(amp)
+    for seed in range(3):
+        sparse = sparsify(amp, 16, seed=10 * p + seed)
+        dense = spectral_deviation(g, dense_sparsified_g(sparse))
+        assert abs(sparsifier_deviation(sparse) - dense) <= 1e-12, (seed, dense)
+
+
+@pytest.mark.parametrize("name", ["toric3", "surface13"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sparsifier_deviation_past_the_dense_cap(name, p):
+    group = build_code(name).group
+    assert group.n > dense_qubit_limit()
+    amp = amplify(build_code_hamiltonian(group, "mean"), p)
+    syndromes = _syndrome_set_oracle(name, group)
+    for seed in range(2):
+        sparse = sparsify(amp, 40, seed=10 * p + seed)
+        want = _deviation_oracle(syndromes, sparse.sampled_indices, len(group.generators), p)
+        assert abs(sparsifier_deviation(sparse) - want) <= 1e-12, seed
+
+
+def _random_vectors(n, rng):
+    complex_psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    real_psi = rng.standard_normal(2**n)
+    return [v / np.linalg.norm(v) for v in (complex_psi, real_psi)]
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "toric2"])
+def test_amplified_energy_matches_dense_on_mixtures_and_vectors(name):
+    group = build_code(name).group
+    n = group.n
+    ham = build_code_hamiltonian(group, "mean")
+    mixtures = [
+        zero_mixture(n).apply_circuit(random_low_depth(n, s % 3, family="clifford", seed=s)) for s in range(3)
+    ]
+    mixtures.append(group_mixture(group).conjugate_pauli(single(n, 1, "Y")))  # mixed when k > 0
+    vectors = _random_vectors(n, np.random.default_rng(17))
+    for p in (1, 2, 3):
+        amp = amplify(ham, p)
+        h = dense_amplified(amp)
+        for mixture in mixtures:
+            want = float(np.trace(h @ mixture.dense_rho()).real)
+            assert abs(amplified_energy(mixture, amp) - want) <= 1e-10, p
+        for psi in vectors:
+            want = float(np.vdot(psi, h @ psi).real)
+            assert abs(amplified_energy(psi, amp) - want) <= 1e-10, p
+
+
+def test_amplified_energy_with_code_qubits_matches_dense():
+    group = five_qubit_code().group
+    amp = amplify(build_code_hamiltonian(group, "mean"), 2)
+    psi = _random_vectors(6, np.random.default_rng(8))[0]
+    # code on wires 1..5, wire 0 a bystander
+    h = np.kron(np.eye(2), dense_amplified(amp))
+    want = float(np.vdot(psi, h @ psi).real)
+    assert abs(amplified_energy(psi, amp, code_qubits=range(1, 6)) - want) <= 1e-10
+    with pytest.raises(ValueError, match="state vector"):
+        amplified_energy(np.outer(psi, psi.conj()), amp, code_qubits=range(1, 6))
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3])
+def test_cat_energy_matches_dense_on_mixtures_and_vectors(block_size):
+    n = 6
+    cat = cat_state_hamiltonian(n, block_size)
+    cat_vec = np.zeros(2**block_size)
+    cat_vec[0] = cat_vec[-1] = 1 / np.sqrt(2)
+    local = np.eye(2**block_size) - np.outer(cat_vec, cat_vec)
+    terms = [
+        np.kron(np.kron(np.eye(2 ** (b * block_size)), local), np.eye(2 ** (n - (b + 1) * block_size)))
+        for b in range(cat.n_terms)
+    ]
+    pairs = []
+    for seed in range(3):
+        circ = random_low_depth(n, 2, family="clifford", seed=seed)
+        mixture = zero_mixture(n).apply_circuit(circ)
+        pairs.append((mixture, mixture.dense_rho()))
+        psi = apply_circuit_vec(zero_vector(n), circ)
+        pairs.append((psi, np.outer(psi, psi.conj())))
+    pure = zero_mixture(n).apply_circuit(random_low_depth(n, 2, family="clifford", seed=9))
+    mixed = StabilizerMixture(n, pure.rows[1:])
+    pairs.append((mixed, mixed.dense_rho()))
+    for psi in _random_vectors(n, np.random.default_rng(block_size)):
+        pairs.append((psi, np.outer(psi, psi.conj())))
+    for state, rho in pairs:
+        want = [float(np.trace(t @ rho).real) for t in terms]
+        assert np.allclose(cat_energy_report(state, cat).per_term, want, atol=1e-10)
+
+
+# --- no dense operator on the syndrome-basis production paths ---
+
+
+@pytest.fixture
+def no_dense_operators(monkeypatch):
+    """Make paulis.dense_matrix raise at every name it is bound to."""
+    real = paulis.dense_matrix
+
+    def refuse(p):
+        raise AssertionError(f"dense matrix of {p} built on a production path")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stablab"]:
+        for attr in [a for a, value in vars(module).items() if value is real]:
+            monkeypatch.setattr(module, attr, refuse)
+
+
+def test_production_paths_build_no_dense_operator(no_dense_operators):
+    with pytest.raises(AssertionError, match="production path"):
+        dense_hamiltonian(build_code_hamiltonian(five_qubit_code().group))
+    assert SUITES["sparsification"](n_seeds=3)["passed"]
+    group = build_code("toric3").group
+    ham = build_code_hamiltonian(group, "mean")
+    state = zero_mixture(18).apply_circuit(random_low_depth(18, 1, family="clifford", seed=0))
+    for p in (1, 2, 3):
+        assert amplification_gap_check(state, ham, p, t=1).holds, p
+    result = CliRunner().invoke(main, ["sparsify", "--builtin", "toric3"], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["within_delta"] is True

@@ -118,6 +118,10 @@ def test_project_pauli_vec():
     assert np.isclose(prob, 1.0)
     prob, branch = project_pauli_vec(psi, PauliOperator(1, 0, 1, -1))  # -Z
     assert prob == 0.0 and branch is None
+    # a real input keeps Y's imaginary phase: (I + Y)/2 |0> = (|0> + i|1>)/2
+    prob, branch = project_pauli_vec(np.array([1.0, 0.0]), from_letters("Y"))
+    assert np.isclose(prob, 0.5)
+    assert np.allclose(branch, np.array([1, 1j]) / np.sqrt(2))
 
 
 def test_partial_trace_matches_naive():
