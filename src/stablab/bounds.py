@@ -92,8 +92,8 @@ class BoundInputs:
             raise ValueError(f"delta {self.delta} outside (0, 1/2)")
         if self.f is not None and not 0.0 < self.f <= 1.0:
             raise ValueError(f"fidelity {self.f} outside (0, 1]")
-        if self.c_ell <= 0.0:
-            raise ValueError("c_ell must be positive")
+        if not (math.isfinite(self.c_ell) and self.c_ell > 0.0):
+            raise ValueError(f"c_ell must be a positive finite number, got {self.c_ell}")
         if self.m is not None and self.t is not None:
             cap = 2**self.t * self.n
             if self.m > cap:

@@ -7,6 +7,11 @@ elementaries acting inside one gate slot, still a single gate for depth and
 lightcone purposes), or a dense unitary payload. Any wiring is allowed
 (all-to-all connectivity); fan-in/out of a gate is at most two wires.
 
+``NAMED_GATES`` is the one statement of what a named gate does. The dense
+simulator uses the matrices directly; the stabilizer tableau uses
+:func:`pauli_image_table`, each gate's action on the Pauli basis, derived
+from its matrix at first use.
+
 Lightcones are exact gate-connectivity cones (not the 2^t upper bound): the
 cone of a region A is everything reachable by chains of overlapping gates
 walking from the last layer back to the first, and always contains A.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +136,40 @@ def dagger_gate(gate: Gate) -> Gate:
         steps = tuple((_DAGGER_NAME[name], locs) for name, locs in reversed(gate.word))
         return Gate(qubits=gate.qubits, word=steps)
     return Gate(qubits=gate.qubits, matrix=gate.matrix.conj().T)
+
+
+# Hermitian Pauli letters by (x bit, z bit): I, X, Z, Y
+_LETTERS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (0, 1): _Z, (1, 1): _Y}
+
+
+@cache
+def pauli_image_table(name: str) -> tuple[tuple[int, int], ...]:
+    """Conjugation table of a named Clifford: entry v is (image, sign).
+
+    v = x | z << k encodes a Hermitian Pauli on the gate's k local qubits
+    (local qubit j is bit j; qubits[0] is the most significant kron factor,
+    as in :func:`gate_matrix`), and U P_v U^dagger = sign * P_image. Built
+    from the gate's matrix at first use; raises ValueError if some image is
+    not a single signed Pauli.
+    """
+    mat = NAMED_GATES[name]
+    k = mat.shape[0].bit_length() - 1
+    basis = []
+    for v in range(4**k):
+        p = np.eye(1, dtype=complex)
+        for j in range(k):
+            p = np.kron(p, _LETTERS[(v >> j) & 1, (v >> (k + j)) & 1])
+        basis.append(p)
+    table = []
+    for p in basis:
+        image = mat @ p @ mat.conj().T
+        coeffs = [np.trace(q @ image).real / 2**k for q in basis]
+        w = int(np.argmax(np.abs(coeffs)))
+        sign = 1 if coeffs[w] > 0 else -1
+        if not np.allclose(image, sign * basis[w], atol=1e-9):
+            raise ValueError(f"{name} maps a Pauli to no single signed Pauli")
+        table.append((w, sign))
+    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -468,11 +468,10 @@ def sparsify_cmd(builtin, file_path, delta, seed, samples, out):
     chosen = _pick_code(builtin, file_path)
     group = chosen.group
     amp = amplify(build_code_hamiltonian(group, "mean"), 1)
-    if samples is None:
-        samples = sparsifier_sample_count(group.n, delta, group.locality)
-    sparse = sparsify(amp, samples, seed=seed)
     try:
-        deviation = sparsifier_deviation(sparse)
+        if samples is None:
+            samples = sparsifier_sample_count(group.n, delta, group.locality)
+        deviation = sparsifier_deviation(sparsify(amp, samples, seed=seed))
     except ValueError as err:
         raise click.UsageError(str(err))
     payload = {

@@ -258,14 +258,31 @@ class SparsifiedHamiltonian:
         return len(self.sampled_indices)
 
 
+MAX_SPARSIFIER_SAMPLES = 2**20
+
+
 def sparsifier_sample_count(n: int, delta: float, ell: int) -> int:
-    """Sample budget k = n * max(32/delta^2, log2(n)/ell)."""
-    return math.ceil(n * max(32.0 / delta**2, math.log2(n) / ell))
+    """Sample budget k = n * max(32/delta^2, log2(n)/ell).
+
+    Raises ValueError when k is not finite (delta^2 underflows to 0).
+    """
+    try:
+        count = n * max(32.0 / delta**2, math.log2(n) / ell)
+    except ZeroDivisionError:
+        count = math.inf
+    except OverflowError:  # delta^2 past the float range: the 32/delta^2 term is 0
+        count = n * (math.log2(n) / ell)
+    if not math.isfinite(count):
+        raise ValueError(f"sample count for delta {delta} is not finite")
+    return math.ceil(count)
 
 
 def sparsify(amp: AmplifiedHamiltonian, k_samples: int, seed: int | None = None) -> SparsifiedHamiltonian:
+    """k_samples i.i.d. p-tuples of check indices; at most MAX_SPARSIFIER_SAMPLES."""
     if k_samples < 1:
         raise ValueError("need at least one sample")
+    if k_samples > MAX_SPARSIFIER_SAMPLES:
+        raise ValueError(f"{k_samples} samples exceed the cap of {MAX_SPARSIFIER_SAMPLES}")
     rng = np.random.default_rng(seed)
     n_terms = amp.base.n_terms
     draws = rng.integers(0, n_terms, size=(k_samples, amp.p))

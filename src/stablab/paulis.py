@@ -145,13 +145,6 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, xr, zr, sign)
 
 
-def product_phase_exponent(p: PauliOperator, q: PauliOperator) -> int:
-    """e in p*q = sign_p sign_q i^e (Hermitian rep); even iff they commute."""
-    xr = p.x ^ q.x
-    zr = p.z ^ q.z
-    return (p.y_count + q.y_count - (xr & zr).bit_count() + 2 * (p.z & q.x).bit_count()) % 4
-
-
 def dense_matrix(p: PauliOperator) -> np.ndarray:
     """2^n x 2^n matrix, qubit 0 as the leftmost kron factor."""
     mat = np.array([[float(p.sign)]], dtype=complex)
@@ -174,11 +167,23 @@ def embed_pauli(p: PauliOperator, m: int, wires) -> PauliOperator:
         raise ValueError(f"need {p.n} distinct wires, got {wires}")
     if any(not 0 <= w < m for w in wires):
         raise ValueError(f"wires {wires} outside [0, {m})")
-    x = z = 0
-    for q, w in enumerate(wires):
-        x |= ((p.x >> q) & 1) << w
-        z |= ((p.z >> q) & 1) << w
-    return PauliOperator(m, x, z, p.sign)
+    return PauliOperator(m, scatter(p.x, wires), scatter(p.z, wires), p.sign)
+
+
+def gather(v: int, wires) -> int:
+    """The int whose bit j is bit wires[j] of v."""
+    out = 0
+    for j, w in enumerate(wires):
+        out |= ((v >> w) & 1) << j
+    return out
+
+
+def scatter(v: int, wires) -> int:
+    """The int whose bit wires[j] is bit j of v: gather's inverse on those wires."""
+    out = 0
+    for j, w in enumerate(wires):
+        out |= ((v >> j) & 1) << w
+    return out
 
 
 # --- symplectic bit-vector helpers (v = x | z << n) ---
@@ -420,24 +425,14 @@ def _weight_ascending_candidates(n: int, cap: int):
                 yield x, z, w
 
 
-def min_weight_logical(
-    group: StabilizerGroup,
-    cap: int = 4,
-    strategy: str = "enumerate",
-) -> PauliOperator | None:
+def min_weight_logical(group: StabilizerGroup, cap: int = 4) -> PauliOperator | None:
     """Lightest Pauli commuting with every generator but outside the group.
 
     Searches weight-ascending with early exit; returns None when the code has
     no logical qubits or no logical operator of weight <= cap exists.
-    ``strategy`` is "enumerate" (plain) or "meet_in_middle" (half-support
-    tables joined on matching syndrome).
     """
     if group.n_logical == 0:
         return None
-    if strategy == "meet_in_middle":
-        return _min_weight_logical_mitm(group, cap)
-    if strategy != "enumerate":
-        raise ValueError(f"unknown strategy {strategy!r}")
     gens = [(g.x, g.z) for g in group.generators]
     n = group.n
     for x, z, _ in _weight_ascending_candidates(n, cap):
@@ -448,53 +443,6 @@ def min_weight_logical(
                 break
         if ok and not group._reducer.contains(x | (z << n)):
             return PauliOperator(n, x, z, 1)
-    return None
-
-
-def _min_weight_logical_mitm(group: StabilizerGroup, cap: int) -> PauliOperator | None:
-    n = group.n
-    half = n // 2
-    gens = [(g.x, g.z) for g in group.generators]
-    left_mask = (1 << half) - 1
-    right_mask = ((1 << n) - 1) ^ left_mask
-
-    def syndrome(x: int, z: int) -> tuple[int, ...]:
-        return tuple(_parity(x & gz) ^ _parity(z & gx) for gx, gz in gens)
-
-    def half_table(qubits: list[int]) -> dict[int, dict[tuple, list[tuple[int, int]]]]:
-        table: dict[int, dict[tuple, list[tuple[int, int]]]] = {w: {} for w in range(cap + 1)}
-        table[0] = {syndrome(0, 0): [(0, 0)]}
-        for w in range(1, cap + 1):
-            bucket: dict[tuple, list[tuple[int, int]]] = {}
-            for supp in itertools.combinations(qubits, w):
-                for letters in itertools.product("XYZ", repeat=w):
-                    x = z = 0
-                    for q, ch in zip(supp, letters):
-                        xb, zb = _LETTER_TO_BITS[ch]
-                        x |= xb << q
-                        z |= zb << q
-                    bucket.setdefault(syndrome(x, z), []).append((x, z))
-            table[w] = bucket
-        return table
-
-    left = half_table(list(range(half)))
-    right = half_table(list(range(half, n)))
-    for w in range(1, cap + 1):
-        for wl in range(0, w + 1):
-            wr = w - wl
-            if wr > cap:
-                continue
-            for syn, lefts in left[wl].items():
-                rights = right[wr].get(syn)
-                if not rights:
-                    continue
-                for lx, lz in lefts:
-                    for rx, rz in rights:
-                        x, z = lx | rx, lz | rz
-                        if (x | z) == 0:
-                            continue
-                        if not group._reducer.contains(x | (z << n)):
-                            return PauliOperator(n, x, z, 1)
     return None
 
 

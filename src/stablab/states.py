@@ -13,7 +13,9 @@ independent commuting signed Pauli rows on m qubits define
 which is pure exactly when r = m and has entropy m - r bits. Clifford
 conjugation, Pauli-projector measurement, marginals and expectations all stay
 in the symplectic representation; dense materialization is only for
-cross-checks at small m.
+cross-checks at small m. A named gate acts on the rows through its
+``circuits.pauli_image_table``, derived from the gate's matrix, so the
+tableau and the dense simulator read the same definition of each gate.
 
 ``num_qubits``, ``expectation``, ``project``, ``project_all``,
 ``conjugate``, ``marginal``, ``density_matrix``, ``vector`` and ``entropy``
@@ -29,8 +31,8 @@ import os
 import numpy as np
 
 from . import gf2
-from .circuits import Gate, LayeredCircuit, gate_matrix
-from .paulis import PauliOperator, combine, commutes, multiply
+from .circuits import Gate, LayeredCircuit, gate_matrix, pauli_image_table
+from .paulis import PauliOperator, combine, commutes, gather, multiply, scatter
 
 DEFAULT_DENSE_LIMIT = 12
 
@@ -61,14 +63,6 @@ def require_dense(m: int) -> None:
     limit = dense_qubit_limit()
     if m > limit:
         raise DenseLimitError(f"dense limit exceeded: {m} qubits > {limit}")
-
-
-_TWO_QUBIT_CLIFFORD_RULES = {
-    # name -> sequence of primitive (rule, local positions) conjugation steps
-    "CZ": (("H", (1,)), ("CX", (0, 1)), ("H", (1,))),
-    "CY": (("SDG", (1,)), ("CX", (0, 1)), ("S", (1,))),
-    "SWAP": (("CX", (0, 1)), ("CX", (1, 0)), ("CX", (0, 1))),
-}
 
 
 # --- dense vectors ---
@@ -121,13 +115,8 @@ def _index_masks(p: PauliOperator, m: int) -> tuple[int, int]:
     """Pauli bit q lives at index bit m-1-q (qubit 0 is most significant)."""
     if p.n != m:
         raise ValueError(f"operator on {p.n} qubits against {m}-qubit state")
-    x_idx = z_idx = 0
-    for q in range(m):
-        if (p.x >> q) & 1:
-            x_idx |= 1 << (m - 1 - q)
-        if (p.z >> q) & 1:
-            z_idx |= 1 << (m - 1 - q)
-    return x_idx, z_idx
+    index_order = range(m - 1, -1, -1)
+    return gather(p.x, index_order), gather(p.z, index_order)
 
 
 def apply_pauli_vec(psi: np.ndarray, p: PauliOperator) -> np.ndarray:
@@ -272,8 +261,8 @@ class StabilizerMixture:
     Instances are immutable: every operation returns a new mixture. The GF(2)
     reducer over the rows' bit vectors, which membership queries
     (``expectation``, ``project_pauli``) need, is therefore built at most once
-    per instance: by ``__init__``, which needs it to check independence, or
-    else lazily at the first query, so that mixtures made by ``apply_gate``
+    per instance: by ``__init__`` and ``with_rows``, which need it to check
+    independence, or else lazily at the first query, so that mixtures made by ``apply_gate``
     and the other ``_trusted`` paths pay nothing for it until asked.
     """
 
@@ -281,7 +270,14 @@ class StabilizerMixture:
 
     def __init__(self, m: int, rows: tuple[PauliOperator, ...] = ()):
         self.m = m
-        for i, row in enumerate(rows):
+        self.rows = tuple(rows)
+        self._validate(0)
+
+    def _validate(self, start: int) -> None:
+        """Check rows[start:] against all rows, then independence of all rows."""
+        rows, m = self.rows, self.m
+        for i in range(start, len(rows)):
+            row = rows[i]
             if row.n != m:
                 raise ValueError(f"row {i} acts on {row.n} qubits, state has {m}")
             if row.x == 0 and row.z == 0:
@@ -292,7 +288,6 @@ class StabilizerMixture:
         reducer = gf2.Reducer(row.vec for row in rows)
         if reducer.dependencies:
             raise ValueError("rows are dependent")
-        self.rows = tuple(rows)
         self._reducer = reducer
 
     # r in the class docstring
@@ -333,23 +328,38 @@ class StabilizerMixture:
     # --- Clifford conjugation ---
 
     def _conjugated_rows(self, gate: Gate) -> tuple[PauliOperator, ...]:
-        steps: list[tuple[str, tuple[int, ...]]]
+        """U row U^dagger for every row, one named step at a time.
+
+        A step on wires w_0..w_{k-1} gathers each row's local Pauli from
+        bits w_j (x) and m + w_j (z) of ``row.vec``, looks up its image in
+        the step's :func:`pauli_image_table` and scatters the image back; a
+        row with no bits there is skipped. Rows the gate leaves unchanged are
+        returned as the same objects.
+        """
         if gate.name is not None:
-            steps = [(gate.name, tuple(range(len(gate.qubits))))]
+            steps = ((gate.name, gate.qubits),)
         elif gate.word is not None:
-            steps = list(gate.word)
+            steps = tuple((name, tuple(gate.qubits[p] for p in locs)) for name, locs in gate.word)
         else:
             raise ValueError("dense gates have no tableau action; use the dense backend")
-        rows = list(self.rows)
-        for name, locs in steps:
-            wires = tuple(gate.qubits[p] for p in locs)
-            if name in _TWO_QUBIT_CLIFFORD_RULES:
-                for sub_name, sub_locs in _TWO_QUBIT_CLIFFORD_RULES[name]:
-                    sub_wires = tuple(wires[p] for p in sub_locs)
-                    rows = [_conjugate_primitive(r, sub_name, sub_wires) for r in rows]
-            else:
-                rows = [_conjugate_primitive(r, name, wires) for r in rows]
-        return tuple(rows)
+        m = self.m
+        vecs = [row.vec for row in self.rows]
+        signs = [row.sign for row in self.rows]
+        for name, wires in steps:
+            table = pauli_image_table(name)
+            bits = wires + tuple(m + w for w in wires)
+            clear = ~scatter((1 << len(bits)) - 1, bits)
+            for i, vec in enumerate(vecs):
+                local = gather(vec, bits)
+                if local:
+                    image, sign = table[local]
+                    vecs[i] = vec & clear | scatter(image, bits)
+                    signs[i] *= sign
+        low = (1 << m) - 1
+        return tuple(
+            row if vec == row.vec and sign == row.sign else PauliOperator(m, vec & low, vec >> m, sign)
+            for row, vec, sign in zip(self.rows, vecs, signs)
+        )
 
     def apply_gate(self, gate: Gate) -> "StabilizerMixture":
         return _trusted(self.m, self._conjugated_rows(gate))
@@ -400,8 +410,10 @@ class StabilizerMixture:
         return _trusted(m_new, tuple(rows))
 
     def with_rows(self, extra_rows) -> "StabilizerMixture":
-        """Re-validate with extra rows appended (rank must grow)."""
-        return StabilizerMixture(self.m, self.rows + tuple(extra_rows))
+        """Extra rows appended (rank must grow); only the new rows are re-checked."""
+        out = _trusted(self.m, self.rows + tuple(extra_rows))
+        out._validate(self.rank)
+        return out
 
     def _supported_subgroup(self, region: tuple[int, ...]) -> list[PauliOperator]:
         """All row products supported inside the region, exact signs."""
@@ -430,8 +442,8 @@ class StabilizerMixture:
         dim = 2 ** len(region)
         rho = np.zeros((dim, dim), dtype=complex)
         for member in self._supported_subgroup(region):
-            restricted = _restrict_pauli(member, region)
-            rho += restricted.sign * dense_matrix(PauliOperator(restricted.n, restricted.x, restricted.z, 1))
+            local = PauliOperator(len(region), gather(member.x, region), gather(member.z, region))
+            rho += member.sign * dense_matrix(local)
         return rho / dim
 
     def dense_rho(self) -> np.ndarray:
@@ -464,59 +476,6 @@ def _trusted(m: int, rows: tuple[PauliOperator, ...]) -> StabilizerMixture:
     out.m = m
     out.rows = rows
     return out
-
-
-def _restrict_pauli(p: PauliOperator, region: tuple[int, ...]) -> PauliOperator:
-    """Drop identity factors outside the region (support must lie inside)."""
-    x = z = 0
-    for new_q, q in enumerate(region):
-        x |= ((p.x >> q) & 1) << new_q
-        z |= ((p.z >> q) & 1) << new_q
-    support = p.support
-    if any(q not in region for q in support):
-        raise ValueError("operator not supported in region")
-    return PauliOperator(len(region), x, z, p.sign)
-
-
-def _conjugate_primitive(row: PauliOperator, name: str, wires: tuple[int, ...]) -> PauliOperator:
-    """U row U^dagger for one elementary Clifford, on the Hermitian rep."""
-    x, z, sign = row.x, row.z, row.sign
-    if name in ("H", "S", "SDG", "X", "Y", "Z"):
-        q = wires[0]
-        xb, zb = (x >> q) & 1, (z >> q) & 1
-        if name == "H":
-            if xb and zb:
-                sign = -sign
-            x = (x & ~(1 << q)) | (zb << q)
-            z = (z & ~(1 << q)) | (xb << q)
-        elif name == "S":
-            if xb and zb:
-                sign = -sign
-            z ^= xb << q
-        elif name == "SDG":
-            if xb and not zb:
-                sign = -sign
-            z ^= xb << q
-        elif name == "X":
-            if zb:
-                sign = -sign
-        elif name == "Y":
-            if xb ^ zb:
-                sign = -sign
-        elif name == "Z":
-            if xb:
-                sign = -sign
-        return PauliOperator(row.n, x, z, sign)
-    if name == "CX":
-        a, b = wires
-        xa, za = (x >> a) & 1, (z >> a) & 1
-        xb_, zb_ = (x >> b) & 1, (z >> b) & 1
-        if xa and zb_ and (xb_ ^ za ^ 1):
-            sign = -sign
-        x ^= xa << b
-        z ^= zb_ << a
-        return PauliOperator(row.n, x, z, sign)
-    raise ValueError(f"no tableau rule for {name!r}")
 
 
 def zero_mixture(m: int) -> StabilizerMixture:

@@ -28,6 +28,11 @@ def pauli_matrix(letters: str, sign: int = 1) -> np.ndarray:
     return mat
 
 
+def pauli_letters(x: int, z: int, n: int) -> str:
+    """Letter string of the Hermitian Pauli with x / z bit q on qubit q."""
+    return "".join("IXZY"[((x >> q) & 1) | ((z >> q) & 1) << 1] for q in range(n))
+
+
 def gf2_rank_naive(rows: list[list[int]]) -> int:
     """Gaussian elimination over GF(2) on plain int lists."""
     rows = [list(r) for r in rows]
@@ -178,3 +183,47 @@ def von_neumann_entropy_naive(rho: np.ndarray) -> float:
     vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 1e-12]
     return float(-(vals * np.log2(vals)).sum())
+
+
+# Clifford conjugation by the hand-derived CHP rules (Aaronson-Gottesman,
+# quant-ph/0406196) in the Hermitian sign convention: a row is (x, z, sign)
+# with bit q of x / z the X / Z part on qubit q, both bits meaning Y. CZ, CY
+# and SWAP are rewritten into the primitives H, S, SDG and CX.
+CHP_DECOMPOSITIONS = {
+    "CZ": (("H", (1,)), ("CX", (0, 1)), ("H", (1,))),
+    "CY": (("SDG", (1,)), ("CX", (0, 1)), ("S", (1,))),
+    "SWAP": (("CX", (0, 1)), ("CX", (1, 0)), ("CX", (0, 1))),
+}
+
+
+def chp_conjugate(x: int, z: int, sign: int, name: str, wires: tuple[int, ...]) -> tuple[int, int, int]:
+    """U (sign * Pauli(x, z)) U^dagger for a named gate on the given wires."""
+    if name in CHP_DECOMPOSITIONS:
+        for sub_name, locs in CHP_DECOMPOSITIONS[name]:
+            x, z, sign = chp_conjugate(x, z, sign, sub_name, tuple(wires[p] for p in locs))
+        return x, z, sign
+    if name == "CX":
+        a, b = wires
+        xa, za = (x >> a) & 1, (z >> a) & 1
+        xb, zb = (x >> b) & 1, (z >> b) & 1
+        if xa and zb and (xb ^ za ^ 1):
+            sign = -sign
+        return x ^ (xa << b), z ^ (zb << a), sign
+    (q,) = wires
+    xb, zb = (x >> q) & 1, (z >> q) & 1
+    flips = {
+        "H": xb and zb,
+        "S": xb and zb,
+        "SDG": xb and not zb,
+        "X": zb,
+        "Y": xb ^ zb,
+        "Z": xb,
+    }
+    if flips[name]:
+        sign = -sign
+    if name == "H":
+        x = (x & ~(1 << q)) | (zb << q)
+        z = (z & ~(1 << q)) | (xb << q)
+    elif name in ("S", "SDG"):
+        z ^= xb << q
+    return x, z, sign

@@ -42,8 +42,9 @@ def test_inputs_validate_ranges():
         BoundInputs(n=8, delta=0.5)
     with pytest.raises(ValueError):
         BoundInputs(n=8, f=0.0)
-    with pytest.raises(ValueError):
-        BoundInputs(n=8, c_ell=-1.0)
+    for c_ell in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="c_ell"):
+            BoundInputs(n=8, c_ell=c_ell)
     # integer premises: 1 <= k, d <= n; ell, n_checks, m >= 1; t >= 0
     for bad in (
         {"k": 0}, {"k": 9}, {"d": 0}, {"d": 9}, {"ell": 0},

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary_naive, expand_gate, pauli_matrix
+import stablab
+from oracles import circuit_unitary_naive, expand_gate, pauli_letters, pauli_matrix
 from stablab.circuits import (
     NAMED_GATES,
     Gate,
@@ -18,6 +22,7 @@ from stablab.circuits import (
     identity_circuit,
     lightcone,
     load_circuit,
+    pauli_image_table,
     random_clifford_word,
     random_low_depth,
     restrict_to_lightcone,
@@ -46,6 +51,37 @@ def test_named_gates_are_unitary_and_conjugate_paulis_correctly():
     cy = NAMED_GATES["CY"]
     assert np.allclose(cy[2:, 2:], pauli_matrix("Y"))
     assert np.allclose(cy[:2, :2], np.eye(2))
+
+
+def test_pauli_image_tables_match_conjugation_by_the_matrix():
+    for name, mat in NAMED_GATES.items():
+        k = mat.shape[0].bit_length() - 1
+        table = pauli_image_table(name)
+        assert len(table) == 4**k
+        low = (1 << k) - 1
+        for v, (image, sign) in enumerate(table):
+            assert sign in (1, -1)
+            conjugated = mat @ pauli_matrix(pauli_letters(v & low, v >> k, k)) @ mat.conj().T
+            expected = sign * pauli_matrix(pauli_letters(image & low, image >> k, k))
+            assert np.allclose(conjugated, expected), (name, v)
+    # X on the control of CX spreads to the target; Z on the target to the control
+    assert pauli_image_table("CX")[0b0001] == (0b0011, 1)
+    assert pauli_image_table("CX")[0b1000] == (0b1100, 1)
+
+
+def test_pauli_image_table_rejects_a_non_clifford(monkeypatch):
+    t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
+    monkeypatch.setitem(NAMED_GATES, "T", t_gate)
+    with pytest.raises(ValueError, match="no single signed Pauli"):
+        pauli_image_table("T")
+
+
+def test_pauli_image_tables_are_built_at_first_use():
+    src = str(Path(stablab.__file__).resolve().parents[1])
+    code = "import stablab.cli, stablab.circuits as c; print(c.pauli_image_table.cache_info().currsize)"
+    env = {"PYTHONPATH": src, "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
 
 
 def test_word_gate_matrix_matches_step_by_step_product():

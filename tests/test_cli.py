@@ -326,6 +326,12 @@ def _reject_constant(name):
          {"STABLAB_DENSE_LIMIT": "4"}),
         # more sectors than the syndrome enumeration lists
         (["sparsify", "--file", RANK_23_CODE, "--samples", "4"], {}),
+        # a sample count that is not finite (delta^2 underflows) or past the cap
+        (["sparsify", "--builtin", "five_qubit", "--delta", "1e-300"], {}),
+        (["sparsify", "--builtin", "five_qubit", "--delta", "1e-4"], {}),
+        (["sparsify", "--builtin", "five_qubit", "--samples", str(2**20 + 1)], {}),
+        (_bounds_eval(c_ell="nan"), {}),
+        (_bounds_eval(c_ell="inf"), {}),
     ],
 )
 def test_invalid_input_exits_2_with_one_line_error(runner, args, env, tmp_path):

@@ -11,6 +11,7 @@ from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab.codes import build_code, five_qubit_code, toric_code
 from stablab.hamiltonians import (
+    MAX_SPARSIFIER_SAMPLES,
     CodeHamiltonian,
     amplification_gap_check,
     amplified_energy,
@@ -300,6 +301,10 @@ def test_sparsify_reproducible_and_trivial_cases():
     assert all(len(t) == 2 for t in s1.sampled_indices)
     with pytest.raises(ValueError):
         sparsify(amp, 0)
+    # delta = 1e-4 asks for 1.6e10 tuples; rejected before anything is drawn
+    for k in (MAX_SPARSIFIER_SAMPLES + 1, sparsifier_sample_count(5, 1e-4, 4)):
+        with pytest.raises(ValueError, match="exceed the cap"):
+            sparsify(amp, k)
 
     # all terms identical -> G' = G for any sampling
     rep = StabilizerGroup((from_letters("ZZ"), from_letters("ZZ"), from_letters("ZZ")))
@@ -329,6 +334,11 @@ def test_sparsifier_sample_count_formula():
     # log2(n)/ell branch dominates for large n, tame delta
     n = 2**20
     assert sparsifier_sample_count(n, 8.0, 1) == n * 20
+    # delta^2 past the float range leaves only the log2(n)/ell term
+    assert sparsifier_sample_count(n, 1e200, 4) == n * 5
+    for delta in (1e-300, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            sparsifier_sample_count(5, delta, 4)
 
 
 def test_sparsify_five_qubit_quality_sweep():

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stablab import paulis
 from stablab.paulis import (
@@ -25,6 +27,17 @@ from stablab.paulis import (
 )
 
 from oracles import pauli_matrix, projector_from_strings
+
+
+@given(st.integers(0, 2**12 - 1), st.permutations(range(12)), st.integers(0, 12))
+def test_gather_and_scatter_move_the_named_bits(v, order, k):
+    wires = order[:k]
+    bits = [(v >> w) & 1 for w in wires]
+    packed = paulis.gather(v, wires)
+    assert packed == sum(b << j for j, b in enumerate(bits))
+    assert paulis.scatter(packed, wires) == sum(b << w for w, b in zip(wires, bits))
+    low = v & ((1 << k) - 1)
+    assert paulis.gather(paulis.scatter(low, wires), wires) == low
 
 FIVE_QUBIT_CHECKS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -92,7 +105,6 @@ def test_multiply_anticommuting_drops_single_i():
         # the folding convention lands both odd phase cases on exactly
         # product = i * (stored result)
         assert np.allclose(product, 1j * dense(r))
-        assert paulis.product_phase_exponent(p, q) in (1, 3)
         checked += 1
 
 
@@ -211,16 +223,6 @@ def test_min_weight_logical_five_qubit():
     assert found.weight == oracle
     assert not any(group.syndrome_of(found))
     assert not group.contains_bits(found)
-
-
-def test_min_weight_meet_in_middle_agrees():
-    group = five_qubit_group()
-    a = min_weight_logical(group, cap=5, strategy="enumerate")
-    b = min_weight_logical(group, cap=5, strategy="meet_in_middle")
-    assert a is not None and b is not None
-    assert a.weight == b.weight
-    with pytest.raises(ValueError):
-        min_weight_logical(group, strategy="annealing")
 
 
 def test_min_weight_logical_cap_and_no_logical():

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    chp_conjugate,
     expand_gate,
     mixture_rho,
     partial_trace_naive,
+    pauli_letters,
     pauli_matrix,
     projector_from_strings,
     von_neumann_entropy_naive,
 )
 from stablab import states
-from stablab.circuits import Gate, gate_matrix, random_low_depth
+from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, gate_matrix, random_low_depth
 from stablab.codes import build_code, five_qubit_code
 from stablab.paulis import PauliOperator, from_letters, random_pauli
 from stablab.states import (
@@ -207,6 +209,73 @@ def test_conjugation_rule_spot_checks():
     assert state.apply_gate(cx).rows[0] == PauliOperator(2, 0b11, 0b11, -1)  # -YY
 
 
+_ONE_QUBIT = sorted(name for name, mat in NAMED_GATES.items() if mat.shape[0] == 2)
+_TWO_QUBIT = sorted(name for name, mat in NAMED_GATES.items() if mat.shape[0] == 4)
+
+
+def test_every_named_gate_matches_its_matrix_and_the_chp_rules():
+    # every Pauli on 3 qubits (signs mixed) through every gate on every wire placement
+    m = 3
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    for name in NAMED_GATES:
+        for wires in [(q,) for q in range(m)] if name in _ONE_QUBIT else pairs:
+            u = expand_gate(NAMED_GATES[name], wires, m)
+            gate = Gate(qubits=wires, name=name)
+            for x in range(1 << m):
+                for z in range(1 << m):
+                    if not x | z:
+                        continue
+                    row = PauliOperator(m, x, z, -1 if (x + z) % 3 else 1)
+                    (out,) = states._trusted(m, (row,)).apply_gate(gate).rows
+                    assert (out.x, out.z, out.sign) == chp_conjugate(x, z, row.sign, name, wires)
+                    assert (out is row) == (out == row)  # an unchanged row is kept, not rebuilt
+                    conjugated = u @ pauli_matrix(pauli_letters(x, z, m), row.sign) @ u.conj().T
+                    assert np.allclose(conjugated, pauli_matrix(pauli_letters(out.x, out.z, m), out.sign))
+
+
+@st.composite
+def _clifford_circuits(draw):
+    """Gates on 1-6 qubits: named gates and words over every named gate,
+    two-qubit steps in both orientations."""
+    m = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        arity = 1 if m == 1 else draw(st.integers(1, 2))
+        wires = tuple(draw(st.permutations(range(m)))[:arity])
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(_ONE_QUBIT if arity == 1 else _TWO_QUBIT))
+            gates.append(Gate(qubits=wires, name=name))
+            continue
+        alphabet = [(name, (p,)) for name in _ONE_QUBIT for p in range(arity)]
+        if arity == 2:
+            alphabet += [(name, locs) for name in _TWO_QUBIT for locs in ((0, 1), (1, 0))]
+        word = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)))
+        gates.append(Gate(qubits=wires, word=word))
+    return m, gates
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clifford_circuits(), st.integers(0, 2**32 - 1))
+def test_random_words_match_dense_simulation_and_chp_rules(circuit, seed):
+    m, gates = circuit
+    state = zero_mixture(m)
+    expected = [(row.x, row.z, row.sign) for row in state.rows]
+    for gate in gates:
+        state = state.apply_gate(gate)
+        steps = [(gate.name, (0, 1)[: len(gate.qubits)])] if gate.name else gate.word
+        for name, locs in steps:
+            wires = tuple(gate.qubits[p] for p in locs)
+            expected = [chp_conjugate(x, z, sign, name, wires) for x, z, sign in expected]
+        assert [(row.x, row.z, row.sign) for row in state.rows] == expected
+    psi = apply_circuit_vec(zero_vector(m), LayeredCircuit(m=m, layers=tuple((g,) for g in gates)))
+    for row in state.rows:
+        assert np.isclose(pauli_expectation_vec(psi, row), 1.0, atol=1e-10)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        p = random_pauli(m, rng)
+        assert np.isclose(state.expectation(p), pauli_expectation_vec(psi, p), atol=1e-10)
+
+
 def _mixture_vs_dense_expectations(m, depth, seed, n_paulis=40):
     """Core tableau invariant: expectations agree with the dense simulation."""
     circ = random_low_depth(m, depth, family="clifford", seed=seed)
@@ -368,6 +437,13 @@ def test_with_rows_rejects_anticommuting_extension():
     state = zero_mixture(2)
     with pytest.raises(ValueError):
         state.with_rows([from_letters("XI")])
+    # appended rows are checked against each other too, and for independence
+    mixed = StabilizerMixture(3, (from_letters("ZII"),))
+    with pytest.raises(ValueError, match="rows 1 and 2 anticommute"):
+        mixed.with_rows([from_letters("IXI"), from_letters("IZI")])
+    with pytest.raises(ValueError, match="dependent"):
+        mixed.with_rows([from_letters("IZI"), from_letters("ZZI")])
+    assert mixed.with_rows([from_letters("IZI")]).rank == 2
 
 
 def test_dense_qubit_limit_validates_environment(monkeypatch):
