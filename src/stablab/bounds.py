@@ -11,6 +11,7 @@ most gates are closed (log d is tiny) and the honest report says so.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -94,7 +95,12 @@ class BoundInputs:
             raise ValueError(f"fidelity {self.f} outside (0, 1]")
         if not (math.isfinite(self.c_ell) and self.c_ell > 0.0):
             raise ValueError(f"c_ell must be a positive finite number, got {self.c_ell}")
-        if self.m is not None and self.t is not None:
+        for name in ("epsilon", "delta", "f"):
+            value = getattr(self, name)
+            if value is not None and value < sys.float_info.min:
+                raise ValueError(f"{name} {value} below the smallest normal float; 1/{name} overflows")
+        # 2^t n >= 2^t > m once t reaches m's bit length: only smaller t can trim
+        if self.m is not None and self.t is not None and self.t < self.m.bit_length():
             cap = 2**self.t * self.n
             if self.m > cap:
                 object.__setattr__(self, "m", cap)

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import load_payload
+
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -403,15 +405,7 @@ def circuit_from_dict(payload: dict) -> LayeredCircuit:
 
 
 def load_circuit(path: str | Path) -> LayeredCircuit:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    try:
-        return circuit_from_dict(payload)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    return load_payload(path, circuit_from_dict)
 
 
 def dump_circuit(circuit: LayeredCircuit, path: str | Path) -> None:

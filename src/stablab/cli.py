@@ -26,6 +26,7 @@ from .circuits import circuit_to_dict, lightcone, load_circuit
 from .codes import BUILTIN_CODES, build_code, code_parameters, load_code
 from .frontier import STRATEGIES, frontier_search, merge_frontiers
 from .hamiltonians import (
+    MAX_GAP_DEPTH,
     amplification_gap_check,
     amplify,
     build_code_hamiltonian,
@@ -57,18 +58,14 @@ def _pick_code(builtin: str | None, file_path: str | None):
         return build_code(builtin)
     try:
         return load_code(file_path)
-    except FileNotFoundError as err:
-        raise click.UsageError(str(err))
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise click.UsageError(str(err))
 
 
 def _load_circuit(path: str):
     try:
         return load_circuit(path)
-    except FileNotFoundError as err:
-        raise click.UsageError(str(err))
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise click.UsageError(str(err))
 
 
@@ -288,6 +285,11 @@ def entropy_audit_cmd(builtin, file_path, circuit_path, rotation_path, out):
         rotation = build_syndrome_circuit(chosen.group).circuit
     else:
         rotation = _load_circuit(rotation_path)
+        wires = theta.n + theta.n_checks
+        if rotation.m != wires:
+            raise click.UsageError(
+                f"rotation circuit acts on {rotation.m} wires, data + syndrome register has {wires}"
+            )
     payload = entropy_audit(theta, rotation)
     _emit(payload, out)
 
@@ -317,9 +319,11 @@ def bounds_eval(n, k, d, ell, n_checks, eps, delta, t, f, m, c_ell, out):
             n=n, k=k, d=d, ell=ell, n_checks=n_checks,
             epsilon=eps, delta=delta, t=t, f=f, m=m, c_ell=c_ell,
         )
-    except ValueError as err:
+        payload = depth_lower_bounds(inputs)
+    except (ValueError, ArithmeticError) as err:
+        # a closed form on in-range inputs can still leave the float range
         raise click.UsageError(str(err))
-    _emit(depth_lower_bounds(inputs), out)
+    _emit(payload, out)
 
 
 @bounds.command("suite")
@@ -363,7 +367,7 @@ def bounds_suite(run_all, checks, out):
     type=click.IntRange(min=1),
     help="energy evaluations per strategy",
 )
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option(
     "--format",
     "fmt",
@@ -417,9 +421,15 @@ def amplify_group():
 @amplify_group.command("check")
 @_with_code_options
 @click.option("--p", default=2, show_default=True, type=click.IntRange(min=1), help="amplification power")
-@click.option("--t", default=1, show_default=True, type=click.IntRange(min=0), help="prep depth of sampled states")
+@click.option(
+    "--t",
+    default=1,
+    show_default=True,
+    type=click.IntRange(min=0, max=MAX_GAP_DEPTH),
+    help="prep depth of sampled states",
+)
 @click.option("--n-states", default=20, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default=None, type=click.Path())
 def amplify_check(builtin, file_path, p, t, n_states, seed, out):
     """Gap inequality over random depth-t states; exit 1 on a violation."""
@@ -433,7 +443,10 @@ def amplify_check(builtin, file_path, p, t, n_states, seed, out):
     for trial in range(n_states):
         prep = random_low_depth(group.n, t, family="clifford", seed=seed + trial)
         state = zero_mixture(group.n).apply_circuit(prep)
-        rep = amplification_gap_check(state, hamiltonian, p, t)
+        try:
+            rep = amplification_gap_check(state, hamiltonian, p, t)
+        except ValueError as err:
+            raise click.UsageError(str(err))
         worst = min(worst, rep.lhs - rep.rhs)
         if not rep.holds:
             violations += 1

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
+from .io import load_payload
 from .paulis import (
     PauliOperator,
     StabilizerGroup,
@@ -302,16 +303,7 @@ def code_from_dict(payload: dict, name: str = "file") -> Code:
 
 
 def load_code(path: str | Path) -> Code:
-    path = Path(path)
-    text = path.read_text()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    try:
-        return code_from_dict(payload, name=path.stem)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    return load_payload(path, lambda payload: code_from_dict(payload, name=Path(path).stem))
 
 
 def dump_code(code: Code, path: str | Path) -> None:

@@ -191,6 +191,9 @@ def amplify(ham: CodeHamiltonian, p: int) -> AmplifiedHamiltonian:
     return AmplifiedHamiltonian(base=ham, p=p)
 
 
+MAX_AMPLIFIED_TUPLES = 2**22
+
+
 def amplified_energy(state, amp: AmplifiedHamiltonian, code_qubits=None) -> float:
     """tr(H^(p) rho) = 1 - mean over p-tuples of tr(rho g_{i1} .. g_{ip}).
 
@@ -198,10 +201,13 @@ def amplified_energy(state, amp: AmplifiedHamiltonian, code_qubits=None) -> floa
     eigenspace of the tuple's distinct checks, so each term is the
     probability that those checks all read +1; it is computed once per
     distinct check set. Takes a stabilizer mixture or a state vector (not a
-    density matrix).
+    density matrix). Raises ValueError when the n_terms^p tuples would
+    exceed MAX_AMPLIFIED_TUPLES, or p its bit length.
     """
     checks = _embedded_checks(state, amp.base, code_qubits)
     n_terms = len(checks)
+    if amp.p > MAX_AMPLIFIED_TUPLES.bit_length() or n_terms**amp.p > MAX_AMPLIFIED_TUPLES:
+        raise ValueError(f"{n_terms}^{amp.p} check tuples exceed the cap of {MAX_AMPLIFIED_TUPLES}")
     probs: dict[frozenset, float] = {}
     total = 0.0
     for indices in product(range(n_terms), repeat=amp.p):
@@ -228,17 +234,27 @@ class GapAmplificationReport:
     holds: bool
 
 
+# largest t with 2^t a finite float
+MAX_GAP_DEPTH = 1023
+
+
 def amplification_gap_check(state, ham: CodeHamiltonian, p: int, t: int, code_qubits=None) -> GapAmplificationReport:
     """Amplification guarantee for a depth-t state, both sides evaluated.
 
     lhs = tr(H^(p) phi); rhs = min{1, p tr(H phi)}/2 - 2^t p^2 ell^2 / n.
+    Raises ValueError when the depth term is not a finite float.
     """
+    try:
+        penalty = (2.0**t) * p**2 * ham.locality**2 / ham.n
+    except OverflowError:
+        penalty = math.inf
+    if not math.isfinite(penalty):
+        raise ValueError(f"depth term 2^t p^2 ell^2 / n overflows a float at t = {t}, p = {p}")
     mean_ham = CodeHamiltonian(group=ham.group, normalization="mean")
     amp = amplify(mean_ham, p)
     lhs = amplified_energy(state, amp, code_qubits)
     base = energy_value(state, mean_ham, code_qubits)
-    ell = ham.locality
-    rhs = 0.5 * min(1.0, p * base) - (2.0**t) * p**2 * ell**2 / ham.n
+    rhs = 0.5 * min(1.0, p * base) - penalty
     return GapAmplificationReport(lhs=lhs, rhs=rhs, base_energy=base, p=p, t=t, holds=lhs >= rhs - 1e-12)
 
 

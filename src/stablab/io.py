@@ -65,6 +65,24 @@ def write_text(path, text: str):
     _atomic_write(path, text)
 
 
+def load_payload(path, parse):
+    """``parse`` applied to the JSON in the file at path; ValueError naming the file on bad input.
+
+    A payload of the wrong shape (null or a number where a list belongs, an
+    infinite count) surfaces from the parser as TypeError, AttributeError or
+    OverflowError; those are reported like any other parse error.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    try:
+        return parse(payload)
+    except (ValueError, TypeError, AttributeError, OverflowError) as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def frontier_csv(records) -> str:
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -186,6 +186,20 @@ def scatter(v: int, wires) -> int:
     return out
 
 
+def outside_mask(n: int, region) -> int:
+    """The x and z bits of every qubit outside the region, as a mask on ``vec``.
+
+    ``p.vec & outside_mask(n, region) == 0`` exactly when p acts as the
+    identity off the region. Raises ValueError unless the region is distinct
+    wires in [0, n).
+    """
+    region = tuple(region)
+    if len(set(region)) != len(region) or any(not 0 <= q < n for q in region):
+        raise ValueError(f"region {region} must be distinct wires in [0, {n})")
+    inside = scatter((1 << len(region)) - 1, region)
+    return ~(inside | inside << n)
+
+
 # --- symplectic bit-vector helpers (v = x | z << n) ---
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import gf2
 from .circuits import Gate, LayeredCircuit, gate_matrix, pauli_image_table
-from .paulis import PauliOperator, combine, commutes, gather, multiply, scatter
+from .paulis import PauliOperator, combine, commutes, gather, multiply, outside_mask, scatter
 
 DEFAULT_DENSE_LIMIT = 12
 
@@ -417,10 +417,7 @@ class StabilizerMixture:
 
     def _supported_subgroup(self, region: tuple[int, ...]) -> list[PauliOperator]:
         """All row products supported inside the region, exact signs."""
-        inside = 0
-        for q in region:
-            inside |= 1 << q
-        outside = ~(inside | (inside << self.m))
+        outside = outside_mask(self.m, region)
         # row combinations whose product is the identity outside the region
         kernel = gf2.dependencies([row.vec & outside for row in self.rows])
         members = []
@@ -435,8 +432,7 @@ class StabilizerMixture:
     def marginal(self, region) -> np.ndarray:
         """Dense reduced density matrix on the region (ascending order)."""
         region = tuple(sorted(int(q) for q in region))
-        if len(region) > 12:
-            raise ValueError("marginal materialization capped at 12 qubits")
+        require_dense(len(region))
         from .paulis import dense_matrix
 
         dim = 2 ** len(region)
@@ -453,8 +449,7 @@ class StabilizerMixture:
         """Materialize the pure state by projecting a generic probe vector."""
         if not self.is_pure:
             raise ValueError("mixture is not pure")
-        if self.m > 14:
-            raise ValueError("dense materialization capped at 14 qubits")
+        require_dense(self.m)
         if rng is None:
             rng = np.random.default_rng(0)
         for _ in range(8):

@@ -60,6 +60,14 @@ def test_inputs_trim_total_qubits():
     assert trimmed.m == 10
     kept = BoundInputs(n=5, t=2, m=12)
     assert kept.m == 12
+    # a depth past m's bit length cannot trim, and 2^t is never built
+    assert BoundInputs(n=5, t=10**30, m=12).m == 12
+
+
+def test_inputs_reject_subnormal_fractions():
+    for name in ("epsilon", "delta", "f"):
+        with pytest.raises(ValueError, match="smallest normal"):
+            BoundInputs(n=8, **{name: 1e-320})
 
 
 def test_missing_fields_disable_bounds():

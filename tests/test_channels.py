@@ -1,10 +1,16 @@
+import time
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stablab.paulis
 from stablab.channels import (
     LogicalDepolarizer,
+    _logical_basis_family,
+    _region_is_correctable,
     encoded_state,
     entropy_audit,
     extended_invariance_check,
@@ -16,7 +22,7 @@ from stablab.channels import (
     zero_expectation_suite,
 )
 from stablab.circuits import identity_circuit, random_low_depth
-from stablab.codes import five_qubit_code, toric_code
+from stablab.codes import code_parameters, five_qubit_code, hypergraph_product, surface_code, toric_code
 from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
 from stablab.states import StabilizerMixture, group_mixture, partial_trace, rho_from_vector, zero_mixture
 from oracles import mixture_rho, pauli_matrix, von_neumann_entropy_naive
@@ -362,3 +368,126 @@ def test_mixture_channel_matches_dense_channel(name, keep, depth, seed):
 
     # the dense path is itself checked against the Kraus oracle above
     assert np.allclose(rho(got), logical_depolarize(rho(state), chan), atol=1e-12)
+
+
+# --- rank test (cleaning lemma) against the dense family suite ---
+
+_RANK_CODES = {
+    "five_qubit": five_qubit_code(),
+    "toric2": toric_code(2),
+    "toric3": toric_code(3),
+    "surface13": surface_code(3),
+}
+
+
+def _both_paths(code, region, distance=None):
+    """(default call, same call with the logical-basis family given explicitly)."""
+    group = code.group
+    family = _logical_basis_family(group, logical_pairs(group))
+    fast = marginal_invariance_suite(code, region=region, distance=distance)
+    dense = marginal_invariance_suite(code, family=family, region=region, distance=distance)
+    return fast, dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_RANK_CODES)), st.data())
+def test_rank_path_matches_dense_family_below_distance(name, data):
+    code = _RANK_CODES[name]
+    d = code_parameters(code.group).d
+    size = data.draw(st.integers(1, d - 1))
+    region = data.draw(st.lists(st.integers(0, code.n - 1), min_size=size, max_size=size, unique=True))
+    fast, dense = _both_paths(code, region)
+    assert fast == dense
+    assert fast["passed"] and fast["max_deviation"] == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_RANK_CODES)), st.data())
+def test_rank_path_matches_dense_family_at_or_above_distance(name, data):
+    code = _RANK_CODES[name]
+    d = code_parameters(code.group).d
+    size = data.draw(st.integers(d, d + 1))
+    region = data.draw(st.lists(st.integers(0, code.n - 1), min_size=size, max_size=size, unique=True))
+    fast, dense = _both_paths(code, region, distance=size + 1)
+    assert fast == dense
+    clean = _region_is_correctable(code.group, logical_pairs(code.group), sorted(region))
+    assert fast["passed"] or not clean
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_CODES))
+def test_logical_supports_take_the_dense_fallback(name):
+    """Each Xbar/Zbar support holds a logical: the rank test says so, the dense path reports the failure."""
+    code = _RANK_CODES[name]
+    pairs = logical_pairs(code.group)
+    for op in [p.xbar for p in pairs] + [p.zbar for p in pairs]:
+        region = op.support
+        assert not _region_is_correctable(code.group, pairs, region)
+        fast, dense = _both_paths(code, region, distance=len(region) + 1)
+        assert fast == dense
+        assert not fast["passed"] and fast["max_deviation"] > 0.1
+
+
+def test_rank_path_passes_a_large_region_without_a_logical():
+    """A 3-qubit toric3 region off every logical path is decided by rank alone, like the dense path."""
+    code = _RANK_CODES["toric3"]
+    pairs = logical_pairs(code.group)
+    region = (0, 1, 9)
+    assert _region_is_correctable(code.group, pairs, region)
+    fast, dense = _both_paths(code, region, distance=4)
+    assert fast == dense
+    assert fast["passed"] and fast["max_deviation"] == 0.0
+
+
+def test_sub_distance_regions_need_no_dense_marginal(monkeypatch):
+    """All 194 sub-distance regions of the indist workload pass on the rank test alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense marginal built")
+
+    monkeypatch.setattr(StabilizerMixture, "marginal", refuse)
+    monkeypatch.setattr(stablab.paulis, "dense_matrix", refuse)
+    regions = 0
+    for name in ("five_qubit", "toric2", "toric3"):
+        code = _RANK_CODES[name]
+        d = code_parameters(code.group).d
+        for size in range(1, d):
+            for region in combinations(range(code.n), size):
+                report = marginal_invariance_suite(code, region=region)
+                assert report["passed"] and report["max_deviation"] == 0.0
+                assert report["n_states"] == 2 << len(logical_pairs(code.group))
+                regions += 1
+    assert regions == 194
+
+
+def test_region_must_be_distinct_qubits_of_the_code():
+    for region in ((0, 0), (5,), (-1,)):
+        with pytest.raises(ValueError, match="distinct wires"):
+            marginal_invariance_suite(five_qubit_code(), region=region)
+
+
+# [7,4,3] Hamming check matrix: its hypergraph product with itself is [[58,16,3]]
+HAMMING = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+
+
+def test_rank_path_decides_every_pair_on_the_k16_hypergraph_product():
+    code = hypergraph_product(HAMMING, HAMMING)
+    group = code.group
+    pairs = logical_pairs(group)
+    assert (group.n, len(pairs), code_parameters(group).d) == (58, 16, 3)
+    start = time.perf_counter()
+    for region in combinations(range(group.n), 2):
+        # checked first: a region the rank test missed would start the dense
+        # fallback, which builds 2^17 family states
+        assert _region_is_correctable(group, pairs, region), region
+        report = marginal_invariance_suite(code, region=region)
+        assert report["passed"] and report["max_deviation"] == 0.0
+        assert report["n_states"] == 2**17
+    assert time.perf_counter() - start < 30.0
+
+    # qubits 0, 1, 2 of the left block carry the Hamming codeword 1110000
+    # along one row: X there commutes with every check but is no stabilizer
+    logical = from_letters("XXX" + "I" * 55)
+    assert not any(group.syndrome_of(logical))
+    assert not group.contains_bits(logical)
+    assert not _region_is_correctable(group, pairs, (0, 1, 2))
+    assert _region_is_correctable(group, pairs, (0, 1, 3))

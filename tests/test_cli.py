@@ -324,6 +324,8 @@ def _reject_constant(name):
         (["ham", "energy", "--builtin", "toric3", "--circuit", NON_CLIFFORD_PREP.format(m=18)], {}),
         (["ham", "energy", "--builtin", "five_qubit", "--circuit", NON_CLIFFORD_PREP.format(m=5)],
          {"STABLAB_DENSE_LIMIT": "4"}),
+        # the negative control's 3-qubit mixture marginal
+        (["bounds", "suite", "--check", "local-indistinguishability"], {"STABLAB_DENSE_LIMIT": "2"}),
         # more sectors than the syndrome enumeration lists
         (["sparsify", "--file", RANK_23_CODE, "--samples", "4"], {}),
         # a sample count that is not finite (delta^2 underflows) or past the cap
@@ -418,3 +420,93 @@ def test_help_lists_every_subcommand(runner):
     for name in ("code", "ham", "circuit", "syndrome", "entropy", "bounds",
                  "frontier", "amplify", "sparsify"):
         assert name in result.output
+
+
+# --- fuzz: malformed and boundary input reaches every command ---
+
+FUZZ_CODE_FILES = {
+    "empty": "",
+    "not-an-object": "[]",
+    "no-checks": "{}",
+    "empty-check-list": '{"checks": []}',
+    "dependent-checks": '{"checks": ["ZZI", "IZZ", "ZIZ"]}',
+    "identity-check": '{"checks": ["III"]}',
+    "minus-identity-product": '{"checks": ["ZZI", "IZZ", "-ZIZ"]}',
+    "minus-identity-check": '{"checks": ["-III"]}',
+    "check-not-a-string": '{"checks": ["ZZ", 5]}',
+    "null-column": '{"css": {"hx": [[null]], "hz": []}}',
+    "row-not-a-list": '{"css": {"hx": [3], "hz": []}}',
+    "infinite-n": '{"css": {"hx": [[0, 1]], "hz": [[0, 1]], "n": Infinity}}',
+    "nan-n": '{"css": {"hx": [[0, 1]], "hz": [[0, 1]], "n": NaN}}',
+}
+FUZZ_CIRCUIT_FILES = {
+    "empty": "",
+    "zero-wires": '{"m": 0, "layers": []}',
+    "infinite-wires": '{"m": Infinity, "layers": []}',
+    "null-layers": '{"m": 5, "layers": null}',
+    "null-qubits": '{"m": 5, "layers": [[{"gate": "H", "qubits": null}]]}',
+    "repeated-qubit": '{"m": 2, "layers": [[{"gate": "CX", "qubits": [0, 0]}]]}',
+    "nan-dense-gate": '{"m": 5, "layers": [[{"gate": {"dense": [[NaN, 0], [0, 1]]}, "qubits": [0]}]]}',
+    "five-wires": '{"m": 5, "layers": [[{"gate": "H", "qubits": [0]}]]}',
+}
+HUGE = str(10**30)
+
+
+def _fuzz_cases():
+    for name in FUZZ_CODE_FILES:
+        code = f"code:{name}"
+        for args in (
+            ["code", "params", "--file", code],
+            ["ham", "energy", "--file", code],
+            ["syndrome", "build", "--file", code],
+            ["syndrome", "decohere", "--file", code],
+            ["entropy", "audit", "--file", code],
+            ["frontier", "--file", code, "--t-max", "1", "--budget", "2"],
+            ["amplify", "check", "--file", code, "--n-states", "1"],
+            ["sparsify", "--file", code, "--samples", "4"],
+        ):
+            yield args
+    for name in FUZZ_CIRCUIT_FILES:
+        circ = f"circuit:{name}"
+        yield ["circuit", "lightcone", "--file", circ, "--region", "0"]
+        yield ["ham", "energy", "--builtin", "five_qubit", "--circuit", circ]
+        yield ["entropy", "audit", "--builtin", "five_qubit", "--rotation", circ]
+    for region in ("", "-1", "99", "0,0", "nan"):
+        yield ["circuit", "lightcone", "--file", "circuit:five-wires", "--region", region]
+    for opt in ("eps", "delta", "f", "c_ell"):
+        for value in ("nan", "inf", "-inf", "1e-320"):
+            yield _bounds_eval(**{"delta": 0.1, "f": 0.5, opt: value})
+    for override in ({"t": HUGE, "m": "5"}, {"n": HUGE, "t": HUGE, "m": HUGE}, {"ell": HUGE}, {"c_ell": "1e-300", "eps": "1e-300"}):
+        yield _bounds_eval(**override)
+    yield ["bounds", "suite", "--check", "nope"]
+    yield ["bounds", "suite", "--check", "bounds-regime"]
+    for opt, value in (("--t", HUGE), ("--t", "1023"), ("--t", "1024"), ("--p", HUGE), ("--p", "23"), ("--seed", "-1")):
+        yield ["amplify", "check", "--builtin", "five_qubit", "--n-states", "1", opt, value]
+    for opt, value in (("--t-max", "-1"), ("--seed", "-1"), ("--seed", HUGE)):
+        yield ["frontier", "--builtin", "five_qubit", "--budget", "1", opt, value]
+    for value in ("nan", "inf", "-inf", "-1", "1e-320"):
+        yield ["sparsify", "--builtin", "five_qubit", "--delta", value]
+    yield ["sparsify", "--builtin", "five_qubit", "--samples", HUGE]
+    yield ["code", "params", "--builtin", "five_qubit", "--distance-cap", "-1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for kind, files in (("code", FUZZ_CODE_FILES), ("circuit", FUZZ_CIRCUIT_FILES)):
+        for name, text in files.items():
+            path = root / f"{kind}-{name}.json"
+            path.write_text(text)
+            paths[f"{kind}:{name}"] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("args", list(_fuzz_cases()), ids=" ".join)
+def test_malformed_and_boundary_input_never_crashes(runner, fuzz_files, args):
+    """Exit 0, 1 or 2 only: a malformed input is a usage error, never an internal one."""
+    args = [fuzz_files.get(arg, arg) for arg in args]
+    result = invoke(runner, args)
+    assert result.exit_code in (0, 1, 2), result.stderr
+    assert "Traceback" not in result.output
+    assert "Internal error" not in result.stderr

@@ -11,6 +11,8 @@ from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab.codes import build_code, five_qubit_code, toric_code
 from stablab.hamiltonians import (
+    MAX_AMPLIFIED_TUPLES,
+    MAX_GAP_DEPTH,
     MAX_SPARSIFIER_SAMPLES,
     CodeHamiltonian,
     amplification_gap_check,
@@ -594,3 +596,21 @@ def test_production_paths_build_no_dense_operator(no_dense_operators):
     result = CliRunner().invoke(main, ["sparsify", "--builtin", "toric3"], catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["within_delta"] is True
+
+
+def test_gap_check_refuses_what_leaves_the_float_range_or_the_tuple_cap():
+    group = five_qubit_code().group
+    ham = build_code_hamiltonian(group, "mean")
+    state = zero_mixture(5)
+    assert amplification_gap_check(state, ham, 1, 1000).holds
+    for p, t in ((1, MAX_GAP_DEPTH + 1), (2, MAX_GAP_DEPTH), (10**200, 1)):
+        with pytest.raises(ValueError, match="overflows a float"):
+            amplification_gap_check(state, ham, p, t)
+    # 4 checks: 4^11 = 2^22 tuples is the largest enumeration allowed
+    assert 4**11 == MAX_AMPLIFIED_TUPLES
+    with pytest.raises(ValueError, match="exceed the cap"):
+        amplified_energy(state, amplify(ham, 12))
+    single_check = build_code_hamiltonian(StabilizerGroup([from_letters("ZZ")]), "mean")
+    assert amplified_energy(zero_mixture(2), amplify(single_check, 22)) == 0.0
+    with pytest.raises(ValueError, match="exceed the cap"):
+        amplified_energy(zero_mixture(2), amplify(single_check, 10**30))

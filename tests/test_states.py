@@ -18,6 +18,7 @@ from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, gate_matrix, ran
 from stablab.codes import build_code, five_qubit_code
 from stablab.paulis import PauliOperator, from_letters, random_pauli
 from stablab.states import (
+    DenseLimitError,
     StabilizerMixture,
     apply_circuit_rho,
     apply_circuit_vec,
@@ -455,6 +456,29 @@ def test_dense_qubit_limit_validates_environment(monkeypatch):
         monkeypatch.setenv("STABLAB_DENSE_LIMIT", bad)
         with pytest.raises(ValueError, match="positive integer"):
             dense_qubit_limit()
+
+
+def test_mixture_dense_reads_stop_at_the_dense_limit(monkeypatch):
+    """marginal, dense_rho and dense_vector refuse past the limit with DenseLimitError."""
+    monkeypatch.delenv("STABLAB_DENSE_LIMIT", raising=False)
+    wide = zero_mixture(13)
+    with pytest.raises(DenseLimitError, match="13 qubits > 12"):
+        wide.marginal(range(13))
+    with pytest.raises(DenseLimitError, match="13 qubits > 12"):
+        wide.dense_rho()
+    with pytest.raises(DenseLimitError, match="13 qubits > 12"):
+        wide.dense_vector()
+    assert np.allclose(zero_mixture(12).dense_vector(), zero_vector(12), atol=1e-12)
+    assert np.allclose(wide.marginal(range(2)), np.diag([1, 0, 0, 0]), atol=1e-12)
+
+    monkeypatch.setenv("STABLAB_DENSE_LIMIT", "3")
+    small = zero_mixture(4)
+    with pytest.raises(DenseLimitError, match="4 qubits > 3"):
+        small.marginal(range(4))
+    with pytest.raises(DenseLimitError, match="4 qubits > 3"):
+        small.dense_vector()
+    assert small.marginal(range(3)).shape == (8, 8)
+    assert np.allclose(zero_mixture(3).dense_vector(), zero_vector(3), atol=1e-12)
 
 
 # --- mixture reads against the dense density matrix (hypothesis-driven) ---
