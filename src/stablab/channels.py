@@ -5,11 +5,15 @@ The channel averages over all 4^k logical Pauli frames,
     E(rho) = 4^-k sum_{a,b} (Xbar^a Zbar^b) rho (Zbar^b Xbar^a),
 
 which wipes out every logical degree of freedom while acting trivially on
-syndrome information and on any region smaller than the distance. Dense
-states get the literal conjugation sum; stabilizer mixtures get the exact
-algebraic answer: expanding the mixture over its 2^r signed members, the
-channel kills every member that anticommutes with some logical and keeps the
-rest, so E(rho) is the uniform mixture over the commutant subgroup.
+syndrome information and on any region smaller than the distance. It is
+``states.dephase`` over the 2k operators Xbar_i, Zbar_i: dense states take
+one conjugation per operator; stabilizer mixtures get the exact algebraic
+answer: expanding the mixture over its 2^r signed members, the channel kills
+every member that anticommutes with some logical and keeps the rest, so
+E(rho) is the uniform mixture over the commutant subgroup. Recording the
+syndrome classically is the same kind of channel (dephasing each register
+wire by Z), so the encoded state Theta of the entropy audit is one state on
+n + N wires, a mixture whenever its input is.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from .paulis import (
     LogicalPair,
     PauliOperator,
     StabilizerGroup,
-    combine,
     embed_pauli,
     logical_pairs,
     outside_mask,
     single,
-    symplectic_product,
 )
 from .states import (
     StabilizerMixture,
@@ -38,8 +40,8 @@ from .states import (
     apply_pauli_vec,
     basis_vector,
     conjugate,
-    conjugate_pauli_rho,
     density_matrix,
+    dephase,
     entropy,
     group_mixture,
     marginal,
@@ -48,12 +50,11 @@ from .states import (
     pauli_expectation_vec,
     require_dense,
     rho_from_vector,
-    shannon_entropy,
     von_neumann_entropy,  # noqa: F401  (part of this module's interface)
 )
 from .circuits import LayeredCircuit, reverse_circuit
 from .hamiltonians import build_code_hamiltonian, project_eigenspace
-from .syndrome import decohere, pack_syndrome
+from .syndrome import coherent_extension
 
 
 @dataclass(frozen=True)
@@ -94,138 +95,59 @@ def _as_channel(pairs, n: int) -> LogicalDepolarizer:
 def logical_depolarize(state, pairs):
     """Apply the channel; mixtures stay mixtures, dense input returns a matrix.
 
-    States wider than the code are fine: the logicals act on the first n
-    wires and the rest ride along (the channel tensored with identity).
+    The 4^k frames are the products of Xbar_1..Xbar_k, Zbar_1..Zbar_k, so the
+    channel is :func:`dephase` over those 2k operators. States wider than the
+    code are fine: the logicals act on the first n wires and the rest ride
+    along (the channel tensored with identity).
     """
-    if isinstance(state, StabilizerMixture):
-        chan = _as_channel(pairs, state.m)
-        logicals = chan.logicals(state.m)
-        rows = state.rows
-        if not rows or not logicals:
-            return state
-        # row combinations that commute with every logical survive
-        anticommuting = [
-            sum(symplectic_product(r, l) << j for j, l in enumerate(logicals)) for r in rows
-        ]
-        survivors = [combine(state.m, rows, combo) for combo in gf2.dependencies(anticommuting)]
-        return StabilizerMixture(state.m, tuple(survivors))
-
-    rho = density_matrix(state)
-    m = num_qubits(rho)
-    require_dense(m)
-    chan = _as_channel(pairs, m)
-    if chan.k == 0:
-        return rho
-    xbars = chan.logicals(m)[: chan.k]
-    zbars = chan.logicals(m)[chan.k :]
-    out = np.zeros_like(rho)
-    for a in itertools.product((0, 1), repeat=chan.k):
-        for b in itertools.product((0, 1), repeat=chan.k):
-            sigma = rho
-            # conjugation by Xbar^a Zbar^b, innermost factor first; the
-            # ordering inside the product is a global phase and cancels
-            for i, bit in enumerate(b):
-                if bit:
-                    sigma = conjugate_pauli_rho(sigma, zbars[i])
-            for i, bit in enumerate(a):
-                if bit:
-                    sigma = conjugate_pauli_rho(sigma, xbars[i])
-            out += sigma
-    return out / 4**chan.k
+    m = num_qubits(state)
+    return dephase(state, _as_channel(pairs, m).logicals(m))
 
 
-def stabilizer_entropy(state: StabilizerMixture) -> int:
-    """Exact entropy in bits: qubits minus independent constraints."""
-    if not isinstance(state, StabilizerMixture):
-        raise TypeError("stabilizer mixture required")
-    return state.m - state.rank
+def encoded_state(phi, group: StabilizerGroup):
+    """Theta = sum_s p_s E(rho_s) (x) |s><s| on n + N wires, as one state.
+
+    rho_s is the post-measurement state of syndrome s and E the logical
+    depolarizing channel. The coherent extension writes each syndrome on the
+    register; dephasing by Z on every register wire makes that record
+    classical, and dephasing by every logical applies E on each branch at
+    once. A stabilizer mixture gives a mixture; a state vector gives a
+    density matrix, under the dense limit on n + N qubits.
+    """
+    group = as_group(group)
+    m = group.n + len(group.generators)
+    register = [PauliOperator(m, 0, 1 << q) for q in range(group.n, m)]
+    logicals = logical_depolarizer(group).logicals(m)
+    return dephase(coherent_extension(phi, group), register + list(logicals))
 
 
-@dataclass(frozen=True)
-class EncodedMixedState:
-    """Theta = sum_s p_s mu_s (x) |s><s| with mu_s the depolarized branches."""
-
-    n: int
-    k: int
-    branches: tuple[tuple[tuple[int, ...], float, object], ...]
-
-    @property
-    def n_checks(self) -> int:
-        return len(self.branches[0][0]) if self.branches else 0
-
-    @property
-    def mixing_entropy(self) -> float:
-        return shannon_entropy([p for _, p, _ in self.branches])
-
-    @property
-    def total_entropy(self) -> float:
-        """S(Theta) = H({p_s}) + sum_s p_s S(mu_s), exact branchwise."""
-        return self.mixing_entropy + sum(p * entropy(mu) for _, p, mu in self.branches)
-
-    def dense_theta(self) -> np.ndarray:
-        m_total = self.n + self.n_checks
-        require_dense(m_total)
-        dim = 2**m_total
-        out = np.zeros((dim, dim), dtype=complex)
-        step = 2**self.n_checks
-        for bits, p, mu in self.branches:
-            packed = pack_syndrome(bits)
-            out[packed::step, packed::step] += p * density_matrix(mu)
-        return out
-
-
-def encoded_state(phi, group: StabilizerGroup, pairs=None) -> EncodedMixedState:
-    """Decohere into syndrome branches, then depolarize each branch."""
-    chan = logical_depolarizer(group, pairs)
-    dec = decohere(phi, group)
-    branches = []
-    for bits, p, branch in dec.branches:
-        mu = logical_depolarize(branch, chan)
-        branches.append((bits, p, mu))
-    return EncodedMixedState(n=group.n, k=chan.k, branches=tuple(branches))
-
-
-def _register_rows(mu: StabilizerMixture, bits, n: int, n_checks: int) -> StabilizerMixture:
-    m_total = n + n_checks
-    rows = [PauliOperator(m_total, r.x, r.z, r.sign) for r in mu.rows]
-    for i, b in enumerate(bits):
-        rows.append(PauliOperator(m_total, 0, 1 << (n + i), -1 if b else 1))
-    return StabilizerMixture(m_total, tuple(rows))
-
-
-def entropy_audit(theta: EncodedMixedState, w: LayeredCircuit) -> dict:
+def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
     """k <= S(Theta) <= sum_j S(single-qubit marginals of W^dag Theta W).
 
-    The rate bound holds branchwise by the channel's entropy floor; the
-    second step is subadditivity after the (entropy-preserving) rotation.
-    Both are asserted, all three numbers reported.
+    Theta is :func:`encoded_state` of phi. The rate bound holds by the
+    channel's entropy floor on each syndrome branch; the second step is
+    subadditivity after the (entropy-preserving) rotation. Both are
+    asserted, all three numbers reported. A mixture Theta is rotated on the
+    tableau when W is Clifford; otherwise Theta is rotated densely.
     """
-    m_total = theta.n + theta.n_checks
-    if w.m != m_total:
-        raise ValueError(f"circuit acts on {w.m} wires, state has {m_total}")
+    group = as_group(group)
+    m = group.n + len(group.generators)
+    if w.m != m:
+        raise ValueError(f"circuit acts on {w.m} wires, state has {m}")
+    theta = encoded_state(phi, group)
     wdag = reverse_circuit(w)
     clifford = all(g.is_clifford_representable for layer in w.layers for g in layer)
+    if isinstance(theta, StabilizerMixture) and clifford:
+        rotated = theta.apply_circuit(wdag)
+    else:
+        rotated = apply_circuit_rho(density_matrix(theta), wdag)
 
-    marginals = [np.zeros((2, 2), dtype=complex) for _ in range(m_total)]
-    for bits, p, mu in theta.branches:
-        if isinstance(mu, StabilizerMixture) and clifford:
-            rotated = _register_rows(mu, bits, theta.n, theta.n_checks).apply_circuit(wdag)
-            for j in range(m_total):
-                marginals[j] += p * rotated.marginal((j,))
-        else:
-            require_dense(m_total)
-            reg = np.zeros(2**theta.n_checks, dtype=complex)
-            reg[pack_syndrome(bits)] = 1.0
-            sigma = np.kron(density_matrix(mu), rho_from_vector(reg))
-            rotated = apply_circuit_rho(sigma, wdag)
-            for j in range(m_total):
-                marginals[j] += p * partial_trace(rotated, (j,), m_total)
-
-    total = theta.total_entropy
-    per_qubit_sum = float(sum(shannon_entropy(np.linalg.eigvalsh(mj)) for mj in marginals))
-    assert theta.k <= total + 1e-9
+    k = len(logical_pairs(group))
+    total = entropy(theta)
+    per_qubit_sum = float(sum(entropy(marginal(rotated, (j,))) for j in range(m)))
+    assert k <= total + 1e-9
     assert total <= per_qubit_sum + 1e-9
-    return {"k": theta.k, "S_Theta": total, "per_qubit_sum": per_qubit_sum}
+    return {"k": k, "S_Theta": total, "per_qubit_sum": per_qubit_sum}
 
 
 # --- invariance and zero-expectation suites ---

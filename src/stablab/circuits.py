@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import load_payload
+from .io import json_int, load_payload
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -231,31 +231,6 @@ def lightcone(circuit: LayeredCircuit, region) -> frozenset[int]:
     return frozenset(cone)
 
 
-@dataclass(frozen=True)
-class RestrictedCircuit:
-    circuit: LayeredCircuit
-    cone: frozenset[int]
-
-
-def restrict_to_lightcone(circuit: LayeredCircuit, region) -> RestrictedCircuit:
-    """Keep exactly the gates inside the region's causal cone.
-
-    The restricted circuit acts on the same wires and has the same depth
-    (some layers may become empty); its output marginal on the region equals
-    the full circuit's.
-    """
-    cone = set(int(q) for q in region)
-    kept_layers: list[tuple[Gate, ...]] = []
-    for layer in reversed(circuit.layers):
-        kept = tuple(g for g in layer if cone.intersection(g.qubits))
-        for gate in kept:
-            cone.update(gate.qubits)
-        kept_layers.append(kept)
-    kept_layers.reverse()
-    restricted = LayeredCircuit(m=circuit.m, layers=tuple(kept_layers), code_qubits=circuit.code_qubits)
-    return RestrictedCircuit(circuit=restricted, cone=frozenset(cone))
-
-
 def reverse_circuit(circuit: LayeredCircuit) -> LayeredCircuit:
     """The adjoint circuit: reversed layers of daggered gates."""
     layers = tuple(tuple(dagger_gate(g) for g in layer) for layer in reversed(circuit.layers))
@@ -372,7 +347,7 @@ def circuit_from_dict(payload: dict) -> LayeredCircuit:
     for key in ("m", "layers"):
         if key not in payload:
             raise ValueError(f"circuit file missing {key!r}")
-    m = int(payload["m"])
+    m = json_int(payload["m"], "'m'")
     layers = []
     for t, layer in enumerate(payload["layers"]):
         gates = []
@@ -380,7 +355,7 @@ def circuit_from_dict(payload: dict) -> LayeredCircuit:
             where = f"layer {t} gate {gi}"
             if not isinstance(entry, dict) or "gate" not in entry or "qubits" not in entry:
                 raise ValueError(f"{where}: needs 'gate' and 'qubits'")
-            qubits = tuple(int(q) for q in entry["qubits"])
+            qubits = tuple(json_int(q, f"{where}: wire") for q in entry["qubits"])
             field = entry["gate"]
             try:
                 if isinstance(field, str):
@@ -391,7 +366,9 @@ def circuit_from_dict(payload: dict) -> LayeredCircuit:
                     )
                     gates.append(Gate(qubits=qubits, matrix=mat))
                 elif isinstance(field, dict) and "word" in field:
-                    word = tuple((str(nm), tuple(int(p) for p in locs)) for nm, locs in field["word"])
+                    word = tuple(
+                        (str(nm), tuple(json_int(p, "word position") for p in locs)) for nm, locs in field["word"]
+                    )
                     gates.append(Gate(qubits=qubits, word=word))
                 else:
                     raise ValueError("gate must be a name or a {'dense': ...} payload")
@@ -400,7 +377,7 @@ def circuit_from_dict(payload: dict) -> LayeredCircuit:
         layers.append(tuple(gates))
     code_qubits = payload.get("code_qubits")
     if code_qubits is not None:
-        code_qubits = tuple(int(q) for q in code_qubits)
+        code_qubits = tuple(json_int(q, "code_qubits entry") for q in code_qubits)
     return LayeredCircuit(m=m, layers=tuple(layers), code_qubits=code_qubits)
 
 

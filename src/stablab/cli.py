@@ -21,10 +21,16 @@ import sys
 import click
 
 from .bounds import BoundInputs, depth_lower_bounds
-from .channels import encoded_state, entropy_audit
+from .channels import entropy_audit
 from .circuits import circuit_to_dict, lightcone, load_circuit
 from .codes import BUILTIN_CODES, build_code, code_parameters, load_code
-from .frontier import STRATEGIES, frontier_search, merge_frontiers
+from .frontier import (
+    MAX_FRONTIER_BUDGET,
+    MAX_FRONTIER_DEPTH,
+    STRATEGIES,
+    frontier_search,
+    merge_frontiers,
+)
 from .hamiltonians import (
     MAX_GAP_DEPTH,
     amplification_gap_check,
@@ -46,6 +52,10 @@ from .states import (
 )
 from .suites import SUITES, run_suites
 from .syndrome import build_syndrome_circuit, decohere
+
+
+# ceiling for `amplify check --n-states`, one gap check per sampled state
+MAX_GAP_STATES = 10_000
 
 
 def _pick_code(builtin: str | None, file_path: str | None):
@@ -280,17 +290,16 @@ def entropy_audit_cmd(builtin, file_path, circuit_path, rotation_path, out):
     """Check k <= S(Theta) <= sum of rotated single-qubit entropies."""
     chosen = _pick_code(builtin, file_path)
     state = _prepared_state(chosen.group.n, circuit_path)
-    theta = encoded_state(state, chosen.group)
     if rotation_path is None:
         rotation = build_syndrome_circuit(chosen.group).circuit
     else:
         rotation = _load_circuit(rotation_path)
-        wires = theta.n + theta.n_checks
+        wires = chosen.n + chosen.n_checks
         if rotation.m != wires:
             raise click.UsageError(
                 f"rotation circuit acts on {rotation.m} wires, data + syndrome register has {wires}"
             )
-    payload = entropy_audit(theta, rotation)
+    payload = entropy_audit(state, chosen.group, rotation)
     _emit(payload, out)
 
 
@@ -352,7 +361,7 @@ def bounds_suite(run_all, checks, out):
 
 @main.command("frontier")
 @_with_code_options
-@click.option("--t-max", default=3, show_default=True, type=click.IntRange(min=0))
+@click.option("--t-max", default=3, show_default=True, type=click.IntRange(min=0, max=MAX_FRONTIER_DEPTH))
 @click.option(
     "--strategy",
     "strategies",
@@ -364,7 +373,7 @@ def bounds_suite(run_all, checks, out):
     "--budget",
     default=300,
     show_default=True,
-    type=click.IntRange(min=1),
+    type=click.IntRange(min=1, max=MAX_FRONTIER_BUDGET),
     help="energy evaluations per strategy",
 )
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
@@ -428,7 +437,9 @@ def amplify_group():
     type=click.IntRange(min=0, max=MAX_GAP_DEPTH),
     help="prep depth of sampled states",
 )
-@click.option("--n-states", default=20, show_default=True, type=click.IntRange(min=1))
+@click.option(
+    "--n-states", default=20, show_default=True, type=click.IntRange(min=1, max=MAX_GAP_STATES)
+)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default=None, type=click.Path())
 def amplify_check(builtin, file_path, p, t, n_states, seed, out):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
-from .io import load_payload
+from .io import json_int, load_payload
 from .paulis import (
     PauliOperator,
     StabilizerGroup,
@@ -286,10 +286,10 @@ def code_from_dict(payload: dict, name: str = "file") -> Code:
         block = payload["css"]
         if not isinstance(block, dict) or "hx" not in block or "hz" not in block:
             raise ValueError("css block must contain 'hx' and 'hz' row lists")
-        rows = [tuple(int(c) for c in row) for row in block["hx"]]
-        rows_z = [tuple(int(c) for c in row) for row in block["hz"]]
+        rows = [tuple(json_int(c, "hx column") for c in row) for row in block["hx"]]
+        rows_z = [tuple(json_int(c, "hz column") for c in row) for row in block["hz"]]
         highest = max([max(r) for r in rows + rows_z if r] + [-1])
-        n = int(block.get("n", payload.get("n", highest + 1)))
+        n = json_int(block.get("n", payload.get("n", highest + 1)), "'n'")
         css = CssCode(n=n, hx=tuple(rows), hz=tuple(rows_z))
         return Code(name, css_to_stabilizer(css), css)
     if "checks" in payload:
@@ -297,6 +297,8 @@ def code_from_dict(payload: dict, name: str = "file") -> Code:
         if not isinstance(checks, list) or not checks:
             raise ValueError("'checks' must be a non-empty list of Pauli strings")
         n = payload.get("n")
+        if n is not None:
+            n = json_int(n, "'n'")
         gens = [from_letters(c, n=n) for c in checks]
         return Code(name, StabilizerGroup(gens))
     raise ValueError("code file needs either a 'checks' list or a 'css' block")

@@ -26,6 +26,12 @@ from .states import zero_mixture
 
 STRATEGIES = ("pauli-products", "random-clifford", "coordinate-descent")
 
+# Ceilings for the CLI's loop counts. A brickwork circuit deeper than the
+# number of qubits already scrambles every desk-scale code, and the budget
+# counts energy evaluations per strategy and depth.
+MAX_FRONTIER_DEPTH = 64
+MAX_FRONTIER_BUDGET = 10_000
+
 # the six single-qubit stabilizer states as (letter, sign) with prep words
 _SINGLE_STATES: tuple[tuple[str, int, tuple], ...] = (
     ("Z", 1, ()),

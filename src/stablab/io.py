@@ -65,6 +65,17 @@ def write_text(path, text: str):
     _atomic_write(path, text)
 
 
+def json_int(value, what: str) -> int:
+    """value itself when it is a JSON integer; ValueError for anything else.
+
+    Floats are refused rather than truncated (0.5 is not wire 0), and so are
+    booleans, which Python counts as ints.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_payload(path, parse):
     """``parse`` applied to the JSON in the file at path; ValueError naming the file on bad input.
 

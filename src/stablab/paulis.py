@@ -324,13 +324,6 @@ class StabilizerGroup:
         return max(max_weight, max(degree))
 
 
-def symplectic_rank(generators) -> int:
-    """GF(2) rank of the stacked (x|z) rows."""
-    if isinstance(generators, StabilizerGroup):
-        return generators.rank
-    return gf2.Reducer(g.vec for g in generators).rank
-
-
 @dataclass(frozen=True)
 class LogicalPair:
     """Anticommuting pair acting on one encoded qubit; commutes with the rest."""

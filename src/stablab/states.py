@@ -18,10 +18,10 @@ cross-checks at small m. A named gate acts on the rows through its
 tableau and the dense simulator read the same definition of each gate.
 
 ``num_qubits``, ``expectation``, ``project``, ``project_all``,
-``conjugate``, ``marginal``, ``density_matrix``, ``vector`` and ``entropy``
-take either backend; they are the one place that chooses between the two.
-Dense paths call ``require_dense`` first, so an input past the dense qubit
-limit raises one error type, :class:`DenseLimitError`.
+``conjugate``, ``dephase``, ``marginal``, ``density_matrix``, ``vector``
+and ``entropy`` take either backend; they are the one place that chooses
+between the two. Dense paths call ``require_dense`` first, so an input past
+the dense qubit limit raises one error type, :class:`DenseLimitError`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,16 @@ import numpy as np
 
 from . import gf2
 from .circuits import Gate, LayeredCircuit, gate_matrix, pauli_image_table
-from .paulis import PauliOperator, combine, commutes, gather, multiply, outside_mask, scatter
+from .paulis import (
+    PauliOperator,
+    combine,
+    commutes,
+    gather,
+    multiply,
+    outside_mask,
+    scatter,
+    symplectic_product,
+)
 
 DEFAULT_DENSE_LIMIT = 12
 
@@ -178,10 +187,14 @@ def conjugate_pauli_rho(rho: np.ndarray, p: PauliOperator) -> np.ndarray:
     m = _num_qubits(rho[:, 0])
     x_idx, z_idx = _index_masks(p, m)
     indices = np.arange(rho.shape[0], dtype=np.uint64)
-    # entry [r, c] picks up (-1)^{(r xor c) . z} and both indices shift by x
-    parity = np.bitwise_count((indices[:, None] ^ indices[None, :]) & np.uint64(z_idx)) & 1
-    shifted = indices ^ np.uint64(x_idx)
-    return (1.0 - 2.0 * parity) * rho[np.ix_(shifted, shifted)]
+    # entry [r, c] picks up (-1)^{r.z} (-1)^{c.z} and both indices shift by x
+    zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
+    if x_idx:
+        shifted = indices ^ np.uint64(x_idx)
+        rho = rho.take(shifted, axis=0).take(shifted, axis=1)
+    out = rho * zphase[:, None]
+    out *= zphase[None, :]
+    return out
 
 
 def pauli_expectation_rho(rho: np.ndarray, p: PauliOperator) -> float:
@@ -569,3 +582,30 @@ def entropy(state) -> float:
     if isinstance(state, StabilizerMixture):
         return state.entropy
     return von_neumann_entropy(density_matrix(state))
+
+
+def dephase(state, ops):
+    """rho -> (rho + P rho P) / 2 for each Pauli P in ops, in turn.
+
+    These channels commute, and together they average P rho P over every
+    product of the ops (phases cancel, so the ops need not commute with each
+    other). On a mixture 2^-m sum_g g over its signed row group, a member g
+    survives (g + P g P) / 2 when it commutes with P and vanishes when it
+    anticommutes: the image is the mixture of the row products that commute
+    with every op. Dense input returns a density matrix, one conjugation per
+    op. No ops return the state itself.
+    """
+    ops = tuple(ops)
+    if isinstance(state, StabilizerMixture):
+        rows = state.rows
+        if not rows or not ops:
+            return state
+        # bit j of a row's mask: the row anticommutes with ops[j]
+        masks = [sum(symplectic_product(r, p) << j for j, p in enumerate(ops)) for r in rows]
+        survivors = [combine(state.m, rows, combo) for combo in gf2.dependencies(masks)]
+        return _trusted(state.m, tuple(survivors))
+    require_dense(num_qubits(state))
+    rho = density_matrix(state)
+    for p in ops:
+        rho = (rho + conjugate_pauli_rho(rho, p)) / 2
+    return rho

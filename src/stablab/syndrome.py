@@ -25,6 +25,7 @@ from .circuits import Gate, LayeredCircuit
 from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import PauliOperator, StabilizerGroup
 from .states import (
+    StabilizerMixture,
     apply_pauli_vec,
     fidelity,
     partial_trace,
@@ -252,11 +253,20 @@ def pack_syndrome(bits) -> int:
     return packed
 
 
-def coherent_extension(phi: np.ndarray, group: StabilizerGroup) -> np.ndarray:
-    """sum_s (D_s phi) (x) |s> on n + N wires, ancilla i carrying s_i."""
-    phi = np.asarray(phi, dtype=complex)
+def coherent_extension(phi, group: StabilizerGroup):
+    """sum_s (D_s phi) (x) |s> on n + N wires, ancilla i carrying s_i.
+
+    A stabilizer mixture is extended by N fresh wires in |0> and pushed
+    through the extraction circuit, which has exactly this action; it stays a
+    mixture. A state vector is built term by term from the projectors D_s,
+    under the dense limit on n + N qubits.
+    """
     n = group.n
     N = len(group.generators)
+    if isinstance(phi, StabilizerMixture):
+        return phi.extend(N).apply_circuit(build_syndrome_circuit(group).circuit)
+    require_dense(n + N)
+    phi = vector(phi)
     components = [((), phi)]
     for g in group.generators:
         nxt = []

@@ -4,7 +4,10 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works on
 Python int lists, Pauli matrices are built by literal np.kron chains, and
 circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these.
+package's optimized paths against these. The one exception is the entropy
+audit taken one syndrome branch at a time, at the end of this file: it is
+the oracle for the one-state construction of Theta, so it reuses the
+package's decoherence, mixture channel and rotation, branch by branch.
 """
 
 from __future__ import annotations
@@ -227,3 +230,125 @@ def chp_conjugate(x: int, z: int, sign: int, name: str, wires: tuple[int, ...]) 
     elif name in ("S", "SDG"):
         z ^= xb << q
     return x, z, sign
+
+
+def logical_channel_kraus(rho: np.ndarray, pairs) -> np.ndarray:
+    """Literal 4^k-term sum (Xbar^a Zbar^b) rho (Xbar^a Zbar^b)^dagger / 4^k."""
+    k = len(pairs)
+    if k == 0:
+        return rho
+    n = pairs[0].xbar.n
+    out = np.zeros_like(rho)
+    for a in range(2**k):
+        for b in range(2**k):
+            kraus = np.eye(2**n, dtype=complex)
+            for i in range(k):
+                if (a >> i) & 1:
+                    kraus = kraus @ pauli_matrix(pairs[i].xbar.letters(), pairs[i].xbar.sign)
+            for i in range(k):
+                if (b >> i) & 1:
+                    kraus = kraus @ pauli_matrix(pairs[i].zbar.letters(), pairs[i].zbar.sign)
+            out += kraus @ rho @ kraus.conj().T
+    return out / 4**k
+
+
+def dephase_group_sum(rho: np.ndarray, ops) -> np.ndarray:
+    """Average of P rho P over all 2^len(ops) products P of the ops (kron chains)."""
+    dim = rho.shape[0]
+    out = np.zeros_like(rho)
+    for mask in range(2 ** len(ops)):
+        prod = np.eye(dim, dtype=complex)
+        for j, op in enumerate(ops):
+            if (mask >> j) & 1:
+                prod = prod @ pauli_matrix(op.letters(), op.sign)
+        out += prod @ rho @ prod.conj().T
+    return out / 2 ** len(ops)
+
+
+def _branch_rho(mu, n: int) -> np.ndarray:
+    if isinstance(mu, np.ndarray):
+        return mu
+    return mixture_rho([(r.letters(), r.sign) for r in mu.rows], n)
+
+
+def depolarized_branches(phi, group) -> list:
+    """(syndrome bits, p_s, E(rho_s)) for each branch of the decohered phi.
+
+    Mixture branches go through the package's mixture channel; dense
+    branches through :func:`logical_channel_kraus`.
+    """
+    from stablab.channels import logical_depolarize
+    from stablab.paulis import logical_pairs
+    from stablab.states import StabilizerMixture
+    from stablab.syndrome import decohere
+
+    pairs = logical_pairs(group)
+    out = []
+    for bits, p, branch in decohere(phi, group).branches:
+        if isinstance(branch, StabilizerMixture):
+            mu = logical_depolarize(branch, pairs)
+        else:
+            mu = logical_channel_kraus(np.outer(branch, branch.conj()), pairs)
+        out.append((bits, p, mu))
+    return out
+
+
+def theta_by_branches(branches, n: int, n_checks: int) -> np.ndarray:
+    """Dense sum_s p_s mu_s (x) |s><s|, register bit 0 most significant."""
+    dim = 2 ** (n + n_checks)
+    out = np.zeros((dim, dim), dtype=complex)
+    for bits, p, mu in branches:
+        s = int("".join(str(b) for b in bits), 2)
+        out[s :: 2**n_checks, s :: 2**n_checks] += p * _branch_rho(mu, n)
+    return out
+
+
+def entropy_audit_by_branches(phi, group, w) -> dict:
+    """The entropy audit summed over syndrome branches.
+
+    Each depolarized branch mu_s gets its register |s><s| (as Z rows with
+    sign (-1)^{s_i} on a mixture, as a kron factor on a dense branch), is
+    rotated by W^dagger, and its single-qubit marginals (from the Pauli
+    expectations on a mixture, by partial trace on a dense branch) are added
+    with weight p_s. S(Theta) = H(p) + sum_s p_s S(mu_s).
+    """
+    from stablab.circuits import reverse_circuit
+    from stablab.paulis import PauliOperator, logical_pairs, single
+    from stablab.states import StabilizerMixture, apply_circuit_rho, partial_trace
+
+    n, n_checks = group.n, len(group.generators)
+    m = n + n_checks
+    wdag = reverse_circuit(w)
+    clifford = all(g.is_clifford_representable for layer in w.layers for g in layer)
+    branches = depolarized_branches(phi, group)
+    marginals = [np.zeros((2, 2), dtype=complex) for _ in range(m)]
+    for bits, p, mu in branches:
+        if isinstance(mu, StabilizerMixture) and clifford:
+            rows = [PauliOperator(m, r.x, r.z, r.sign) for r in mu.rows]
+            rows += [PauliOperator(m, 0, 1 << (n + i), -1 if b else 1) for i, b in enumerate(bits)]
+            rotated = StabilizerMixture(m, tuple(rows)).apply_circuit(wdag)
+            for j in range(m):
+                marginals[j] += p * sum(
+                    rotated.expectation(single(m, j, letter)) * PAULI_MATS[letter] for letter in "IXYZ"
+                ) / 2
+        else:
+            theta_s = theta_by_branches([(bits, 1.0, mu)], n, n_checks)
+            rotated = apply_circuit_rho(theta_s, wdag)
+            for j in range(m):
+                marginals[j] += p * partial_trace(rotated, (j,), m)
+
+    def entropy_bits(probs) -> float:
+        probs = np.asarray(probs, dtype=float)
+        probs = probs[probs > 1e-14]
+        return float(-(probs * np.log2(probs)).sum())
+
+    mixing = entropy_bits([p for _, p, _ in branches])
+    branch_entropy = sum(
+        p * (float(mu.m - mu.rank) if isinstance(mu, StabilizerMixture) else entropy_bits(np.linalg.eigvalsh(mu)))
+        for _, p, mu in branches
+    )
+    return {
+        "k": len(logical_pairs(group)),
+        "S_Theta": mixing + branch_entropy,
+        "per_qubit_sum": float(sum(entropy_bits(np.linalg.eigvalsh(mj)) for mj in marginals)),
+    }

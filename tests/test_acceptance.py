@@ -53,6 +53,12 @@ def test_acceptance_entropy_pipeline():
     assert report["states_per_code"] == 100
 
 
+def test_acceptance_entropy_audit():
+    report = _run("entropy-audit", 30.0)
+    assert {row["code"] for row in report["audits"]} == {"five_qubit", "toric2", "surface13", "toric3"}
+    assert {row["depth"] for row in report["audits"]} == {0, 1, 2, 3, 4}
+
+
 def test_acceptance_amplification():
     report = _run("amplification", 180.0, n_states=200)
     assert report["states"] >= 200

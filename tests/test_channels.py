@@ -17,15 +17,22 @@ from stablab.channels import (
     logical_depolarize,
     logical_depolarizer,
     marginal_invariance_suite,
-    stabilizer_entropy,
     von_neumann_entropy,
     zero_expectation_suite,
 )
-from stablab.circuits import identity_circuit, random_low_depth
+from stablab.circuits import Gate, LayeredCircuit, identity_circuit, random_low_depth
 from stablab.codes import code_parameters, five_qubit_code, hypergraph_product, surface_code, toric_code
 from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
-from stablab.states import StabilizerMixture, group_mixture, partial_trace, rho_from_vector, zero_mixture
-from oracles import mixture_rho, pauli_matrix, von_neumann_entropy_naive
+from stablab.states import StabilizerMixture, group_mixture, rho_from_vector, zero_mixture
+from stablab.syndrome import build_syndrome_circuit, decohere
+from oracles import (
+    depolarized_branches,
+    entropy_audit_by_branches,
+    logical_channel_kraus,
+    mixture_rho,
+    theta_by_branches,
+    von_neumann_entropy_naive,
+)
 
 
 def random_rho(n, seed):
@@ -41,33 +48,13 @@ def random_vec(n, seed):
     return v / np.linalg.norm(v)
 
 
-def channel_oracle(rho, pairs):
-    """Literal 4^k-term conjugation sum from dense Pauli matrices."""
-    k = len(pairs)
-    n = pairs[0].xbar.n
-    out = np.zeros_like(rho)
-    for a in range(2**k):
-        for b in range(2**k):
-            kraus = np.eye(2**n, dtype=complex)
-            for i in range(k):
-                if (a >> i) & 1:
-                    p = pairs[i].xbar
-                    kraus = kraus @ (p.sign * pauli_matrix(p.letters()))
-            for i in range(k):
-                if (b >> i) & 1:
-                    p = pairs[i].zbar
-                    kraus = kraus @ (p.sign * pauli_matrix(p.letters()))
-            out += kraus @ rho @ kraus.conj().T
-    return out / 4**k
-
-
 def test_dense_channel_matches_kraus_oracle():
     code = five_qubit_code()
     chan = logical_depolarizer(code)
     for seed in range(3):
         rho = random_rho(5, seed)
         got = logical_depolarize(rho, chan)
-        want = channel_oracle(rho, chan.pairs)
+        want = logical_channel_kraus(rho, chan.pairs)
         assert np.allclose(got, want, atol=1e-12)
 
 
@@ -105,7 +92,7 @@ def test_five_qubit_code_state_entropy_one():
     chan = logical_depolarizer(code)
     mix = group_mixture(code.group)
     out = logical_depolarize(mix, chan)
-    assert stabilizer_entropy(out) == 1
+    assert out.entropy == 1.0
     dense = logical_depolarize(mix.dense_rho(), chan)
     assert von_neumann_entropy_naive(dense) == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(out.dense_rho(), dense, atol=1e-12)
@@ -116,7 +103,7 @@ def test_toric_code_state_entropy_two():
     chan = logical_depolarizer(code)
     assert chan.k == 2
     out = logical_depolarize(group_mixture(code.group), chan)
-    assert stabilizer_entropy(out) == 2
+    assert out.entropy == 2.0
     dense = logical_depolarize(group_mixture(code.group).dense_rho(), chan)
     assert von_neumann_entropy_naive(dense) == pytest.approx(2.0, abs=1e-10)
 
@@ -176,13 +163,6 @@ def test_von_neumann_entropy_values_and_validation():
         von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="square"):
         von_neumann_entropy(np.ones(4, dtype=complex))
-
-
-def test_stabilizer_entropy_basics():
-    assert stabilizer_entropy(zero_mixture(3)) == 0
-    assert stabilizer_entropy(group_mixture(five_qubit_code().group)) == 1
-    with pytest.raises(TypeError, match="stabilizer"):
-        stabilizer_entropy(np.eye(2) / 2)
 
 
 def test_marginal_invariance_five_qubit():
@@ -263,33 +243,27 @@ def test_extended_invariance_validation():
 def test_encoded_state_code_input():
     code = five_qubit_code()
     theta = encoded_state(group_mixture(code.group), code.group)
-    assert theta.k == 1
-    assert theta.n_checks == 4
-    assert len(theta.branches) == 1
-    bits, p, mu = theta.branches[0]
-    assert bits == (0, 0, 0, 0)
-    assert p == pytest.approx(1.0)
-    assert stabilizer_entropy(mu) == 1
-    assert theta.mixing_entropy == pytest.approx(0.0)
-    assert theta.total_entropy == pytest.approx(1.0)
+    assert isinstance(theta, StabilizerMixture) and theta.m == 9
+    # the clean syndrome is on record, the logical qubit fully mixed
+    for q in range(5, 9):
+        assert theta.expectation(single(9, q, "Z")) == 1.0
+    assert theta.entropy == 1.0
 
 
-def test_encoded_state_dense_branches_sum():
+def test_encoded_state_dense_matches_branch_sum():
     code = five_qubit_code()
     phi = random_vec(5, 9)
     theta = encoded_state(phi, code.group)
-    probs = [p for _, p, _ in theta.branches]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-    dense = theta.dense_theta()
-    assert np.trace(dense).real == pytest.approx(1.0, abs=1e-10)
-    # branchwise entropy formula matches the eigenvalue entropy of Theta
-    assert von_neumann_entropy_naive(dense) == pytest.approx(theta.total_entropy, abs=1e-8)
+    want = theta_by_branches(depolarized_branches(phi, code.group), 5, 4)
+    assert np.abs(theta - want).max() <= 1e-12
+    assert np.trace(theta).real == pytest.approx(1.0, abs=1e-12)
+    audit = entropy_audit(phi, code.group, identity_circuit(9))
+    assert audit["S_Theta"] == pytest.approx(von_neumann_entropy_naive(want), abs=1e-8)
 
 
 def test_entropy_audit_code_state_rate_tight():
     code = five_qubit_code()
-    theta = encoded_state(group_mixture(code.group), code.group)
-    report = entropy_audit(theta, identity_circuit(9))
+    report = entropy_audit(group_mixture(code.group), code.group, identity_circuit(9))
     assert report["k"] == 1
     assert report["S_Theta"] == pytest.approx(1.0)
     assert report["S_Theta"] <= report["per_qubit_sum"] + 1e-9
@@ -298,8 +272,7 @@ def test_entropy_audit_code_state_rate_tight():
 def test_entropy_audit_product_theta_tight():
     """A product Theta makes subadditivity an equality."""
     group = StabilizerGroup([from_letters("ZI")])
-    theta = encoded_state(zero_mixture(2), group)
-    report = entropy_audit(theta, identity_circuit(3))
+    report = entropy_audit(zero_mixture(2), group, identity_circuit(3))
     assert report["k"] == 1
     assert report["S_Theta"] == pytest.approx(1.0)
     assert report["per_qubit_sum"] == pytest.approx(report["S_Theta"], abs=1e-9)
@@ -308,9 +281,8 @@ def test_entropy_audit_product_theta_tight():
 def test_entropy_audit_dense_branches():
     code = five_qubit_code()
     phi = random_vec(5, 13)
-    theta = encoded_state(phi, code.group)
     w = random_low_depth(9, depth=1, family="clifford", seed=4)
-    report = entropy_audit(theta, w)
+    report = entropy_audit(phi, code.group, w)
     assert report["k"] <= report["S_Theta"] + 1e-9
     assert report["S_Theta"] <= report["per_qubit_sum"] + 1e-9
     assert set(report) == {"k", "S_Theta", "per_qubit_sum"}
@@ -321,27 +293,128 @@ def test_entropy_audit_clifford_branch_matches_dense():
     code = five_qubit_code()
     group = code.group
     mix = group_mixture(group).conjugate_pauli(single(5, 2, "X"))
-    theta_mix = encoded_state(mix, group)
     w = random_low_depth(9, depth=2, family="clifford", seed=11)
-    report = entropy_audit(theta_mix, w)
+    report = entropy_audit(mix, group, w)
     assert report["S_Theta"] == pytest.approx(1.0)  # error shifts sector, not entropy
 
     # dense route on a pure code state gives identical numbers
     zbar = logical_pairs(group)[0].zbar
     pure_mix = group_mixture(group).with_rows([zbar])
-    theta_a = encoded_state(pure_mix.dense_vector(), group)
-    theta_b = encoded_state(pure_mix, group)
-    ra = entropy_audit(theta_a, w)
-    rb = entropy_audit(theta_b, w)
+    ra = entropy_audit(pure_mix.dense_vector(), group, w)
+    rb = entropy_audit(pure_mix, group, w)
     assert ra["S_Theta"] == pytest.approx(rb["S_Theta"], abs=1e-8)
     assert ra["per_qubit_sum"] == pytest.approx(rb["per_qubit_sum"], abs=1e-8)
 
 
 def test_entropy_audit_wire_mismatch():
     code = five_qubit_code()
-    theta = encoded_state(group_mixture(code.group), code.group)
     with pytest.raises(ValueError, match="wires"):
-        entropy_audit(theta, identity_circuit(5))
+        entropy_audit(group_mixture(code.group), code.group, identity_circuit(5))
+
+
+# --- one-state Theta against the per-branch audit ---
+
+_AUDIT_CODES = {"five_qubit": five_qubit_code(), "toric2": toric_code(2), "surface13": surface_code(3)}
+# (single-qubit error on the prep, rotation W)
+_AUDIT_CONFIGS = ((False, "extraction"), (True, "random"), (True, "extraction"), (False, "random"))
+
+
+def _named_gate_prep(n, depth, rng):
+    """depth layers of random named two-qubit gates on a random matching,
+    each followed by a random named single-qubit gate on every wire."""
+    layers = []
+    for _ in range(depth):
+        perm = rng.permutation(n)
+        layers.append(tuple(
+            Gate(qubits=(int(perm[i]), int(perm[i + 1])), name=str(rng.choice(["CX", "CY", "CZ", "SWAP"])))
+            for i in range(0, n - 1, 2)
+        ))
+        layers.append(tuple(Gate(qubits=(q,), name=str(rng.choice(list("HXYZ") + ["S", "SDG"]))) for q in range(n)))
+    return LayeredCircuit(m=n, layers=tuple(layers))
+
+
+def _audit_case(name, prep, seed, error, rotation):
+    """(state, group, W): the prep applied to |0^n>, optionally followed by a
+    single-qubit error, and the extraction circuit, a random Clifford W or a
+    random Haar-brickwork W."""
+    group = _AUDIT_CODES[name].group
+    n, m = group.n, group.n + len(group.generators)
+    state = zero_mixture(n).apply_circuit(prep)
+    if error:
+        state = state.conjugate_pauli(single(n, seed % n, "XYZ"[seed % 3]))
+    if rotation == "extraction":
+        w = build_syndrome_circuit(group).circuit
+    elif rotation == "haar":
+        w = random_low_depth(m, 1, family="haar", seed=seed + 1)
+    else:
+        w = random_low_depth(m, 1 + seed % 2, family="clifford", seed=seed + 1)
+    return state, group, w
+
+
+@pytest.mark.parametrize("name", sorted(_AUDIT_CODES))
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_entropy_audit_equals_the_branch_sum(name, depth):
+    """Named-gate preps. The per-branch oracle costs ~5 ms a branch on
+    surface13, so there each depth takes one configuration (all four over
+    the depths) and the first prep with at most 2^8 of its 2^12 syndromes."""
+    rng = np.random.default_rng(depth)
+    group = _AUDIT_CODES[name].group
+    prep = _named_gate_prep(group.n, depth, rng)
+    configs = _AUDIT_CONFIGS
+    if name == "surface13":
+        configs = [_AUDIT_CONFIGS[depth]]
+        while decohere(zero_mixture(group.n).apply_circuit(prep), group).branch_count > 2**8:
+            prep = _named_gate_prep(group.n, depth, rng)
+    for error, rotation in configs:
+        state, group, w = _audit_case(name, prep, 17 * depth + 3, error, rotation)
+        assert entropy_audit(state, group, w) == entropy_audit_by_branches(state, group, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["five_qubit", "toric2"]),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+    st.sampled_from(_AUDIT_CONFIGS),
+)
+def test_entropy_audit_equals_the_branch_sum_on_random_cases(name, depth, seed, config):
+    """Random Clifford-word preps."""
+    prep = random_low_depth(_AUDIT_CODES[name].n, depth, family="clifford", seed=seed)
+    state, group, w = _audit_case(name, prep, seed, *config)
+    assert entropy_audit(state, group, w) == entropy_audit_by_branches(state, group, w)
+
+
+@pytest.mark.parametrize("seed, rotation", [(0, "extraction"), (1, "random"), (2, "random")])
+def test_dense_entropy_audit_matches_the_branch_sum(seed, rotation):
+    """Dense input: a Clifford state (seed 1 with an error) or a generic vector (seed 2)."""
+    prep = random_low_depth(5, 2, family="clifford", seed=seed)
+    state, group, w = _audit_case("five_qubit", prep, seed, seed == 1, rotation)
+    phi = random_vec(5, seed) if seed == 2 else state.dense_vector()
+    theta = encoded_state(phi, group)
+    want = theta_by_branches(depolarized_branches(phi, group), 5, 4)
+    assert np.abs(theta - want).max() <= 1e-12
+    got, oracle = entropy_audit(phi, group, w), entropy_audit_by_branches(phi, group, w)
+    assert got["k"] == oracle["k"]
+    assert got["S_Theta"] == pytest.approx(oracle["S_Theta"], abs=1e-12)
+    assert got["per_qubit_sum"] == pytest.approx(oracle["per_qubit_sum"], abs=1e-12)
+
+
+def test_mixture_theta_with_a_non_clifford_rotation_goes_dense():
+    prep = random_low_depth(5, 2, family="clifford", seed=4)
+    state, group, w = _audit_case("five_qubit", prep, 4, True, "haar")
+    got, oracle = entropy_audit(state, group, w), entropy_audit_by_branches(state, group, w)
+    assert got["k"] == oracle["k"] and got["S_Theta"] == oracle["S_Theta"]
+    assert got["per_qubit_sum"] == pytest.approx(oracle["per_qubit_sum"], abs=1e-12)
+
+
+def test_encoded_state_of_a_mixture_matches_its_dense_vector():
+    group = five_qubit_code().group
+    for seed in range(4):
+        state = zero_mixture(5).apply_circuit(random_low_depth(5, 2, family="clifford", seed=seed))
+        theta = encoded_state(state, group)
+        assert isinstance(theta, StabilizerMixture)
+        want = encoded_state(state.dense_vector(), group)
+        assert np.abs(mixture_rho([(r.letters(), r.sign) for r in theta.rows], 9) - want).max() <= 1e-12
 
 
 _SMALL_CODES = {"five_qubit": five_qubit_code(), "toric2": toric_code(2)}

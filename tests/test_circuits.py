@@ -25,7 +25,6 @@ from stablab.circuits import (
     pauli_image_table,
     random_clifford_word,
     random_low_depth,
-    restrict_to_lightcone,
     reverse_circuit,
 )
 
@@ -188,33 +187,6 @@ def test_lightcone_superset_monotone():
         small = lightcone(circ, [2])
         big = lightcone(circ, [2, 4])
         assert small <= big
-
-
-def test_restricted_circuit_reproduces_region_marginal():
-    from oracles import partial_trace_naive
-
-    rng = np.random.default_rng(5)
-    for seed in range(6):
-        m = 5
-        family = "haar" if seed % 2 else "clifford"
-        circ = random_low_depth(m, 2, family=family, seed=seed)
-        region = sorted(rng.choice(m, size=2, replace=False).tolist())
-        restricted = restrict_to_lightcone(circ, region)
-        assert restricted.circuit.depth == circ.depth
-        kept = {id(g) for layer in restricted.circuit.layers for g in layer}
-        orig = {id(g) for layer in circ.layers for g in layer}
-        assert kept <= orig
-        for layer in restricted.circuit.layers:
-            for g in layer:
-                assert set(g.qubits) <= restricted.cone
-
-        zero = np.zeros(2**m, dtype=complex)
-        zero[0] = 1
-        full_out = circuit_unitary(circ) @ zero
-        part_out = circuit_unitary(restricted.circuit) @ zero
-        rho_full = partial_trace_naive(np.outer(full_out, full_out.conj()), region, m)
-        rho_part = partial_trace_naive(np.outer(part_out, part_out.conj()), region, m)
-        assert np.allclose(rho_full, rho_part, atol=1e-10)
 
 
 def test_reverse_circuit_is_adjoint_unitary():

@@ -334,6 +334,10 @@ def _reject_constant(name):
         (["sparsify", "--builtin", "five_qubit", "--samples", str(2**20 + 1)], {}),
         (_bounds_eval(c_ell="nan"), {}),
         (_bounds_eval(c_ell="inf"), {}),
+        # loop counts past their ceilings
+        (["frontier", "--builtin", "five_qubit", "--t-max", "100000", "--budget", "1"], {}),
+        (["frontier", "--builtin", "five_qubit", "--t-max", "1", "--budget", str(10**30)], {}),
+        (["amplify", "check", "--builtin", "five_qubit", "--n-states", str(10**30)], {}),
     ],
 )
 def test_invalid_input_exits_2_with_one_line_error(runner, args, env, tmp_path):
@@ -438,6 +442,9 @@ FUZZ_CODE_FILES = {
     "row-not-a-list": '{"css": {"hx": [3], "hz": []}}',
     "infinite-n": '{"css": {"hx": [[0, 1]], "hz": [[0, 1]], "n": Infinity}}',
     "nan-n": '{"css": {"hx": [[0, 1]], "hz": [[0, 1]], "n": NaN}}',
+    "float-column": '{"css": {"hx": [[0.5, 1.9]], "hz": [[0, 1]]}}',
+    "bool-column": '{"css": {"hx": [[true, 1]], "hz": [[0, 1]]}}',
+    "float-n": '{"checks": ["ZZ"], "n": 2.0}',
 }
 FUZZ_CIRCUIT_FILES = {
     "empty": "",
@@ -448,6 +455,10 @@ FUZZ_CIRCUIT_FILES = {
     "repeated-qubit": '{"m": 2, "layers": [[{"gate": "CX", "qubits": [0, 0]}]]}',
     "nan-dense-gate": '{"m": 5, "layers": [[{"gate": {"dense": [[NaN, 0], [0, 1]]}, "qubits": [0]}]]}',
     "five-wires": '{"m": 5, "layers": [[{"gate": "H", "qubits": [0]}]]}',
+    "float-wire": '{"m": 5, "layers": [[{"gate": "H", "qubits": [0.5]}]]}',
+    "float-m": '{"m": 5.0, "layers": []}',
+    "bool-code-qubit": '{"m": 5, "code_qubits": [true], "layers": []}',
+    "float-word-position": '{"m": 5, "layers": [[{"gate": {"word": [["H", [0.0]]]}, "qubits": [0, 1]}]]}',
 }
 HUGE = str(10**30)
 
@@ -510,3 +521,21 @@ def test_malformed_and_boundary_input_never_crashes(runner, fuzz_files, args):
     assert result.exit_code in (0, 1, 2), result.stderr
     assert "Traceback" not in result.output
     assert "Internal error" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *(["code", "params", "--file", f"code:{name}"] for name in ("float-column", "bool-column", "float-n")),
+        *(
+            ["circuit", "lightcone", "--file", f"circuit:{name}", "--region", "0"]
+            for name in ("float-wire", "float-m", "bool-code-qubit", "float-word-position")
+        ),
+    ],
+    ids=" ".join,
+)
+def test_non_integer_json_counts_and_wires_exit_2(runner, fuzz_files, args):
+    """0.5 is no wire 0 and true is no column 1: the loaders refuse them."""
+    result = invoke(runner, [fuzz_files.get(arg, arg) for arg in args])
+    assert result.exit_code == 2
+    assert "must be an integer" in result.stderr

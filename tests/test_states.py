@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     chp_conjugate,
+    dephase_group_sum,
     expand_gate,
     mixture_rho,
     partial_trace_naive,
@@ -25,6 +26,7 @@ from stablab.states import (
     apply_gate_vec,
     apply_pauli_vec,
     basis_vector,
+    conjugate_pauli_rho,
     dense_qubit_limit,
     fidelity,
     group_mixture,
@@ -569,6 +571,52 @@ def test_dispatch_agrees_on_mixed_mixture_and_rho(state, data):
         assert _same_rho(states.conjugate(form, p), state.conjugate_pauli(p))
         assert states.entropy(form) == pytest.approx(state.m - state.rank, abs=1e-9)
     assert isinstance(states.entropy(state), float)
+
+
+def _random_rho(m, rng):
+    a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_conjugate_pauli_rho_matches_kron_chain(m, data):
+    rho = _random_rho(m, np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    p = data.draw(_paulis(m))
+    p_mat = pauli_matrix(p.letters(), p.sign)
+    assert np.abs(conjugate_pauli_rho(rho, p) - p_mat @ rho @ p_mat).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_dense_dephase_matches_the_group_sum(m, data):
+    """Any ops, commuting or not, and the vector form of a pure input."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ops = data.draw(st.lists(_paulis(m), max_size=4))
+    rho = _random_rho(m, rng)
+    assert np.abs(states.dephase(rho, ops) - dephase_group_sum(rho, ops)).max() <= 1e-12
+    psi = random_state(m, rng)
+    want = dephase_group_sum(rho_from_vector(psi), ops)
+    assert np.abs(states.dephase(psi, ops) - want).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(clifford_mixtures(), st.data())
+def test_mixture_dephase_matches_the_group_sum(state, data):
+    ops = data.draw(st.lists(_paulis(state.m), max_size=4))
+    got = states.dephase(state, ops)
+    assert isinstance(got, StabilizerMixture)
+    StabilizerMixture(got.m, got.rows)  # independent commuting rows
+    want = dephase_group_sum(state.dense_rho(), ops)
+    assert np.abs(mixture_rho([(r.letters(), r.sign) for r in got.rows], state.m) - want).max() <= 1e-12
+
+
+def test_dephase_without_ops_returns_the_state():
+    mixture = zero_mixture(2)
+    rho = rho_from_vector(zero_vector(2))
+    assert states.dephase(mixture, []) is mixture
+    assert states.dephase(rho, []) is rho
 
 
 @pytest.mark.parametrize("name", ["five_qubit", "toric2"])

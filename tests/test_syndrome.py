@@ -7,7 +7,9 @@ from stablab.codes import five_qubit_code, surface_code, toric_code
 from stablab.hamiltonians import build_code_hamiltonian, energy_report
 from stablab.paulis import StabilizerGroup, from_letters, single
 from stablab.states import (
+    StabilizerMixture,
     apply_circuit_vec,
+    apply_pauli_vec,
     basis_vector,
     group_mixture,
     zero_mixture,
@@ -120,6 +122,20 @@ def test_circuit_matches_projector_decomposition():
         assert np.allclose(got, expected, atol=1e-10)
         # the standalone extension helper agrees with the circuit
         assert np.allclose(coherent_extension(phi, group), expected, atol=1e-10)
+
+
+def test_mixture_coherent_extension_matches_the_dense_one():
+    group = five_qubit_code().group
+    for seed in range(4):
+        circ = random_low_depth(5, seed % 3, family="clifford", seed=seed)
+        mixture = zero_mixture(5).apply_circuit(circ)
+        extended = coherent_extension(mixture, group)
+        assert isinstance(extended, StabilizerMixture) and extended.m == 9
+        psi = coherent_extension(mixture.dense_vector(), group)
+        # a pure mixture is the one state every row stabilizes
+        assert extended.is_pure
+        for row in extended.rows:
+            assert np.abs(apply_pauli_vec(psi, row) - psi).max() <= 1e-12
 
 
 def test_code_state_leaves_ancillas_clear():
