@@ -25,10 +25,10 @@ from .states import (
     StabilizerMixture,
     density_matrix,
     expectation,
+    group_mixture,
     num_qubits,
     partial_trace,
     project_all,
-    project_pauli_vec,
     require_dense,
     trace_distance,
     vector,
@@ -240,19 +240,6 @@ def code_overlap(state, group: StabilizerGroup) -> float:
     return project_all(state, group.generators)[0]
 
 
-def _dense_code_projector(group: StabilizerGroup) -> np.ndarray:
-    dim = 2**group.n
-    proj = np.eye(dim, dtype=complex)
-    for check in group.generators:
-        cols = np.zeros((dim, dim), dtype=complex)
-        for j in range(dim):
-            prob, branch = project_pauli_vec(proj[:, j].copy(), check)
-            if branch is not None:
-                cols[:, j] = branch * np.sqrt(prob)
-        proj = cols
-    return proj
-
-
 def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None) -> dict:
     """Distance of a pure state from the code space.
 
@@ -260,7 +247,8 @@ def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None
     sqrt(1 - f^2): the nearest code state in that convention is the
     normalized projection, and no mixed code state can push fidelity
     above f. When cross_check is on (default for n <= 9) the overlap is
-    recomputed through an explicitly assembled dense projector.
+    recomputed through the dense projector Pi = 2^k rho, with rho the
+    maximally mixed code state.
     """
     group = as_group(code_or_group)
     f_sq = code_overlap(state, group)
@@ -274,7 +262,7 @@ def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None
     if cross_check is None:
         cross_check = group.n <= 9
     if cross_check and group.n <= 9:
-        proj = _dense_code_projector(group)
+        proj = 2**group.n_logical * group_mixture(group).dense_rho()
         out["cross_check"] = float(np.linalg.norm(proj @ vector(state)) ** 2)
         assert abs(out["cross_check"] - f_sq) < 1e-9
     return out

@@ -322,13 +322,15 @@ def random_low_depth(
 
 
 def circuit_to_dict(circuit: LayeredCircuit) -> dict:
-    """File-schema payload: named gates stay named, word gates densify."""
+    """File-schema payload: named gates and words stay symbolic, dense gates densify."""
     layers = []
     for layer in circuit.layers:
         entries = []
         for g in layer:
             if g.name is not None:
                 gate_field: object = g.name
+            elif g.word is not None:
+                gate_field = {"word": [[name, list(locs)] for name, locs in g.word]}
             else:
                 mat = gate_matrix(g)
                 gate_field = {"dense": [[[float(v.real), float(v.imag)] for v in row] for row in mat]}
@@ -371,7 +373,7 @@ def circuit_from_dict(payload: dict) -> LayeredCircuit:
                     )
                     gates.append(Gate(qubits=qubits, word=word))
                 else:
-                    raise ValueError("gate must be a name or a {'dense': ...} payload")
+                    raise ValueError("gate must be a name, a {'word': ...} or a {'dense': ...} payload")
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from err
         layers.append(tuple(gates))

@@ -27,7 +27,7 @@ Energy gain of amplification on a depth-t state is checked against
     tr(H^(p) phi) >= min{1, p tr(H phi)}/2 - 2^t p^2 ell^2 / n.
 
 A small non-stabilizer Hamiltonian (disjoint cat-state projectors) is also
-built here; it serves as a search target elsewhere.
+built here, with its per-term energies; only the tests use it.
 """
 
 from __future__ import annotations

@@ -186,6 +186,14 @@ def scatter(v: int, wires) -> int:
     return out
 
 
+def check_region(n: int, region) -> tuple[int, ...]:
+    """The region as a tuple; ValueError unless it is distinct wires in [0, n)."""
+    region = tuple(region)
+    if len(set(region)) != len(region) or any(not 0 <= q < n for q in region):
+        raise ValueError(f"region {region} must be distinct wires in [0, {n})")
+    return region
+
+
 def outside_mask(n: int, region) -> int:
     """The x and z bits of every qubit outside the region, as a mask on ``vec``.
 
@@ -193,9 +201,7 @@ def outside_mask(n: int, region) -> int:
     identity off the region. Raises ValueError unless the region is distinct
     wires in [0, n).
     """
-    region = tuple(region)
-    if len(set(region)) != len(region) or any(not 0 <= q < n for q in region):
-        raise ValueError(f"region {region} must be distinct wires in [0, {n})")
+    region = check_region(n, region)
     inside = scatter((1 << len(region)) - 1, region)
     return ~(inside | inside << n)
 

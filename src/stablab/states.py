@@ -11,11 +11,12 @@ independent commuting signed Pauli rows on m qubits define
     rho = product_i (I + g_i) / 2  /  2^(m - r),
 
 which is pure exactly when r = m and has entropy m - r bits. Clifford
-conjugation, Pauli-projector measurement, marginals and expectations all stay
-in the symplectic representation; dense materialization is only for
-cross-checks at small m. A named gate acts on the rows through its
-``circuits.pauli_image_table``, derived from the gate's matrix, so the
-tableau and the dense simulator read the same definition of each gate.
+conjugation, measurement, dephasing and expectations stay in the symplectic
+representation; a marginal folds r' generators onto the identity with
+:func:`project_rows` instead of summing 2^r' group members. A named gate
+acts on the rows through its ``circuits.pauli_image_table``, derived from
+the gate's matrix, so the tableau and the dense simulator read the same
+definition of each gate.
 
 ``num_qubits``, ``expectation``, ``project``, ``project_all``,
 ``conjugate``, ``dephase``, ``marginal``, ``density_matrix``, ``vector``
@@ -34,6 +35,7 @@ from . import gf2
 from .circuits import Gate, LayeredCircuit, gate_matrix, pauli_image_table
 from .paulis import (
     PauliOperator,
+    check_region,
     combine,
     commutes,
     gather,
@@ -129,13 +131,22 @@ def _index_masks(p: PauliOperator, m: int) -> tuple[int, int]:
 
 
 def apply_pauli_vec(psi: np.ndarray, p: PauliOperator) -> np.ndarray:
+    """P psi; a 2-D array is acted on along its leading axis, P @ psi."""
     m = _num_qubits(psi)
     x_idx, z_idx = _index_masks(p, m)
     indices = np.arange(psi.shape[0], dtype=np.uint64)
     zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
+    zphase = zphase.reshape((-1,) + (1,) * (psi.ndim - 1))
     out = np.empty(psi.shape, dtype=complex)
     out[indices ^ np.uint64(x_idx)] = (p.sign * 1j**p.y_count) * zphase * psi
     return out
+
+
+def project_rows(arr: np.ndarray, rows) -> np.ndarray:
+    """(I + P)/2 for each row P in turn, applied to a vector or to a matrix from the left."""
+    for p in rows:
+        arr = (arr + apply_pauli_vec(arr, p)) / 2
+    return arr
 
 
 def pauli_expectation_vec(psi: np.ndarray, p: PauliOperator) -> float:
@@ -145,7 +156,7 @@ def pauli_expectation_vec(psi: np.ndarray, p: PauliOperator) -> float:
 
 def project_pauli_vec(psi: np.ndarray, p: PauliOperator) -> tuple[float, np.ndarray | None]:
     """Apply (I + P)/2; returns (outcome probability, normalized branch)."""
-    branch = (psi + apply_pauli_vec(psi, p)) / 2.0
+    branch = project_rows(psi, (p,))
     prob = float(np.vdot(branch, branch).real)
     if prob < 1e-14:
         return 0.0, None
@@ -208,10 +219,10 @@ def pauli_expectation_rho(rho: np.ndarray, p: PauliOperator) -> float:
 
 
 def partial_trace(rho: np.ndarray, keep, m: int | None = None) -> np.ndarray:
-    """Reduced density matrix on the kept qubits, in ascending qubit order."""
+    """Reduced density matrix on the kept qubits (distinct, in [0, m)), ascending."""
     if m is None:
         m = _num_qubits(rho[:, 0])
-    keep = sorted(int(q) for q in keep)
+    keep = sorted(int(q) for q in check_region(m, keep))
     traced = [q for q in range(m) if q not in keep]
     tensor = rho.reshape((2,) * (2 * m))
     cur_m = m
@@ -245,19 +256,21 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return shannon_entropy(vals)
 
 
+def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Zero the roundoff (+-1e-17) that a square root would turn into ~1e-9."""
+    return np.where(vals > 1e-12 * max(float(vals.max()), 0.0), vals, 0.0)
+
+
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(_psd_eigenvalues(vals))) @ vecs.conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), not squared."""
     root = _sqrtm_psd(rho)
     inner = root @ sigma @ root
-    vals = np.linalg.eigvalsh(inner)
-    vals = np.clip(vals, 0.0, None)
-    return float(np.sqrt(vals).sum())
+    return float(np.sqrt(_psd_eigenvalues(np.linalg.eigvalsh(inner))).sum())
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -428,32 +441,21 @@ class StabilizerMixture:
         out._validate(self.rank)
         return out
 
-    def _supported_subgroup(self, region: tuple[int, ...]) -> list[PauliOperator]:
-        """All row products supported inside the region, exact signs."""
+    def marginal(self, region) -> np.ndarray:
+        """Dense reduced density matrix on the region (ascending order).
+
+        The r generators g_i of the row products supported on R give
+        prod_i (I + g_i)/2 / 2^(|R| - r), folded onto the identity on R.
+        """
+        region = tuple(sorted(int(q) for q in region))
         outside = outside_mask(self.m, region)
+        require_dense(len(region))
         # row combinations whose product is the identity outside the region
         kernel = gf2.dependencies([row.vec & outside for row in self.rows])
-        members = []
-        for coeff_bits in range(1 << len(kernel)):
-            combo = 0
-            for i, k in enumerate(kernel):
-                if (coeff_bits >> i) & 1:
-                    combo ^= k
-            members.append(combine(self.m, self.rows, combo))
-        return members
-
-    def marginal(self, region) -> np.ndarray:
-        """Dense reduced density matrix on the region (ascending order)."""
-        region = tuple(sorted(int(q) for q in region))
-        require_dense(len(region))
-        from .paulis import dense_matrix
-
+        gens = (combine(self.m, self.rows, combo) for combo in kernel)
+        local = [PauliOperator(len(region), gather(g.x, region), gather(g.z, region), g.sign) for g in gens]
         dim = 2 ** len(region)
-        rho = np.zeros((dim, dim), dtype=complex)
-        for member in self._supported_subgroup(region):
-            local = PauliOperator(len(region), gather(member.x, region), gather(member.z, region))
-            rho += member.sign * dense_matrix(local)
-        return rho / dim
+        return project_rows(np.eye(dim, dtype=complex) / 2 ** (len(region) - len(local)), local)
 
     def dense_rho(self) -> np.ndarray:
         return self.marginal(range(self.m))
@@ -467,8 +469,7 @@ class StabilizerMixture:
             rng = np.random.default_rng(0)
         for _ in range(8):
             probe = rng.standard_normal(2**self.m) + 1j * rng.standard_normal(2**self.m)
-            for row in self.rows:
-                probe = (probe + apply_pauli_vec(probe, row)) / 2.0
+            probe = project_rows(probe, self.rows)
             norm = float(np.linalg.norm(probe))
             if norm > 1e-9:
                 psi = probe / norm
@@ -554,7 +555,7 @@ def conjugate(state, p: PauliOperator):
 
 
 def marginal(state, region) -> np.ndarray:
-    """Dense reduced density matrix on the region (ascending order)."""
+    """Dense reduced density matrix on the region (distinct wires in [0, m), ascending)."""
     if isinstance(state, StabilizerMixture):
         return state.marginal(region)
     return partial_trace(density_matrix(state), region)

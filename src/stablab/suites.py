@@ -147,7 +147,6 @@ def suite_gentle_measurement(n_pairs: int = 100, seed: int = 0) -> dict:
     """Fidelity floor 1 - sum of owned energies over random state/region pairs."""
     group = build_code("five_qubit").group
     rng = np.random.default_rng(seed)
-    build_syndrome_circuit(group)
     violations = 0
     worst_gap = float("inf")
     for trial in range(n_pairs):

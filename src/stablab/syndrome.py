@@ -10,9 +10,11 @@ two Hadamard layers. On input |phi>|0^N> the output is
     sum_s (D_s |phi>) (x) |s>,    D_s = prod_i (I + (-1)^{s_i} C_i) / 2.
 
 Measuring the ancillas instead of keeping them coherent gives the decohered
-state: a probability-weighted family of syndrome branches. Both views are
-built here, with the branch map kept implicit (no ancilla materialization)
-so it scales past dense limits on the tableau backend.
+state: a probability-weighted family of syndrome branches, which ``decohere``
+lists one by one. As one state it is the coherent output with every register
+wire dephased in Z, and that is how the gentle-measurement report builds it:
+a stabilizer mixture stays a mixture until its marginal on the region, so
+the report runs past the dense limit on n + N wires.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .paulis import PauliOperator, StabilizerGroup
 from .states import (
     StabilizerMixture,
     apply_pauli_vec,
+    dephase,
     fidelity,
-    partial_trace,
+    marginal,
     project,
     require_dense,
     shannon_entropy,
@@ -297,28 +300,20 @@ class GentleMeasurementReport:
 def gentle_measurement_report(phi, group: StabilizerGroup, region) -> GentleMeasurementReport:
     """Fidelity of the coherent and decohered marginals on a region.
 
-    The guarantee: F(psi_R, Psi_R) >= 1 - sum of the input state's per-check
-    energies over checks whose ancilla lies in R.
+    The guarantee: F(psi_R, Theta_R) >= 1 - sum of the input state's
+    per-check energies over checks whose ancilla lies in R. Theta is the
+    coherent extension with every register wire dephased in Z; dephasing a
+    wire that is traced out leaves the marginal unchanged, so Theta_R is
+    psi_R with the register wires inside R dephased. A stabilizer mixture
+    therefore stays a mixture up to its |R|-qubit marginal.
     """
-    phi = vector(phi)
     n = group.n
-    N = len(group.generators)
-    require_dense(n + N)
     region = tuple(sorted(int(q) for q in region))
-    if any(not 0 <= q < n + N for q in region):
-        raise ValueError("region outside the data + ancilla wires")
+    psi_r = marginal(coherent_extension(phi, group), region)
+    register = [PauliOperator(len(region), 0, 1 << j) for j, q in enumerate(region) if q >= n]
+    theta_r = dephase(psi_r, register)
 
-    psi = coherent_extension(phi, group)
-    psi_r = partial_trace(np.outer(psi, psi.conj()), region, n + N)
-
-    dim = 2 ** (n + N)
-    theta = np.zeros((dim, dim), dtype=complex)
-    for bits, p, branch in decohere(phi, group).branches:
-        s_packed = pack_syndrome(bits)
-        theta[s_packed :: 2**N, s_packed :: 2**N] += p * np.outer(branch, branch.conj())
-    theta_r = partial_trace(theta, region, n + N)
-
-    sma = tuple(i for i in range(N) if n + i in region)
+    sma = tuple(q - n for q in region if q >= n)
     eps = energy_report(phi, build_code_hamiltonian(group)).per_term
     bound = 1.0 - sum(eps[i] for i in sma)
     fid = fidelity(psi_r, theta_r)

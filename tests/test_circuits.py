@@ -245,7 +245,9 @@ def test_circuit_json_roundtrip(tmp_path):
     path = tmp_path / "circ.json"
     dump_circuit(circ, path)
     loaded = load_circuit(path)
-    # words densify on export, so compare unitaries rather than structure
+    # words are written as words, so the loaded circuit stays on the tableau
+    assert [g.word for layer in loaded.layers for g in layer] == [g.word for layer in circ.layers for g in layer]
+    assert all(g.is_clifford_representable for layer in loaded.layers for g in layer)
     assert np.allclose(circuit_unitary(loaded), circuit_unitary(circ), atol=1e-10)
     assert loaded.m == circ.m
     # a second dump of the loaded circuit is byte-identical

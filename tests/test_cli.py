@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import stablab
 import stablab.cli
 import stablab.suites
+from stablab.circuits import dump_circuit, random_low_depth
 from stablab.cli import main
 from stablab.codes import build_code
 from stablab.hamiltonians import (
@@ -190,6 +191,16 @@ def test_entropy_audit_zero_state(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["k"] == 1
+    assert payload["k"] <= payload["S_Theta"] <= payload["per_qubit_sum"] + 1e-9
+
+
+def test_saved_clifford_prep_audits_on_the_tableau(runner, tmp_path):
+    """A saved word circuit reloads as words: toric2's 16 wires need no dense path."""
+    prep = tmp_path / "prep.json"
+    dump_circuit(random_low_depth(8, 3, "clifford", seed=7), prep)
+    result = invoke(runner, ["entropy", "audit", "--builtin", "toric2", "--circuit", str(prep)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
     assert payload["k"] <= payload["S_Theta"] <= payload["per_qubit_sum"] + 1e-9
 
 

@@ -1,12 +1,10 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from oracles import gf2_rank_naive, pauli_matrix, projector_from_strings
-from stablab import paulis
 from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab.codes import build_code, five_qubit_code, toric_code
@@ -569,19 +567,6 @@ def test_cat_energy_matches_dense_on_mixtures_and_vectors(block_size):
 
 
 # --- no dense operator on the syndrome-basis production paths ---
-
-
-@pytest.fixture
-def no_dense_operators(monkeypatch):
-    """Make paulis.dense_matrix raise at every name it is bound to."""
-    real = paulis.dense_matrix
-
-    def refuse(p):
-        raise AssertionError(f"dense matrix of {p} built on a production path")
-
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stablab"]:
-        for attr in [a for a, value in vars(module).items() if value is real]:
-            monkeypatch.setattr(module, attr, refuse)
 
 
 def test_production_paths_build_no_dense_operator(no_dense_operators):

@@ -15,6 +15,7 @@ from oracles import (
     von_neumann_entropy_naive,
 )
 from stablab import states
+from stablab.bounds import trace_distance_to_code
 from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, gate_matrix, random_low_depth
 from stablab.codes import build_code, five_qubit_code
 from stablab.paulis import PauliOperator, from_letters, random_pauli
@@ -40,7 +41,7 @@ from stablab.states import (
     zero_mixture,
     zero_vector,
 )
-from stablab.syndrome import decohere
+from stablab.syndrome import decohere, gentle_measurement_report
 
 
 def random_state(m, rng):
@@ -170,6 +171,14 @@ def test_entropy_fidelity_trace_distance():
     d = trace_distance(rho_from_vector(psi), rho_from_vector(phi))
     # tight for pure states: D = sqrt(1 - F^2)
     assert np.isclose(d, np.sqrt(1 - f**2), atol=1e-7)
+
+    # rank-deficient inputs: roundoff zeros must not reach the square roots
+    for _ in range(20):
+        psi, phi = random_state(4, rng), random_state(4, rng)
+        assert abs(fidelity(rho_from_vector(psi), rho_from_vector(phi)) - abs(np.vdot(psi, phi))) <= 1e-12
+    # the five_qubit gentle case on all 9 wires is sqrt(sum_s p_s^2) = 1/4
+    full = gentle_measurement_report(zero_mixture(5), five_qubit_code().group, range(9))
+    assert abs(full.fidelity - 0.25) <= 1e-12
 
 
 def test_zero_mixture_basics():
@@ -524,6 +533,58 @@ def test_mixture_reads_match_dense_rho(state, data):
     size = data.draw(st.integers(1, state.m))
     region = sorted(data.draw(st.permutations(range(state.m)))[:size])
     assert np.allclose(state.marginal(region), partial_trace_naive(rho, region, state.m), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fold_marginal_matches_the_naive_partial_trace(data):
+    """Pure and mixed mixtures, every region size from empty to all wires."""
+    state = data.draw(clifford_mixtures(pure=data.draw(st.booleans())))
+    rho = mixture_rho([(r.letters(), r.sign) for r in state.rows], state.m)
+    size = data.draw(st.integers(0, state.m))
+    region = data.draw(st.permutations(range(state.m)))[:size]
+    want = partial_trace_naive(rho, region, state.m)
+    assert np.abs(state.marginal(region) - want).max() <= 1e-12
+    assert np.abs(states.marginal(rho, region) - want).max() <= 1e-12
+    if size == state.m:
+        assert np.abs(state.dense_rho() - rho).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_project_rows_matches_the_projector_product(m, data):
+    """prod (I + P)/2 on a vector and, from the left, on a matrix; rows need not commute."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    rows = data.draw(st.lists(_paulis(m), max_size=3))
+    proj = np.eye(2**m, dtype=complex)
+    for p in rows:  # the first row acts first
+        proj = (np.eye(2**m) + pauli_matrix(p.letters(), p.sign)) / 2 @ proj
+    psi = random_state(m, rng)
+    mat = _random_rho(m, rng)
+    assert np.abs(states.project_rows(psi, rows) - proj @ psi).max() <= 1e-12
+    assert np.abs(states.project_rows(mat, rows) - proj @ mat).max() <= 1e-12
+
+
+def test_marginal_validates_the_region_on_both_backends():
+    mixture = zero_mixture(2).apply_circuit(random_low_depth(2, 1, family="clifford", seed=4))
+    for form in (mixture, mixture.dense_vector(), mixture.dense_rho()):
+        for bad in ((1, 1), (0, 5), (-1,)):
+            with pytest.raises(ValueError, match="distinct wires"):
+                states.marginal(form, bad)
+        assert np.allclose(states.marginal(form, ()), np.ones((1, 1)), atol=1e-12)
+    assert np.array_equal(mixture.marginal(()), np.ones((1, 1)))
+
+
+def test_dense_reads_build_no_pauli_matrix(no_dense_operators):
+    """Marginals, the code projector and the gentle report fold rows instead."""
+    group = five_qubit_code().group
+    mixture = zero_mixture(5).apply_circuit(random_low_depth(5, 2, family="clifford", seed=1))
+    want = mixture_rho([(r.letters(), r.sign) for r in mixture.rows], 5)
+    assert np.abs(mixture.dense_rho() - want).max() <= 1e-12
+    assert np.abs(mixture.marginal((3, 0)) - partial_trace_naive(want, (0, 3), 5)).max() <= 1e-12
+    assert gentle_measurement_report(mixture, group, (0, 5, 6)).holds
+    rep = trace_distance_to_code(mixture, group, cross_check=True)
+    assert rep["cross_check"] == pytest.approx(rep["f_squared"], abs=1e-12)
 
 
 # --- the backend dispatch layer: one answer whatever the backend ---

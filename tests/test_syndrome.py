@@ -11,7 +11,10 @@ from stablab.states import (
     apply_circuit_vec,
     apply_pauli_vec,
     basis_vector,
+    dense_qubit_limit,
+    fidelity,
     group_mixture,
+    partial_trace,
     zero_mixture,
 )
 from stablab.syndrome import (
@@ -23,7 +26,13 @@ from stablab.syndrome import (
     greedy_coloring,
     overlap_graph,
 )
-from oracles import circuit_unitary_naive, projector_from_strings
+from oracles import (
+    circuit_unitary_naive,
+    mixture_rho,
+    pauli_matrix,
+    projector_from_strings,
+    theta_by_branches,
+)
 
 from stablab.circuits import Gate, LayeredCircuit, gate_matrix, random_low_depth
 
@@ -305,3 +314,50 @@ def test_gentle_measurement_region_validation():
     group = five_qubit_code().group
     with pytest.raises(ValueError, match="region"):
         gentle_measurement_report(random_state(5, 1), group, region=(9,))
+
+
+def _dense_rho(state, m):
+    if isinstance(state, StabilizerMixture):
+        return mixture_rho([(r.letters(), r.sign) for r in state.rows], m)
+    return np.outer(state, state.conj())
+
+
+def _gentle_by_branches(phi, group, region):
+    """(fidelity, bound) with Theta summed over the decohered branches, densely."""
+    n, N = group.n, len(group.generators)
+    branches = [(bits, p, _dense_rho(b, n)) for bits, p, b in decohere(phi, group).branches]
+    theta_r = partial_trace(theta_by_branches(branches, n, N), region, n + N)
+    psi_r = partial_trace(_dense_rho(coherent_extension(phi, group), n + N), region, n + N)
+    rho = _dense_rho(phi, n)
+    eps = [(1 - np.trace(pauli_matrix(g.letters(), g.sign) @ rho).real) / 2 for g in group.generators]
+    return fidelity(psi_r, theta_r), 1.0 - sum(eps[q - n] for q in region if q >= n)
+
+
+def test_gentle_measurement_matches_the_branch_sum():
+    """Pure and mixed five_qubit mixtures and vectors, regions with and without ancillas."""
+    group = five_qubit_code().group
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        pure = zero_mixture(5).apply_circuit(random_low_depth(5, seed % 3, family="clifford", seed=seed))
+        phi = (pure, StabilizerMixture(5, pure.rows[: seed % 5]), random_state(5, seed))[seed % 3]
+        size = int(rng.integers(0, 10))
+        region = tuple(sorted(rng.choice(9, size=size, replace=False).tolist()))
+        report = gentle_measurement_report(phi, group, region)
+        want_fid, want_bound = _gentle_by_branches(phi, group, region)
+        assert report.fidelity == pytest.approx(want_fid, abs=1e-10), (seed, region)
+        assert report.bound == pytest.approx(want_bound, abs=1e-12), (seed, region)
+        assert report.holds, (seed, region)
+
+
+def test_gentle_measurement_past_the_dense_limit():
+    """toric3 has n + N = 36 wires; a mixture is read only on its region."""
+    group = toric_code(3).group
+    assert group.n + len(group.generators) > dense_qubit_limit()
+    state = zero_mixture(18).apply_circuit(random_low_depth(18, 2, family="clifford", seed=5))
+    data_only = gentle_measurement_report(state, group, region=(0, 1, 7, 12))
+    assert data_only.sma_checks == () and data_only.bound == 1.0
+    assert data_only.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert data_only.holds
+    with_ancillas = gentle_measurement_report(state, group, region=(0, 18, 19, 30))
+    assert with_ancillas.sma_checks == (0, 1, 12)
+    assert with_ancillas.holds
