@@ -10,7 +10,9 @@ lightcone purposes), or a dense unitary payload. Any wiring is allowed
 ``NAMED_GATES`` is the one statement of what a named gate does. The dense
 simulator uses the matrices directly; the stabilizer tableau uses
 :func:`pauli_image_table`, each gate's action on the Pauli basis, derived
-from its matrix at first use.
+from its matrix at first use. A word's action on its two wires is one
+table too, :func:`gate_image_table`, composed from its steps' tables, so
+the tableau pays one lookup per row per gate, however long the word.
 
 Lightcones are exact gate-connectivity cones (not the 2^t upper bound): the
 cone of a region A is everything reachable by chains of overlapping gates
@@ -27,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import json_int, load_payload
+from .paulis import gather, scatter
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -172,6 +175,62 @@ def pauli_image_table(name: str) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"{name} maps a Pauli to no single signed Pauli")
         table.append((w, sign))
     return tuple(table)
+
+
+@cache
+def framed_image_table(name: str, locs: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
+    """:func:`pauli_image_table` of a step on positions ``locs`` of a k-wire gate frame.
+
+    Entry v = x | z << k is a Hermitian Pauli on the frame; the step's
+    table acts on the bits of ``locs`` and leaves the others in place.
+    """
+    table = pauli_image_table(name)
+    bits = locs + tuple(k + p for p in locs)
+    clear = ~scatter((1 << len(bits)) - 1, bits)
+    framed = []
+    for v in range(4**k):
+        image, sign = table[gather(v, bits)]
+        framed.append((v & clear | scatter(image, bits), sign))
+    return tuple(framed)
+
+
+class _ComposedTable(dict):
+    """Steps' framed tables chained on first access to an entry, then kept."""
+
+    def __init__(self, steps):
+        super().__init__()
+        self.steps = steps
+
+    def __missing__(self, v: int) -> tuple[int, int]:
+        image, sign = v, 1
+        for table in self.steps:
+            image, s = table[image]
+            sign *= s
+        self[v] = entry = (image, sign)
+        return entry
+
+
+def gate_image_table(gate: Gate) -> tuple[tuple[int, int], ...] | dict[int, tuple[int, int]]:
+    """Conjugation table of a named or word gate on its own wires: entry v is (image, sign).
+
+    v = x | z << k encodes a Hermitian Pauli on the gate's k wires (local
+    qubit j is ``gate.qubits[j]``), and U P_v U^dagger = sign * P_image. A
+    named gate is a one-step word; a one-step word returns its cached
+    :func:`framed_image_table`. A longer word returns a fresh lazy table
+    that chains the steps' framed tables for an entry at its first lookup,
+    so a caller that reads a few entries pays for those alone. Raises
+    ValueError for a dense gate.
+    """
+    k = len(gate.qubits)
+    if gate.name is not None:
+        steps = ((gate.name, tuple(range(k))),)
+    elif gate.word is not None:
+        steps = gate.word
+    else:
+        raise ValueError("dense gates have no tableau action; use the dense backend")
+    if len(steps) == 1:
+        return framed_image_table(steps[0][0], tuple(steps[0][1]), k)
+    return _ComposedTable(tuple(framed_image_table(name, tuple(locs), k) for name, locs in steps))
 
 
 @dataclass(frozen=True)

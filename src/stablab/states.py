@@ -13,10 +13,13 @@ independent commuting signed Pauli rows on m qubits define
 which is pure exactly when r = m and has entropy m - r bits. Clifford
 conjugation, measurement, dephasing and expectations stay in the symplectic
 representation; a marginal folds r' generators onto the identity with
-:func:`project_rows` instead of summing 2^r' group members. A named gate
-acts on the rows through its ``circuits.pauli_image_table``, derived from
-the gate's matrix, so the tableau and the dense simulator read the same
-definition of each gate.
+:func:`project_rows` instead of summing 2^r' group members. A named or
+word gate acts on the rows through one ``circuits.gate_image_table``: its
+action on the Pauli group of its own wires, composed from the steps'
+``pauli_image_table``s, which are derived from the gate matrices, so the
+tableau and the dense simulator read the same definition of each gate. A
+row costs one gather, one lookup and one scatter per gate, however long
+the word.
 
 ``num_qubits``, ``expectation``, ``project``, ``project_all``,
 ``conjugate``, ``dephase``, ``marginal``, ``density_matrix``, ``vector``
@@ -32,7 +35,7 @@ import os
 import numpy as np
 
 from . import gf2
-from .circuits import Gate, LayeredCircuit, gate_matrix, pauli_image_table
+from .circuits import Gate, LayeredCircuit, gate_image_table, gate_matrix
 from .paulis import (
     PauliOperator,
     check_region,
@@ -354,38 +357,30 @@ class StabilizerMixture:
     # --- Clifford conjugation ---
 
     def _conjugated_rows(self, gate: Gate) -> tuple[PauliOperator, ...]:
-        """U row U^dagger for every row, one named step at a time.
+        """U row U^dagger for every row: one table lookup per row per gate.
 
-        A step on wires w_0..w_{k-1} gathers each row's local Pauli from
-        bits w_j (x) and m + w_j (z) of ``row.vec``, looks up its image in
-        the step's :func:`pauli_image_table` and scatters the image back; a
-        row with no bits there is skipped. Rows the gate leaves unchanged are
-        returned as the same objects.
+        On the gate's wires w_0..w_{k-1} each row's local Pauli is gathered
+        from bits w_j (x) and m + w_j (z) of ``row.vec``, looked up once in
+        the gate's :func:`gate_image_table` (a word's steps composed) and its
+        image scattered back; a row with no bits there is skipped. Rows the
+        gate leaves unchanged are returned as the same objects.
         """
-        if gate.name is not None:
-            steps = ((gate.name, gate.qubits),)
-        elif gate.word is not None:
-            steps = tuple((name, tuple(gate.qubits[p] for p in locs)) for name, locs in gate.word)
-        else:
-            raise ValueError("dense gates have no tableau action; use the dense backend")
+        table = gate_image_table(gate)
         m = self.m
-        vecs = [row.vec for row in self.rows]
-        signs = [row.sign for row in self.rows]
-        for name, wires in steps:
-            table = pauli_image_table(name)
-            bits = wires + tuple(m + w for w in wires)
-            clear = ~scatter((1 << len(bits)) - 1, bits)
-            for i, vec in enumerate(vecs):
-                local = gather(vec, bits)
-                if local:
-                    image, sign = table[local]
-                    vecs[i] = vec & clear | scatter(image, bits)
-                    signs[i] *= sign
-        low = (1 << m) - 1
-        return tuple(
-            row if vec == row.vec and sign == row.sign else PauliOperator(m, vec & low, vec >> m, sign)
-            for row, vec, sign in zip(self.rows, vecs, signs)
-        )
+        wires = gate.qubits
+        bits = wires + tuple(m + w for w in wires)
+        mask = scatter((1 << len(bits)) - 1, bits)
+        clear, low = ~mask, (1 << m) - 1
+        out = []
+        for row in self.rows:
+            vec = row.vec
+            if vec & mask:
+                image, sign = table[gather(vec, bits)]
+                new = vec & clear | scatter(image, bits)
+                if new != vec or sign != 1:
+                    row = PauliOperator(m, new & low, new >> m, row.sign * sign)
+            out.append(row)
+        return tuple(out)
 
     def apply_gate(self, gate: Gate) -> "StabilizerMixture":
         return _trusted(self.m, self._conjugated_rows(gate))
@@ -558,7 +553,14 @@ def marginal(state, region) -> np.ndarray:
     """Dense reduced density matrix on the region (distinct wires in [0, m), ascending)."""
     if isinstance(state, StabilizerMixture):
         return state.marginal(region)
-    return partial_trace(density_matrix(state), region)
+    arr = _dense(state)
+    if arr.ndim == 2:
+        return partial_trace(arr, region)
+    # pure state: with the region's wires first, psi is a 2^|R| x 2^(m-|R|) matrix M
+    m = _num_qubits(arr)
+    region = sorted(int(q) for q in check_region(m, region))
+    amps = np.moveaxis(arr.reshape((2,) * m), region, range(len(region))).reshape(2 ** len(region), -1)
+    return amps @ amps.conj().T
 
 
 def density_matrix(state) -> np.ndarray:

@@ -4,9 +4,12 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works on
 Python int lists, Pauli matrices are built by literal np.kron chains, and
 circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these. The one exception is the entropy
-audit taken one syndrome branch at a time, at the end of this file: it is
-the oracle for the one-state construction of Theta, so it reuses the
+package's optimized paths against these. Three oracles are earlier
+versions of a package path and reuse its kernels: the per-step tableau
+loop (oracle for the composed gate tables), the marginal of a vector via
+its full density matrix (oracle for the pure-state partial trace), and the
+entropy audit taken one syndrome branch at a time, at the end of this file
+(oracle for the one-state construction of Theta), which reuses the
 package's decoherence, mixture channel and rotation, branch by branch.
 """
 
@@ -230,6 +233,47 @@ def chp_conjugate(x: int, z: int, sign: int, name: str, wires: tuple[int, ...]) 
     elif name in ("S", "SDG"):
         z ^= xb << q
     return x, z, sign
+
+
+def conjugated_rows_per_step(rows, m: int, gate) -> tuple:
+    """U row U^dagger for each row, one named step of the gate at a time.
+
+    The tableau loop before word tables were composed: each step gathers a
+    row's local Pauli on the step's wires, looks it up in the step's
+    ``pauli_image_table`` and scatters the image back. Rows the gate leaves
+    unchanged are returned as the same objects.
+    """
+    from stablab.circuits import pauli_image_table
+    from stablab.paulis import PauliOperator, gather, scatter
+
+    if gate.name is not None:
+        steps = ((gate.name, gate.qubits),)
+    else:
+        steps = tuple((name, tuple(gate.qubits[p] for p in locs)) for name, locs in gate.word)
+    vecs = [row.vec for row in rows]
+    signs = [row.sign for row in rows]
+    for name, wires in steps:
+        table = pauli_image_table(name)
+        bits = wires + tuple(m + w for w in wires)
+        clear = ~scatter((1 << len(bits)) - 1, bits)
+        for i, vec in enumerate(vecs):
+            local = gather(vec, bits)
+            if local:
+                image, sign = table[local]
+                vecs[i] = vec & clear | scatter(image, bits)
+                signs[i] *= sign
+    low = (1 << m) - 1
+    return tuple(
+        row if vec == row.vec and sign == row.sign else PauliOperator(m, vec & low, vec >> m, sign)
+        for row, vec, sign in zip(rows, vecs, signs)
+    )
+
+
+def vector_marginal_via_rho(psi: np.ndarray, region) -> np.ndarray:
+    """Marginal of a state vector by tracing out its full 2^m-square density matrix."""
+    from stablab.states import density_matrix, partial_trace
+
+    return partial_trace(density_matrix(psi), region)
 
 
 def logical_channel_kraus(rho: np.ndarray, pairs) -> np.ndarray:

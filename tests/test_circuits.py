@@ -76,11 +76,16 @@ def test_pauli_image_table_rejects_a_non_clifford(monkeypatch):
 
 
 def test_pauli_image_tables_are_built_at_first_use():
+    # composed word tables live for one conjugation call only; the framed
+    # step tables they chain are the only ones cached besides the named ones
     src = str(Path(stablab.__file__).resolve().parents[1])
-    code = "import stablab.cli, stablab.circuits as c; print(c.pauli_image_table.cache_info().currsize)"
+    code = (
+        "import stablab.cli, stablab.circuits as c; "
+        "print(c.pauli_image_table.cache_info().currsize, c.framed_image_table.cache_info().currsize)"
+    )
     env = {"PYTHONPATH": src, "PATH": ""}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
 
 
 def test_word_gate_matrix_matches_step_by_step_product():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     chp_conjugate,
+    conjugated_rows_per_step,
     dephase_group_sum,
     expand_gate,
     mixture_rho,
@@ -12,11 +13,21 @@ from oracles import (
     pauli_letters,
     pauli_matrix,
     projector_from_strings,
+    vector_marginal_via_rho,
     von_neumann_entropy_naive,
 )
 from stablab import states
 from stablab.bounds import trace_distance_to_code
-from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, gate_matrix, random_low_depth
+from stablab.circuits import (
+    _WORD_ALPHABET,
+    NAMED_GATES,
+    Gate,
+    LayeredCircuit,
+    gate_image_table,
+    gate_matrix,
+    pauli_image_table,
+    random_low_depth,
+)
 from stablab.codes import build_code, five_qubit_code
 from stablab.paulis import PauliOperator, from_letters, random_pauli
 from stablab.states import (
@@ -573,6 +584,63 @@ def test_marginal_validates_the_region_on_both_backends():
                 states.marginal(form, bad)
         assert np.allclose(states.marginal(form, ()), np.ones((1, 1)), atol=1e-12)
     assert np.array_equal(mixture.marginal(()), np.ones((1, 1)))
+
+
+@st.composite
+def _gate_slots(draw, m):
+    """A named gate or a word of 0-40 alphabet steps on a 1- or 2-wire slot of m wires."""
+    arity = draw(st.integers(1, 2))
+    wires = tuple(draw(st.permutations(range(m)))[:arity])
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(_ONE_QUBIT if arity == 1 else _TWO_QUBIT))
+        return Gate(qubits=wires, name=name)
+    alphabet = [step for step in _WORD_ALPHABET if max(step[1]) < arity]
+    return Gate(qubits=wires, word=tuple(draw(st.lists(st.sampled_from(alphabet), max_size=40))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_composed_gate_tables_match_the_per_step_loop_and_the_chp_rules(data):
+    """One lookup in gate_image_table per row gives the rows, signs included,
+    and the kept row objects of walking every step over every row."""
+    m = data.draw(st.integers(2, 8))
+    state = StabilizerMixture(m, zero_mixture(m).rows[: data.draw(st.integers(1, m))])
+    state = state.apply_circuit(random_low_depth(m, 2, family="clifford", seed=data.draw(st.integers(0, 2**16))))
+    state = state.conjugate_pauli(data.draw(_paulis(m)))  # random row signs
+    gate = data.draw(_gate_slots(m))
+    got = state.apply_gate(gate).rows
+    assert got == conjugated_rows_per_step(state.rows, m, gate)
+    assert all((new is old) == (new == old) for new, old in zip(got, state.rows))
+    steps = [(gate.name, (0, 1)[: len(gate.qubits)])] if gate.name else gate.word
+    for row, new in zip(state.rows, got):
+        x, z, sign = row.x, row.z, row.sign
+        for name, locs in steps:
+            x, z, sign = chp_conjugate(x, z, sign, name, tuple(gate.qubits[p] for p in locs))
+        assert (new.x, new.z, new.sign) == (x, z, sign)
+
+
+def test_every_named_gate_is_its_own_composed_table():
+    for name, mat in NAMED_GATES.items():
+        k = mat.shape[0].bit_length() - 1
+        locs = tuple(range(k))
+        assert gate_image_table(Gate(qubits=locs, name=name)) == pauli_image_table(name)
+        composed = gate_image_table(Gate(qubits=locs, word=((name, locs), ("X", (0,)), ("X", (0,)))))
+        assert [composed[v] for v in range(4**k)] == list(pauli_image_table(name))
+    with pytest.raises(ValueError, match="dense gates"):
+        gate_image_table(Gate(qubits=(0,), matrix=np.eye(2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_vector_marginal_matches_the_density_matrix_trace(m, real, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = rng.standard_normal(2**m) if real else random_state(m, rng)
+    psi = psi / np.linalg.norm(psi)
+    # at most 6 wires: a larger region would add a second 2^m-square matrix beside the oracle's
+    region = data.draw(st.permutations(range(m)))[: data.draw(st.integers(0, min(m, 6)))]
+    got = states.marginal(psi, region)
+    assert got.shape == (2 ** len(region),) * 2
+    assert np.allclose(got, vector_marginal_via_rho(psi, region), rtol=0, atol=1e-12)
 
 
 def test_dense_reads_build_no_pauli_matrix(no_dense_operators):
