@@ -107,6 +107,16 @@ class Gate:
         return self.matrix is None
 
 
+def _trusted_gate(qubits: tuple[int, ...], name: str | None = None, word: tuple | None = None) -> Gate:
+    """Named or word gate from parts known to be valid (distinct wires, table entries): no checks."""
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "qubits", qubits)
+    object.__setattr__(gate, "name", name)
+    object.__setattr__(gate, "word", word)
+    object.__setattr__(gate, "matrix", None)
+    return gate
+
+
 def _embed_local(mat: np.ndarray, locs: tuple[int, ...], arity: int) -> np.ndarray:
     """Embed an elementary acting on given local positions into the slot space."""
     if arity == 1:
@@ -336,12 +346,7 @@ _WORD_ALPHABET: tuple[WordStep, ...] = (
     ("CX", (1, 0)),
     ("CZ", (0, 1)),
 )
-
-
-def random_clifford_word(rng: np.random.Generator, length: int = 12) -> tuple[WordStep, ...]:
-    """A random word over a generating set of the two-qubit Clifford group."""
-    picks = rng.integers(0, len(_WORD_ALPHABET), size=length)
-    return tuple(_WORD_ALPHABET[int(i)] for i in picks)
+_WORD_STEPS = np.fromiter(_WORD_ALPHABET, dtype=object, count=len(_WORD_ALPHABET))  # indexed by a whole draw
 
 
 def random_low_depth(
@@ -353,26 +358,28 @@ def random_low_depth(
 ) -> LayeredCircuit:
     """Random circuit: each layer a uniformly random maximal matching.
 
-    family "clifford" fills slots with random Clifford words (single gate per
-    slot, tableau-simulable); "haar" fills them with Haar-random dense
-    two-qubit unitaries.
+    family "clifford" fills slots with random 12-step words over
+    ``_WORD_ALPHABET`` (a generating set of the two-qubit Clifford group;
+    one gate per slot, tableau-simulable), all of a layer's words drawn in
+    one call; "haar" fills them with Haar-random dense two-qubit unitaries.
     """
     if family not in ("clifford", "haar"):
         raise ValueError(f"unknown family {family!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if rng is None:
         rng = np.random.default_rng(seed)
     layers = []
     for _ in range(depth):
-        perm = rng.permutation(m)
-        gates = []
-        for i in range(0, m - 1, 2):
-            pair = (int(perm[i]), int(perm[i + 1]))
-            if family == "clifford":
-                gates.append(Gate(qubits=pair, word=random_clifford_word(rng)))
-            else:
-                from scipy.stats import unitary_group
+        perm = rng.permutation(m).tolist()
+        pairs = list(zip(perm[0 : m - 1 : 2], perm[1::2]))
+        if family == "clifford":
+            words = _WORD_STEPS[rng.integers(0, len(_WORD_ALPHABET), size=(m // 2, 12))].tolist()
+            gates = [_trusted_gate(pair, word=tuple(word)) for pair, word in zip(pairs, words)]
+        else:
+            from scipy.stats import unitary_group
 
-                gates.append(Gate(qubits=pair, matrix=unitary_group.rvs(4, random_state=rng)))
+            gates = [Gate(qubits=pair, matrix=unitary_group.rvs(4, random_state=rng)) for pair in pairs]
         layers.append(tuple(gates))
     return LayeredCircuit(m=m, layers=tuple(layers))
 

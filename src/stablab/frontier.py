@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundInputs, depth_lower_bounds
-from .circuits import Gate, LayeredCircuit, random_low_depth
+from .circuits import Gate, LayeredCircuit, _trusted_gate, random_low_depth
 from .codes import as_group
 from .hamiltonians import EnergyReport, build_code_hamiltonian, energy_report
 from .paulis import StabilizerGroup
@@ -41,6 +41,7 @@ _SINGLE_STATES: tuple[tuple[str, int, tuple], ...] = (
     ("Y", 1, (("H", (0,)), ("S", (0,)))),
     ("Y", -1, (("X", (0,)), ("H", (0,)), ("S", (0,)))),
 )
+_PREP_WORDS = {(letter, sign): word for letter, sign, word in _SINGLE_STATES}
 
 
 @dataclass(frozen=True)
@@ -168,14 +169,15 @@ def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], 
 
 def product_prep_circuit(assignment, n: int) -> LayeredCircuit:
     """Single-qubit preparation layer for a product assignment (depth 0 entangling)."""
-    words = {(letter, sign): word for letter, sign, word in _SINGLE_STATES}
-    gates = []
-    for q, pick in enumerate(assignment):
-        word = words[tuple(pick)]
-        if word:
-            gates.append(Gate(qubits=(q,), word=word))
-    layers = (tuple(gates),) if gates else ()
+    gates = _prep_gates(assignment)
+    layers = (gates,) if gates else ()
     return LayeredCircuit(n, layers, code_qubits=tuple(range(n)))
+
+
+def _prep_gates(assignment) -> tuple[Gate, ...]:
+    """One prep-word gate per qubit whose (letter, sign) is not |0>."""
+    words = (_PREP_WORDS[tuple(pick)] for pick in assignment)
+    return tuple(_trusted_gate((q,), word=word) for q, word in enumerate(words) if word)
 
 
 def _energy_of_circuit(circuit: LayeredCircuit, group, ham) -> EnergyReport:
@@ -190,20 +192,15 @@ def _brick_gate(choice: str, a: int, b: int) -> Gate | None:
     if choice == "II":
         return None
     if choice == "XC":
-        return Gate(qubits=(b, a), name="CX")
-    return Gate(qubits=(a, b), name=choice)
+        return _trusted_gate((b, a), name="CX")
+    return _trusted_gate((a, b), name=choice)
 
 
 def _assemble_descent(prep, bricks, n: int, pairings) -> LayeredCircuit:
     layers = []
-    prep_gates = []
-    words = {(letter, sign): word for letter, sign, word in _SINGLE_STATES}
-    for q, pick in enumerate(prep):
-        word = words[pick]
-        if word:
-            prep_gates.append(Gate(qubits=(q,), word=word))
+    prep_gates = _prep_gates(prep)
     if prep_gates:
-        layers.append(tuple(prep_gates))
+        layers.append(prep_gates)
     for layer_idx, layer_choices in enumerate(bricks):
         gates = []
         for slot_idx, (a, b) in enumerate(pairings[layer_idx]):

@@ -483,7 +483,8 @@ def _trusted(m: int, rows: tuple[PauliOperator, ...]) -> StabilizerMixture:
 
 
 def zero_mixture(m: int) -> StabilizerMixture:
-    return StabilizerMixture(m, tuple(PauliOperator(m, 0, 1 << q, 1) for q in range(m)))
+    """|0^m>: rows Z_0..Z_{m-1}, which commute and are independent by construction."""
+    return _trusted(m, tuple(PauliOperator(m, 0, 1 << q, 1) for q in range(m)))
 
 
 def group_mixture(group) -> StabilizerMixture:

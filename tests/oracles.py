@@ -4,13 +4,15 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works on
 Python int lists, Pauli matrices are built by literal np.kron chains, and
 circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these. Three oracles are earlier
+package's optimized paths against these. Four oracles are earlier
 versions of a package path and reuse its kernels: the per-step tableau
-loop (oracle for the composed gate tables), the marginal of a vector via
-its full density matrix (oracle for the pure-state partial trace), and the
-entropy audit taken one syndrome branch at a time, at the end of this file
-(oracle for the one-state construction of Theta), which reuses the
-package's decoherence, mixture channel and rotation, branch by branch.
+loop (oracle for the composed gate tables), the per-gate word draws of
+random Clifford circuits (oracle for one draw per layer), the marginal of
+a vector via its full density matrix (oracle for the pure-state partial
+trace), and the entropy audit taken one syndrome branch at a time, at the
+end of this file (oracle for the one-state construction of Theta), which
+reuses the package's decoherence, mixture channel and rotation, branch by
+branch.
 """
 
 from __future__ import annotations
@@ -267,6 +269,41 @@ def conjugated_rows_per_step(rows, m: int, gate) -> tuple:
         row if vec == row.vec and sign == row.sign else PauliOperator(m, vec & low, vec >> m, sign)
         for row, vec, sign in zip(rows, vecs, signs)
     )
+
+
+def random_clifford_circuit_per_gate(m: int, depth: int, seed: int):
+    """Seeded random Clifford-word circuit, its words drawn one gate at a time.
+
+    The draw loop ``random_low_depth`` ran before it drew a layer's words in
+    one call: per layer a permutation of the wires, then for each pair
+    (perm[2i], perm[2i + 1]) twelve alphabet indices, every gate built
+    through the validating ``Gate`` constructor.
+    """
+    from stablab.circuits import _WORD_ALPHABET, Gate, LayeredCircuit
+
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(depth):
+        perm = rng.permutation(m)
+        gates = []
+        for i in range(0, m - 1, 2):
+            picks = rng.integers(0, len(_WORD_ALPHABET), size=12)
+            word = tuple(_WORD_ALPHABET[int(j)] for j in picks)
+            gates.append(Gate(qubits=(int(perm[i]), int(perm[i + 1])), word=word))
+        layers.append(tuple(gates))
+    return LayeredCircuit(m=m, layers=tuple(layers))
+
+
+def gate_fields_after_validation(gate) -> tuple[tuple, tuple]:
+    """(fields of gate, fields of the gate rebuilt by the validating constructor).
+
+    Oracle for gates built without checks: the validating ``Gate`` must
+    accept their parts and hold the same qubits, name, word and matrix.
+    """
+    from stablab.circuits import Gate
+
+    again = Gate(gate.qubits, name=gate.name, word=gate.word, matrix=gate.matrix)
+    return tuple(getattr(gate, f) for f in Gate.__slots__), tuple(getattr(again, f) for f in Gate.__slots__)
 
 
 def vector_marginal_via_rho(psi: np.ndarray, region) -> np.ndarray:

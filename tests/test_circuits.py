@@ -5,9 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablab
-from oracles import circuit_unitary_naive, expand_gate, pauli_letters, pauli_matrix
+from oracles import (
+    circuit_unitary_naive,
+    expand_gate,
+    gate_fields_after_validation,
+    pauli_letters,
+    pauli_matrix,
+    random_clifford_circuit_per_gate,
+)
 from stablab.circuits import (
     NAMED_GATES,
     Gate,
@@ -23,7 +32,6 @@ from stablab.circuits import (
     lightcone,
     load_circuit,
     pauli_image_table,
-    random_clifford_word,
     random_low_depth,
     reverse_circuit,
 )
@@ -114,7 +122,8 @@ def test_dagger_gate_is_adjoint(kind):
         gates = [Gate(qubits=(1,), name=n) for n in ("H", "S", "SDG", "X", "Y", "Z")]
         gates += [Gate(qubits=(0, 2), name=n) for n in ("CX", "CZ", "CY", "SWAP")]
     elif kind == "word":
-        gates = [Gate(qubits=(2, 0), word=random_clifford_word(rng)) for _ in range(5)]
+        words = [layer[0].word for layer in random_low_depth(2, 5, rng=rng).layers]
+        gates = [Gate(qubits=(2, 0), word=word) for word in words]
     else:
         from scipy.stats import unitary_group
 
@@ -235,6 +244,26 @@ def test_random_low_depth_shapes_and_determinism():
     assert all(g.matrix is not None for layer in haar.layers for g in layer)
     with pytest.raises(ValueError):
         random_low_depth(4, 1, family="pseudo")
+    for family in ("clifford", "haar"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_low_depth(4, -1, family=family, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 4), st.integers(0, 2**64))
+def test_random_low_depth_matches_the_per_gate_draws(m, depth, seed):
+    circ = random_low_depth(m, depth, seed=seed)
+    oracle = random_clifford_circuit_per_gate(m, depth, seed)
+    assert circ.m == m and circ.depth == depth
+    for layer, want in zip(circ.layers, oracle.layers, strict=True):
+        assert len(layer) == len(want) == m // 2
+        for gate, expected in zip(layer, want):
+            assert gate.qubits == expected.qubits
+            assert gate.word == expected.word
+            assert gate.name is None and gate.matrix is None
+            trusted, checked = gate_fields_after_validation(gate)
+            assert trusted == checked
+            assert all(type(q) is int for q in gate.qubits)
 
 
 def test_clifford_words_are_single_gates_per_slot():

@@ -266,6 +266,59 @@ def test_frontier_json_byte_stable(runner):
     assert [rec["t"] for rec in payload["records"]] == [0, 1]
 
 
+GOLDEN_TORIC3_FRONTIER = """\
+{
+  "budget": 16,
+  "code": "toric3",
+  "records": [
+    {
+      "mean_energy": 0.25,
+      "seed": 0,
+      "strategy": "coordinate-descent",
+      "t": 0,
+      "total_energy": 4.5
+    },
+    {
+      "mean_energy": 0.25,
+      "seed": 0,
+      "strategy": "coordinate-descent",
+      "t": 1,
+      "total_energy": 4.5
+    },
+    {
+      "mean_energy": 0.25,
+      "seed": 0,
+      "strategy": "coordinate-descent",
+      "t": 2,
+      "total_energy": 4.5
+    },
+    {
+      "mean_energy": 0.25,
+      "seed": 0,
+      "strategy": "coordinate-descent",
+      "t": 3,
+      "total_energy": 4.5
+    }
+  ],
+  "seed": 0,
+  "strategies": [
+    "coordinate-descent",
+    "pauli-products",
+    "random-clifford"
+  ],
+  "t_max": 3
+}
+"""
+
+
+def test_frontier_toric3_golden(runner):
+    """All three strategies at budget 16: random-clifford draws 64 circuits a run."""
+    args = ["frontier", "--builtin", "toric3", "--t-max", "3", "--budget", "16", "--seed", "0"]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.output == GOLDEN_TORIC3_FRONTIER
+
+
 def test_frontier_csv_header(runner):
     result = invoke(
         runner,

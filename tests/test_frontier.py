@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import gate_fields_after_validation
 from stablab.circuits import random_low_depth
 from stablab.codes import build_code
 from stablab.frontier import (
+    _BRICK_CHOICES,
+    _SINGLE_STATES,
     FrontierRecord,
+    _assemble_descent,
     frontier_search,
     merge_frontiers,
     product_prep_circuit,
@@ -12,7 +16,7 @@ from stablab.frontier import (
     theorem_consistency,
 )
 from stablab.hamiltonians import build_code_hamiltonian, energy_report
-from stablab.paulis import StabilizerGroup
+from stablab.paulis import PauliOperator, StabilizerGroup
 from stablab.states import zero_mixture
 
 
@@ -104,6 +108,24 @@ def test_pauli_products_strategy_records():
         assert rec.best_energy.total == pytest.approx(4.5)
         assert rec.strategy == "pauli-products"
         assert rec.best_circuit.entangling_depth == 0
+
+
+def test_prep_and_brick_gates_are_valid_and_prepare_their_states():
+    n = len(_SINGLE_STATES)
+    prep = [(letter, sign) for letter, sign, _ in _SINGLE_STATES]
+    pairings = [[(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)]]
+    bricks = [["CX", "XC", "CZ"], ["SWAP", "II"]]
+    assert sorted(c for layer in bricks for c in layer) == sorted(_BRICK_CHOICES)
+    circuit = _assemble_descent(prep, bricks, n, pairings)
+    assert circuit.n_gates == 5 + 4  # |0> needs no prep word, II no gate
+    for gate in (g for layer in circuit.layers for g in layer):
+        trusted, checked = gate_fields_after_validation(gate)
+        assert trusted == checked
+    prepared = zero_mixture(n).apply_circuit(product_prep_circuit(prep, n))
+    bits = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    for q, (letter, sign) in enumerate(prep):
+        x, z = bits[letter]
+        assert prepared.expectation(PauliOperator(n, x << q, z << q, sign)) == 1.0
 
 
 def test_random_clifford_records_reproduce():

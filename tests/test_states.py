@@ -29,7 +29,7 @@ from stablab.circuits import (
     random_low_depth,
 )
 from stablab.codes import build_code, five_qubit_code
-from stablab.paulis import PauliOperator, from_letters, random_pauli
+from stablab.paulis import PauliOperator, from_letters, multiply, random_pauli
 from stablab.states import (
     DenseLimitError,
     StabilizerMixture,
@@ -201,6 +201,44 @@ def test_zero_mixture_basics():
     assert state.expectation(from_letters("IZZ")) == 1.0
     assert state.expectation(PauliOperator(3, 0, 1, -1)) == -1.0  # -Z on qubit 0
     assert np.allclose(state.dense_vector(), zero_vector(3), atol=1e-12)
+
+
+def _pair_reads(trusted, checked, probes):
+    """expectation and project_pauli of each probe agree on two mixtures."""
+    for p in probes:
+        assert trusted.expectation(p) == checked.expectation(p)
+        (prob_a, post_a), (prob_b, post_b) = trusted.project_pauli(p), checked.project_pauli(p)
+        assert prob_a == prob_b
+        assert (post_a is None) == (post_b is None)
+        if post_a is not None:
+            assert post_a.rows == post_b.rows
+
+
+def test_trusted_zero_mixture_matches_the_validating_constructor():
+    rng = np.random.default_rng(2024)
+    for m in range(1, 41):
+        trusted = zero_mixture(m)
+        assert trusted._reducer is None  # built at the first membership query
+        checked = StabilizerMixture(m, tuple(PauliOperator(m, 0, 1 << q, 1) for q in range(m)))
+        assert trusted.m == checked.m == m
+        assert trusted.rows == checked.rows
+        # random Paulis mostly anticommute with a row; Z strings and row
+        # products (random sign) take the membership path
+        probes = [random_pauli(m, rng) for _ in range(4)]
+        probes += [PauliOperator(m, 0, int(rng.integers(1, 1 << m)), int(rng.choice((1, -1)))) for _ in range(4)]
+        _pair_reads(trusted, checked, probes)
+        circ = random_low_depth(m, int(rng.integers(1, 4)), seed=int(rng.integers(1 << 32)))
+        trusted, checked = trusted.apply_circuit(circ), checked.apply_circuit(circ)
+        assert trusted.rows == checked.rows
+        rows = trusted.rows
+        probes = [random_pauli(m, rng) for _ in range(4)]
+        for _ in range(4):
+            pick = [rows[i] for i in rng.permutation(m)[: int(rng.integers(1, m + 1))]]
+            prod = PauliOperator(m, 0, 0, int(rng.choice((1, -1))))
+            for row in pick:
+                prod = multiply(prod, row)
+            probes.append(prod)
+        _pair_reads(trusted, checked, probes)
 
 
 def test_mixture_validation():
