@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -23,14 +22,11 @@ from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import LogicalPair, StabilizerGroup, best_distance
 from .states import (
     StabilizerMixture,
-    density_matrix,
     expectation,
     group_mixture,
     num_qubits,
-    partial_trace,
     project_all,
     require_dense,
-    trace_distance,
     vector,
     zero_mixture,
 )
@@ -40,10 +36,8 @@ __all__ = [
     "best_distance",
     "code_overlap",
     "depth_lower_bounds",
-    "distinguishing_region",
     "lightcone_count_check",
     "product_state_separation_check",
-    "region_distance_threshold",
     "trace_distance_to_code",
     "uncertainty_check",
     "zero_state_distance_check",
@@ -240,15 +234,15 @@ def code_overlap(state, group: StabilizerGroup) -> float:
     return project_all(state, group.generators)[0]
 
 
-def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None) -> dict:
+def trace_distance_to_code(state, code_or_group) -> dict:
     """Distance of a pure state from the code space.
 
     Reports f = |Pi psi| and the pure-vs-subspace trace distance
     sqrt(1 - f^2): the nearest code state in that convention is the
     normalized projection, and no mixed code state can push fidelity
-    above f. When cross_check is on (default for n <= 9) the overlap is
-    recomputed through the dense projector Pi = 2^k rho, with rho the
-    maximally mixed code state.
+    above f. For n <= 9 the overlap is also recomputed through the dense
+    projector Pi = 2^k rho, with rho the maximally mixed code state, and
+    reported as ``cross_check``.
     """
     group = as_group(code_or_group)
     f_sq = code_overlap(state, group)
@@ -259,9 +253,7 @@ def trace_distance_to_code(state, code_or_group, cross_check: bool | None = None
         "trace_distance": math.sqrt(1.0 - f_sq),
         "convention": "pure-vs-subspace",
     }
-    if cross_check is None:
-        cross_check = group.n <= 9
-    if cross_check and group.n <= 9:
+    if group.n <= 9:
         proj = 2**group.n_logical * group_mixture(group).dense_rho()
         out["cross_check"] = float(np.linalg.norm(proj @ vector(state)) ** 2)
         assert abs(out["cross_check"] - f_sq) < 1e-9
@@ -283,7 +275,7 @@ def zero_state_distance_check(code_or_group, distance: int | None = None) -> dic
         distance = code_parameters(group).d
     if distance is None:
         raise ValueError("distance unknown; pass distance explicitly")
-    rep = trace_distance_to_code(zero_mixture(group.n), group, cross_check=False)
+    rep = trace_distance_to_code(zero_mixture(group.n), group)
     threshold = distance / (6.0 * group.n)
     return {
         "distance": rep["trace_distance"],
@@ -340,45 +332,6 @@ def product_state_separation_check(state, code_or_group) -> dict:
     }
     out["holds"] = out["distance_floor"] >= bound - 1e-12 if product else None
     return out
-
-
-def region_distance_threshold(size: int, t: int, w: int) -> float:
-    """Marginal trace distance a K-qubit region must show at depth t."""
-    return size / (2.0 ** (t + 4) * w)
-
-
-def distinguishing_region(psi, theta, size_cap: int, threshold: float | None = None) -> dict:
-    """Smallest region whose marginals tell two states apart.
-
-    Exhaustive sweep over regions of size 1..size_cap in lexicographic
-    order. With a threshold, returns the first region at or above it;
-    without one, the maximizing region. region None means no region
-    distinguishes the states (identical marginals everywhere).
-    """
-    m = num_qubits(psi)
-    if num_qubits(theta) != m:
-        raise ValueError("states live on different qubit counts")
-    require_dense(m)
-    rho = density_matrix(psi)
-    sigma = density_matrix(theta)
-    size_cap = min(size_cap, m)
-    best_region = None
-    best_dist = 0.0
-    for size in range(1, size_cap + 1):
-        for region in combinations(range(m), size):
-            dist = trace_distance(
-                partial_trace(rho, region, m), partial_trace(sigma, region, m)
-            )
-            if threshold is not None and dist >= threshold:
-                return {"region": region, "distance": dist, "threshold": threshold}
-            if dist > best_dist + 1e-12:
-                best_dist = dist
-                best_region = region
-    if threshold is not None:
-        return {"region": None, "distance": best_dist, "threshold": threshold}
-    if best_dist < 1e-12:
-        best_region = None
-    return {"region": best_region, "distance": best_dist, "threshold": None}
 
 
 def lightcone_count_check(w_circuit: LayeredCircuit, code_or_group, phi=None) -> dict:

@@ -5,7 +5,8 @@ The channel averages over all 4^k logical Pauli frames,
     E(rho) = 4^-k sum_{a,b} (Xbar^a Zbar^b) rho (Zbar^b Xbar^a),
 
 which wipes out every logical degree of freedom while acting trivially on
-syndrome information and on any region smaller than the distance. It is
+syndrome information and on any region smaller than the distance. Given the
+code's logical pairs, :func:`logical_depolarize` applies it as
 ``states.dephase`` over the 2k operators Xbar_i, Zbar_i: dense states take
 one conjugation per operator; stabilizer mixtures get the exact algebraic
 answer: expanding the mixture over its 2^r signed members, the channel kills
@@ -19,26 +20,15 @@ n + N wires, a mixture whenever its input is.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .codes import Code, as_group, code_parameters
-from .paulis import (
-    LogicalPair,
-    PauliOperator,
-    StabilizerGroup,
-    embed_pauli,
-    logical_pairs,
-    outside_mask,
-    single,
-)
+from .codes import as_group, code_parameters
+from .paulis import PauliOperator, StabilizerGroup, embed_pauli, logical_pairs, outside_mask, single
 from .states import (
     StabilizerMixture,
     apply_circuit_rho,
-    apply_pauli_vec,
-    basis_vector,
     conjugate,
     density_matrix,
     dephase,
@@ -46,62 +36,26 @@ from .states import (
     group_mixture,
     marginal,
     num_qubits,
-    partial_trace,
-    pauli_expectation_vec,
-    require_dense,
-    rho_from_vector,
-    von_neumann_entropy,  # noqa: F401  (part of this module's interface)
 )
 from .circuits import LayeredCircuit, reverse_circuit
-from .hamiltonians import build_code_hamiltonian, project_eigenspace
 from .syndrome import coherent_extension
 
 
-@dataclass(frozen=True)
-class LogicalDepolarizer:
-    """4^k Kraus terms Xbar^a Zbar^b over the code's logical pairs."""
-
-    pairs: tuple[LogicalPair, ...]
-    n: int
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-    def logicals(self, m: int | None = None) -> tuple[PauliOperator, ...]:
-        """Xbar_1..Xbar_k, Zbar_1..Zbar_k, embedded on the first n of m wires."""
-        ops = [p.xbar for p in self.pairs] + [p.zbar for p in self.pairs]
-        if m is None or m == self.n:
-            return tuple(ops)
-        if m < self.n:
-            raise ValueError("state has fewer qubits than the code")
-        return tuple(embed_pauli(p, m, tuple(range(self.n))) for p in ops)
-
-
-def logical_depolarizer(code: Code | StabilizerGroup, pairs=None) -> LogicalDepolarizer:
-    group = as_group(code)
-    if pairs is None:
-        pairs = logical_pairs(group)
-    return LogicalDepolarizer(pairs=tuple(pairs), n=group.n)
-
-
-def _as_channel(pairs, n: int) -> LogicalDepolarizer:
-    if isinstance(pairs, LogicalDepolarizer):
-        return pairs
-    pairs = tuple(pairs)
-    return LogicalDepolarizer(pairs=pairs, n=pairs[0].xbar.n if pairs else n)
+def _logicals(pairs, m: int) -> list[PauliOperator]:
+    """Xbar_1..Xbar_k, Zbar_1..Zbar_k, embedded on the first n of m wires."""
+    ops = [p.xbar for p in pairs] + [p.zbar for p in pairs]
+    return [embed_pauli(p, m, range(p.n)) for p in ops]
 
 
 def logical_depolarize(state, pairs):
-    """Apply the channel; mixtures stay mixtures, dense input returns a matrix.
+    """Apply the channel of the logical pairs; mixtures stay mixtures, dense input returns a matrix.
 
     The 4^k frames are the products of Xbar_1..Xbar_k, Zbar_1..Zbar_k, so the
     channel is :func:`dephase` over those 2k operators. States wider than the
     code are fine: the logicals act on the first n wires and the rest ride
     along (the channel tensored with identity).
     """
-    m = num_qubits(state)
-    return dephase(state, _as_channel(pairs, m).logicals(m))
+    return dephase(state, _logicals(pairs, num_qubits(state)))
 
 
 def encoded_state(phi, group: StabilizerGroup):
@@ -117,8 +71,7 @@ def encoded_state(phi, group: StabilizerGroup):
     group = as_group(group)
     m = group.n + len(group.generators)
     register = [PauliOperator(m, 0, 1 << q) for q in range(group.n, m)]
-    logicals = logical_depolarizer(group).logicals(m)
-    return dephase(coherent_extension(phi, group), register + list(logicals))
+    return dephase(coherent_extension(phi, group), register + _logicals(logical_pairs(group), m))
 
 
 def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
@@ -136,8 +89,7 @@ def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
         raise ValueError(f"circuit acts on {w.m} wires, state has {m}")
     theta = encoded_state(phi, group)
     wdag = reverse_circuit(w)
-    clifford = all(g.is_clifford_representable for layer in w.layers for g in layer)
-    if isinstance(theta, StabilizerMixture) and clifford:
+    if isinstance(theta, StabilizerMixture) and w.is_clifford:
         rotated = theta.apply_circuit(wdag)
     else:
         rotated = apply_circuit_rho(density_matrix(theta), wdag)
@@ -150,7 +102,7 @@ def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
     return {"k": k, "S_Theta": total, "per_qubit_sum": per_qubit_sum}
 
 
-# --- invariance and zero-expectation suites ---
+# --- invariance suite ---
 
 
 def _logical_basis_family(group: StabilizerGroup, pairs) -> list[StabilizerMixture]:
@@ -244,7 +196,6 @@ def marginal_invariance_suite(code, family=None, region=(), distance=None) -> di
         if _region_is_correctable(group, pairs, region):
             return _invariance_report(region, distance, 2 << len(pairs), 0.0, 0.0, 0.0)
         family = _logical_basis_family(group, pairs)
-    chan = LogicalDepolarizer(pairs=pairs, n=group.n)
     family = list(family)
 
     marginals = [marginal(s, region) for s in family]
@@ -260,126 +211,9 @@ def marginal_invariance_suite(code, family=None, region=(), distance=None) -> di
     dev_c = 0.0
     for state in sector_states:
         base = marginal(state, region)
-        for logical in chan.logicals():
+        for logical in _logicals(pairs, group.n):
             moved = marginal(conjugate(state, logical), region)
             dev_b = max(dev_b, float(np.abs(moved - base).max()))
-        pushed = marginal(logical_depolarize(state, chan), region)
+        pushed = marginal(logical_depolarize(state, pairs), region)
         dev_c = max(dev_c, float(np.abs(pushed - base).max()))
     return _invariance_report(region, distance, len(family), dev_a, dev_b, dev_c)
-
-
-def _sector_state(group: StabilizerGroup, sector, rng: np.random.Generator) -> np.ndarray:
-    """Random pure state in D_s, by projecting a generic dense vector."""
-    n = group.n
-    ham = build_code_hamiltonian(group)
-    for _ in range(8):
-        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        vec /= np.linalg.norm(vec)
-        _, vec = project_eigenspace(vec, ham, sector)
-        if vec is not None:
-            return vec
-    raise ValueError("syndrome sector is empty (inconsistent with dependent checks)")
-
-
-def zero_expectation_suite(code, sector, n_samples: int = 5, seed: int = 0, max_paulis: int = 4096) -> dict:
-    """Anticommuting Paulis average to zero on any syndrome sector.
-
-    For random states in D_s: every Pauli that anticommutes with some check
-    has expectation 0 (to 1e-10), and conjugation by logicals keeps every
-    check expectation at (-1)^{s_i}.
-    """
-    group = as_group(code)
-    n = group.n
-    sector = tuple(int(b) & 1 for b in sector)
-    if len(sector) != len(group.generators):
-        raise ValueError("sector length does not match check count")
-    rng = np.random.default_rng(seed)
-
-    if 4**n <= max_paulis:
-        paulis = [
-            PauliOperator(n, x, z)
-            for x in range(2**n)
-            for z in range(2**n)
-            if (x, z) != (0, 0)
-        ]
-    else:
-        paulis = [
-            PauliOperator(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
-            for _ in range(max_paulis)
-        ]
-    anticommuting = [p for p in paulis if any(group.syndrome_of(p))]
-
-    chan = logical_depolarizer(group)
-    max_abs = 0.0
-    max_syndrome_dev = 0.0
-    for _ in range(n_samples):
-        state = _sector_state(group, sector, rng)
-        for p in anticommuting:
-            max_abs = max(max_abs, abs(pauli_expectation_vec(state, p)))
-        for logical in chan.logicals():
-            moved = apply_pauli_vec(state, logical)
-            for bit, g in zip(sector, group.generators):
-                want = (-1.0) ** bit
-                max_syndrome_dev = max(
-                    max_syndrome_dev, abs(pauli_expectation_vec(moved, g) - want)
-                )
-
-    report = {
-        "sector": "".join(str(b) for b in sector),
-        "n_samples": n_samples,
-        "n_paulis_checked": len(anticommuting),
-        "max_abs_expectation": max_abs,
-        "max_syndrome_deviation": max_syndrome_dev,
-        "passed": max_abs <= 1e-10 and max_syndrome_dev <= 1e-10,
-    }
-    return report
-
-
-def extended_invariance_check(code, region1, region2, seed: int = 0, distance=None) -> dict:
-    """Purified code state vs its logically-depolarized image on R1 u R2.
-
-    R1 sits in the code block (|R1| < d), R2 in the k entangled reference
-    qubits appended after it; the marginals must agree to 1e-10.
-    """
-    group = as_group(code)
-    pairs = logical_pairs(group)
-    k = len(pairs)
-    n = group.n
-    if distance is None:
-        distance = code_parameters(group).d
-    if distance is None:
-        raise ValueError("distance unknown; pass distance explicitly")
-    region1 = tuple(sorted(int(q) for q in region1))
-    region2 = tuple(sorted(int(q) for q in region2))
-    if len(region1) >= distance:
-        raise ValueError(f"code region size {len(region1)} not below distance {distance}")
-    if any(not 0 <= q < n for q in region1):
-        raise ValueError("region1 must sit in the code block")
-    if any(not n <= q < n + k for q in region2):
-        raise ValueError("region2 must sit in the reference block")
-    require_dense(n + k)
-
-    rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
-    coeffs /= np.linalg.norm(coeffs)
-    base = group_mixture(group)
-    psi = np.zeros(2 ** (n + k), dtype=complex)
-    for x in range(2**k):
-        rows = [
-            PauliOperator(n, p.zbar.x, p.zbar.z, (-1 if (x >> (k - 1 - i)) & 1 else 1) * p.zbar.sign)
-            for i, p in enumerate(pairs)
-        ]
-        codeword = base.with_rows(rows).dense_vector()
-        psi += coeffs[x] * np.kron(codeword, basis_vector(k, x))
-
-    rho = rho_from_vector(psi)
-    chan = LogicalDepolarizer(pairs=pairs, n=n)
-    theta = logical_depolarize(rho, chan)
-    region = region1 + region2
-    dev = float(np.abs(partial_trace(rho, region) - partial_trace(theta, region)).max())
-    return {
-        "region1": list(region1),
-        "region2": list(region2),
-        "deviation": dev,
-        "passed": dev <= 1e-10,
-    }

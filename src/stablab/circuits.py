@@ -272,8 +272,9 @@ class LayeredCircuit:
         return len(self.layers)
 
     @property
-    def n_gates(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+    def is_clifford(self) -> bool:
+        """True when every gate runs on the stabilizer tableau (no dense payload)."""
+        return all(g.is_clifford_representable for layer in self.layers for g in layer)
 
     @property
     def entangling_depth(self) -> int:
@@ -349,13 +350,7 @@ _WORD_ALPHABET: tuple[WordStep, ...] = (
 _WORD_STEPS = np.fromiter(_WORD_ALPHABET, dtype=object, count=len(_WORD_ALPHABET))  # indexed by a whole draw
 
 
-def random_low_depth(
-    m: int,
-    depth: int,
-    family: str = "clifford",
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> LayeredCircuit:
+def random_low_depth(m: int, depth: int, family: str = "clifford", seed: int | None = None) -> LayeredCircuit:
     """Random circuit: each layer a uniformly random maximal matching.
 
     family "clifford" fills slots with random 12-step words over
@@ -367,8 +362,7 @@ def random_low_depth(
         raise ValueError(f"unknown family {family!r}")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     layers = []
     for _ in range(depth):
         perm = rng.permutation(m).tolist()

@@ -86,10 +86,7 @@ def _prepared_state(n: int, circuit_path: str | None):
     circuit = _load_circuit(circuit_path)
     if circuit.m != n:
         raise click.UsageError(f"prep circuit acts on {circuit.m} wires, code has {n}")
-    clifford = all(
-        g.is_clifford_representable for layer in circuit.layers for g in layer
-    )
-    if clifford:
+    if circuit.is_clifford:
         return zero_mixture(n).apply_circuit(circuit)
     require_dense(n)
     return apply_circuit_vec(zero_vector(n), circuit)
@@ -147,7 +144,9 @@ def code():
 
 @code.command("params")
 @_with_code_options
-@click.option("--distance-cap", default=4, show_default=True, help="distance search cap")
+@click.option(
+    "--distance-cap", default=4, show_default=True, type=click.IntRange(min=1), help="distance search cap"
+)
 @click.option("--out", default=None, type=click.Path(), help="write JSON here instead")
 def code_params(builtin, file_path, distance_cap, out):
     """Report [[n, k, d]] and check locality for a code."""

@@ -45,20 +45,6 @@ class CssCode:
                 if len(xset.intersection(zrow)) % 2:
                     raise ValueError(f"hx row {i} and hz row {j} overlap on an odd set")
 
-    def dense_hx(self) -> np.ndarray:
-        return _densify(self.hx, self.n)
-
-    def dense_hz(self) -> np.ndarray:
-        return _densify(self.hz, self.n)
-
-
-def _densify(rows, n: int) -> np.ndarray:
-    out = np.zeros((len(rows), n), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        for col in row:
-            out[i, col] = 1
-    return out
-
 
 def css_to_stabilizer(css: CssCode) -> StabilizerGroup:
     """X-rows then Z-rows as Hermitian +1 generators."""

@@ -19,15 +19,13 @@ Two operator transformations are provided:
     their mean G'. Its deviation from (I - H)^p is exact on the attainable
     syndromes: max_s |mean_j prod_{i in tuple_j} [s_i = 0] - (1 - |s|/N)^p|.
 
-The dense builders (``dense_hamiltonian``, ``dense_amplified``, ``dense_g``,
-``dense_sparsified_g``, ``spectral_deviation``) are oracles for tests and
-benchmarks, capped at the dense qubit limit; no production path uses them.
+The dense builders (``dense_hamiltonian``, ``dense_g``,
+``dense_sparsified_g``, ``spectral_deviation``) are capped at the dense qubit
+limit; the benchmark's ``sparsify`` workload times them, and the tests use
+them as oracles.
 
 Energy gain of amplification on a depth-t state is checked against
     tr(H^(p) phi) >= min{1, p tr(H phi)}/2 - 2^t p^2 ell^2 / n.
-
-A small non-stabilizer Hamiltonian (disjoint cat-state projectors) is also
-built here, with its per-term energies; only the tests use it.
 """
 
 from __future__ import annotations
@@ -106,29 +104,17 @@ def energy_value(state, ham: CodeHamiltonian, code_qubits=None) -> float:
     return report.mean if ham.normalization == "mean" else report.total
 
 
-def project_eigenspace(state, ham: CodeHamiltonian, syndrome) -> tuple[float, object]:
-    """Project onto the joint eigenspace C_i = (-1)^(s_i): (probability, state).
-
-    The state slot of the return is None when the probability is below 1e-14
-    (inconsistent syndromes for dependent checks land here). Works on dense
-    vectors and stabilizer mixtures.
-    """
-    syndrome = [int(b) & 1 for b in syndrome]
-    if len(syndrome) != ham.n_terms:
-        raise ValueError(f"syndrome length {len(syndrome)} != {ham.n_terms} checks")
-    signed = (
-        PauliOperator(c.n, c.x, c.z, -c.sign if bit else c.sign)
-        for bit, c in zip(syndrome, ham.group.generators)
-    )
-    return project_all(state, signed)
+# largest syndrome-space rank attainable_syndromes lists: 2^22 uint64 entries
+MAX_SYNDROME_RANK = 22
 
 
-def attainable_syndromes(group: StabilizerGroup, max_rank: int = 22) -> np.ndarray:
+def attainable_syndromes(group: StabilizerGroup) -> np.ndarray:
     """Every attainable syndrome once, as a uint64 array with bit i for check i.
 
     The attainable syndromes are the span of the single-qubit X and Z
     syndromes; the array is that span listed by XOR-doubling a basis of it,
-    2^rank entries. Raises ValueError above 64 checks or past 2^max_rank.
+    2^rank entries. Raises ValueError above 64 checks or past
+    2^MAX_SYNDROME_RANK.
     """
     n_checks = len(group.generators)
     if n_checks > 64:
@@ -138,21 +124,12 @@ def attainable_syndromes(group: StabilizerGroup, max_rank: int = 22) -> np.ndarr
         for q in range(group.n)
         for letter in ("X", "Z")
     )
-    if reducer.rank > max_rank:
-        raise ValueError(f"syndrome enumeration needs 2^{reducer.rank} > 2^{max_rank} sectors")
+    if reducer.rank > MAX_SYNDROME_RANK:
+        raise ValueError(f"syndrome enumeration needs 2^{reducer.rank} > 2^{MAX_SYNDROME_RANK} sectors")
     syndromes = np.zeros(1, dtype=np.uint64)
     for _, row in reducer.rows:
         syndromes = np.concatenate([syndromes, syndromes ^ np.uint64(row)])
     return syndromes
-
-
-def spectrum(ham: CodeHamiltonian, max_rank: int = 22) -> tuple[tuple[float, int], ...]:
-    """Exact spectrum as (energy, multiplicity) pairs via syndrome weights."""
-    syndromes = attainable_syndromes(ham.group, max_rank)
-    counts = np.bincount(np.bitwise_count(syndromes))
-    sector_dim = 2**ham.n // len(syndromes)
-    scale = 1.0 / ham.n_terms if ham.normalization == "mean" else 1.0
-    return tuple((w * scale, int(c) * sector_dim) for w, c in enumerate(counts) if c)
 
 
 def dense_hamiltonian(ham: CodeHamiltonian) -> np.ndarray:
@@ -216,12 +193,6 @@ def amplified_energy(state, amp: AmplifiedHamiltonian, code_qubits=None) -> floa
             probs[key] = project_all(state, (checks[i] for i in sorted(key)))[0]
         total += probs[key]
     return 1.0 - total / n_terms**amp.p
-
-
-def dense_amplified(amp: AmplifiedHamiltonian) -> np.ndarray:
-    h = dense_hamiltonian(amp.base)
-    dim = h.shape[0]
-    return np.eye(dim) - np.linalg.matrix_power(np.eye(dim) - h, amp.p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,47 +321,3 @@ def spectral_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Operator norm of the Hermitian difference a - b, by a dense eigensolve."""
     vals = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
     return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
-# --- cat-state blocks ---
-
-
-@dataclass(frozen=True)
-class CatHamiltonian:
-    """Disjoint blocks of size p, term b = I - |cat><cat| on block b."""
-
-    n: int
-    block_size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.blocks)
-
-
-def cat_state_hamiltonian(n: int, block_size: int) -> CatHamiltonian:
-    if block_size < 1 or n % block_size != 0:
-        raise ValueError(f"block size {block_size} must divide {n}")
-    blocks = tuple(
-        tuple(range(b * block_size, (b + 1) * block_size)) for b in range(n // block_size)
-    )
-    return CatHamiltonian(n=n, block_size=block_size, blocks=blocks)
-
-
-def cat_energy_report(state, cat: CatHamiltonian) -> EnergyReport:
-    """Per-block 1 - <cat|rho_block|cat>.
-
-    |cat><cat| on a block is the joint +1 projector of X^p and the p - 1
-    neighbouring Z_i Z_{i+1}, so the overlap is the probability that all of
-    them read +1. Takes a stabilizer mixture or a state vector (not a
-    density matrix).
-    """
-    p = cat.block_size
-    gens = [PauliOperator(p, (1 << p) - 1, 0, 1)]
-    gens += [PauliOperator(p, 0, (1 << i) | (1 << (i + 1)), 1) for i in range(p - 1)]
-    per_term = []
-    for block in cat.blocks:
-        overlap, _ = project_all(state, (embed_pauli(g, cat.n, block) for g in gens))
-        per_term.append(1.0 - overlap)
-    total = float(sum(per_term))
-    return EnergyReport(per_term=tuple(per_term), total=total, mean=total / len(per_term))

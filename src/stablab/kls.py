@@ -20,7 +20,7 @@ from .circuits import LayeredCircuit
 from .bounds import code_overlap
 from .codes import Code, as_group, code_parameters
 from .paulis import StabilizerGroup
-from .states import apply_circuit_vec, num_qubits, require_dense
+from .states import apply_circuit_vec, require_dense
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class KlsPolynomial:
     def evaluate(self, x):
         u = 2.0 * np.asarray(x, dtype=float) / self.n_domain - 1.0
         return chebyshev.chebval(u, np.asarray(self.coefficients))
-
-    def evaluate_hermitian(self, mat: np.ndarray) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(mat)
-        return (vecs * self.evaluate(vals)) @ vecs.conj().T
 
     @property
     def error_bound(self) -> float:
@@ -165,26 +161,3 @@ def agsp_projector_check(
             }
         )
     return report
-
-
-def schmidt_rank(op: np.ndarray, region, m: int | None = None, tol: float = 1e-10) -> int:
-    """Operator Schmidt rank across region | rest, by realignment SVD."""
-    op = np.asarray(op, dtype=complex)
-    if m is None:
-        m = num_qubits(op)
-    if op.shape != (2**m, 2**m):
-        raise ValueError("operator shape does not match qubit count")
-    region = tuple(sorted(int(q) for q in region))
-    if any(not 0 <= q < m for q in region):
-        raise ValueError("region outside the qubit range")
-    rest = tuple(q for q in range(m) if q not in region)
-    tensor = op.reshape((2,) * (2 * m))
-    order = (
-        [q for q in region]
-        + [m + q for q in region]
-        + [q for q in rest]
-        + [m + q for q in rest]
-    )
-    mat = np.transpose(tensor, order).reshape(4 ** len(region), 4 ** len(rest))
-    singulars = np.linalg.svd(mat, compute_uv=False)
-    return int((singulars > tol).sum())

@@ -85,10 +85,6 @@ class PauliOperator:
         return multiply(self, other)
 
 
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(n, 0, 0, 1)
-
-
 def from_letters(text: str, n: int | None = None) -> PauliOperator:
     """Parse "XZZXI" / "-IXY" into an operator; round-trips with str()."""
     body = text.strip()
@@ -151,13 +147,6 @@ def dense_matrix(p: PauliOperator) -> np.ndarray:
     for q in range(p.n):
         mat = np.kron(mat, _SINGLE_QUBIT_MATS[p.letter(q)])
     return mat
-
-
-def random_pauli(n: int, rng: np.random.Generator, allow_sign: bool = True) -> PauliOperator:
-    x = int(rng.integers(0, 1 << n))
-    z = int(rng.integers(0, 1 << n))
-    sign = int(rng.choice((1, -1))) if allow_sign else 1
-    return PauliOperator(n, x, z, sign)
 
 
 def embed_pauli(p: PauliOperator, m: int, wires) -> PauliOperator:
@@ -298,25 +287,6 @@ class StabilizerGroup:
         """Anticommutation bit against each generator, in generator order."""
         return tuple(symplectic_product(g, p) for g in self.generators)
 
-    def contains_bits(self, p: PauliOperator) -> bool:
-        """Membership of p's letters in the group, ignoring p's sign."""
-        return self._reducer.contains(p.vec)
-
-    def product_of(self, indices) -> PauliOperator:
-        """Exact product of the chosen generators (they commute pairwise)."""
-        combo = 0
-        for i in indices:
-            combo ^= 1 << int(i)
-        return combine(self.n, self.generators, combo)
-
-    def member_sign(self, p: PauliOperator) -> int | None:
-        """+1 / -1 when ±p is in the group (sign relative to the group
-        element with p's letters), None when the letters are not generated."""
-        combo = self._reducer.solve(p.vec)
-        if combo is None:
-            return None
-        return p.sign * combine(self.n, self.generators, combo).sign
-
     @property
     def locality(self) -> int:
         """max(check weight, qubit degree): the interaction locality bound."""
@@ -338,19 +308,19 @@ class LogicalPair:
     zbar: PauliOperator
 
 
-def logical_pairs(group: StabilizerGroup, reduce_weight: bool = True) -> tuple[LogicalPair, ...]:
+def logical_pairs(group: StabilizerGroup) -> tuple[LogicalPair, ...]:
     """Symplectic Gram-Schmidt pairing of the centralizer modulo the group.
 
-    Deterministic for a fixed generator order. With ``reduce_weight`` each
-    representative is replaced by the minimum-weight element of its coset
-    modulo the stabilizer group (exact enumeration when the group span is
-    small, greedy descent otherwise); this preserves all pairings. Computed
-    once per group and ``reduce_weight``; later calls return the same tuple.
+    Deterministic for a fixed generator order. Each representative is
+    replaced by the minimum-weight element of its coset modulo the
+    stabilizer group (exact enumeration when the group span is small, greedy
+    descent otherwise); this preserves all pairings. Computed once per
+    group; later calls return the same tuple.
     """
-    return group.derived(("logical_pairs", reduce_weight), lambda: _logical_pairs(group, reduce_weight))
+    return group.derived("logical_pairs", lambda: _logical_pairs(group))
 
 
-def _logical_pairs(group: StabilizerGroup, reduce_weight: bool) -> tuple[LogicalPair, ...]:
+def _logical_pairs(group: StabilizerGroup) -> tuple[LogicalPair, ...]:
     n = group.n
     # kernel of the symplectic form against every generator: a generator's z
     # bits meet v's x bits and its x bits meet v's z bits
@@ -377,9 +347,8 @@ def _logical_pairs(group: StabilizerGroup, reduce_weight: bool) -> tuple[Logical
 
     out = []
     for a, b in pairs:
-        if reduce_weight:
-            a = _min_weight_coset_rep(a, group)
-            b = _min_weight_coset_rep(b, group)
+        a = _min_weight_coset_rep(a, group)
+        b = _min_weight_coset_rep(b, group)
         pa, pb = _vec_to_pauli(a, n), _vec_to_pauli(b, n)
         # prefer the X-type representative in the xbar slot when one side is
         # pure-Z and the other is not (CSS codes read naturally then)
@@ -389,7 +358,11 @@ def _logical_pairs(group: StabilizerGroup, reduce_weight: bool) -> tuple[Logical
     return tuple(out)
 
 
-def _min_weight_coset_rep(v: int, group: StabilizerGroup, span_limit: int = 1 << 22) -> int:
+# largest group span the coset search walks exhaustively
+_COSET_SPAN_LIMIT = 1 << 22
+
+
+def _min_weight_coset_rep(v: int, group: StabilizerGroup) -> int:
     """Minimum-weight element of v * (group span), by Gray-code walk."""
     # leading bit descending: the greedy fallback's order
     rows = [row for _, row in sorted(group._reducer.rows, reverse=True)]
@@ -399,7 +372,7 @@ def _min_weight_coset_rep(v: int, group: StabilizerGroup, span_limit: int = 1 <<
     def wt(u: int) -> int:
         return ((u & mask) | (u >> group.n)).bit_count()
 
-    if (1 << r) <= span_limit:
+    if (1 << r) <= _COSET_SPAN_LIMIT:
         best, best_w = v, wt(v)
         cur = v
         for counter in range(1, 1 << r):
@@ -438,6 +411,22 @@ def _weight_ascending_candidates(n: int, cap: int):
                 yield x, z, w
 
 
+def _logicals_by_weight(group: StabilizerGroup, cap: int):
+    """Paulis commuting with every generator but outside the group, weight <= cap.
+
+    Yields (x, z, w) in the order of :func:`_weight_ascending_candidates`.
+    """
+    gens = [(g.x, g.z) for g in group.generators]
+    n = group.n
+    for x, z, w in _weight_ascending_candidates(n, cap):
+        for gx, gz in gens:
+            if _parity(x & gz) ^ _parity(z & gx):
+                break
+        else:
+            if not group._reducer.contains(x | (z << n)):
+                yield x, z, w
+
+
 def min_weight_logical(group: StabilizerGroup, cap: int = 4) -> PauliOperator | None:
     """Lightest Pauli commuting with every generator but outside the group.
 
@@ -446,16 +435,8 @@ def min_weight_logical(group: StabilizerGroup, cap: int = 4) -> PauliOperator | 
     """
     if group.n_logical == 0:
         return None
-    gens = [(g.x, g.z) for g in group.generators]
-    n = group.n
-    for x, z, _ in _weight_ascending_candidates(n, cap):
-        ok = True
-        for gx, gz in gens:
-            if (_parity(x & gz) ^ _parity(z & gx)):
-                ok = False
-                break
-        if ok and not group._reducer.contains(x | (z << n)):
-            return PauliOperator(n, x, z, 1)
+    for x, z, _ in _logicals_by_weight(group, cap):
+        return PauliOperator(group.n, x, z, 1)
     return None
 
 
@@ -475,66 +456,33 @@ class BestDistanceReport:
     witness: PauliOperator
 
 
-def best_distance(
-    group: StabilizerGroup,
-    pairs: tuple[LogicalPair, ...] | None = None,
-    cap: int = 6,
-) -> BestDistanceReport | None:
-    """Best (largest) single-pair distance over the code's logical pairs."""
-    if pairs is None:
-        pairs = logical_pairs(group)
-    if not pairs:
-        return None
-    gens = [(g.x, g.z) for g in group.generators]
-    n = group.n
-    best: BestDistanceReport | None = None
-    for idx, pair in enumerate(pairs):
-        xb, zb = pair.xbar, pair.zbar
-        found = None
-        for x, z, w in _weight_ascending_candidates(n, cap):
-            commuting = True
-            for gx, gz in gens:
-                if (_parity(x & gz) ^ _parity(z & gx)):
-                    commuting = False
-                    break
-            if not commuting:
-                continue
-            hits_pair = (_parity(x & xb.z) ^ _parity(z & xb.x)) or (
-                _parity(x & zb.z) ^ _parity(z & zb.x)
-            )
-            if hits_pair:
-                found = (w, PauliOperator(n, x, z, 1))
-                break
-        if found is None:
-            continue
-        w_pair = max(xb.weight, zb.weight)
-        if best is None or found[0] > best.d_prime:
-            best = BestDistanceReport(idx, found[0], w_pair, found[1])
-    return best
+# weight cap of the per-pair distance search
+BEST_DISTANCE_CAP = 6
 
 
-@dataclass(frozen=True)
-class KnillLaflammeReport:
-    """Outcome of projecting an error between code states.
+def best_distance(group: StabilizerGroup) -> BestDistanceReport | None:
+    """Best (largest) single-pair distance over the code's logical pairs.
 
-    eta is the scalar in (code projector) E (code projector) = eta * (code
-    projector): ±1 for group members, 0 for detected errors. A logical error
-    has no such scalar; is_logical marks that violation.
+    One weight-ascending walk over the logicals: each pair's d_prime is the
+    weight of the first one that anticommutes with its xbar or zbar, up to
+    BEST_DISTANCE_CAP. Ties go to the lowest pair index; a pair with no such
+    logical under the cap is skipped.
     """
-
-    eta: int | None
-    is_logical: bool
-    detail: str
-
-
-def kl_constant(group: StabilizerGroup, error: PauliOperator) -> KnillLaflammeReport:
-    if error.n != group.n:
-        raise ValueError("error acts on a different qubit count")
-    if any(group.syndrome_of(error)):
-        return KnillLaflammeReport(eta=0, is_logical=False, detail="anticommutes with a check")
-    sign = group.member_sign(error)
-    if sign is not None:
-        return KnillLaflammeReport(eta=sign, is_logical=False, detail="group member")
-    return KnillLaflammeReport(
-        eta=None, is_logical=True, detail="commutes with all checks but is not generated"
-    )
+    pairs = logical_pairs(group)
+    hits: dict[int, tuple[int, int, int]] = {}
+    for x, z, w in _logicals_by_weight(group, BEST_DISTANCE_CAP):
+        for idx, pair in enumerate(pairs):
+            if idx in hits:
+                continue
+            xb, zb = pair.xbar, pair.zbar
+            if (_parity(x & xb.z) ^ _parity(z & xb.x)) or (_parity(x & zb.z) ^ _parity(z & zb.x)):
+                hits[idx] = (w, x, z)
+        if len(hits) == len(pairs):
+            break
+    best: BestDistanceReport | None = None
+    for idx in sorted(hits):
+        w, x, z = hits[idx]
+        if best is None or w > best.d_prime:
+            w_pair = max(pairs[idx].xbar.weight, pairs[idx].zbar.weight)
+            best = BestDistanceReport(idx, w, w_pair, PauliOperator(group.n, x, z, 1))
+    return best

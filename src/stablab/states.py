@@ -3,7 +3,7 @@
 Dense states are plain numpy arrays (vectors of length 2^m, or density
 matrices), with qubit 0 the most significant bit of the basis index, matching
 the operator convention in :mod:`stablab.paulis`. Module functions apply
-gates, circuits and Pauli operators, and compute entropies and distances.
+gates, circuits and Pauli operators, and compute entropies and fidelities.
 
 A :class:`StabilizerMixture` is the uniform mixture over a coset family: r
 independent commuting signed Pauli rows on m qubits define
@@ -85,19 +85,6 @@ def require_dense(m: int) -> None:
 def zero_vector(m: int) -> np.ndarray:
     psi = np.zeros(2**m, dtype=complex)
     psi[0] = 1.0
-    return psi
-
-
-def basis_vector(m: int, bits) -> np.ndarray:
-    if isinstance(bits, int):
-        index = bits
-    else:
-        index = 0
-        for q, b in enumerate(bits):
-            if b:
-                index |= 1 << (m - 1 - q)
-    psi = np.zeros(2**m, dtype=complex)
-    psi[index] = 1.0
     return psi
 
 
@@ -276,11 +263,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sqrt(_psd_eigenvalues(np.linalg.eigvalsh(inner))).sum())
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(rho - sigma)
-    return float(0.5 * np.abs(vals).sum())
-
-
 # --- stabilizer mixtures ---
 
 
@@ -455,13 +437,12 @@ class StabilizerMixture:
     def dense_rho(self) -> np.ndarray:
         return self.marginal(range(self.m))
 
-    def dense_vector(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Materialize the pure state by projecting a generic probe vector."""
+    def dense_vector(self) -> np.ndarray:
+        """Materialize the pure state by projecting generic probe vectors (seed 0)."""
         if not self.is_pure:
             raise ValueError("mixture is not pure")
         require_dense(self.m)
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         for _ in range(8):
             probe = rng.standard_normal(2**self.m) + 1j * rng.standard_normal(2**self.m)
             probe = project_rows(probe, self.rows)

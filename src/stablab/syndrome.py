@@ -34,7 +34,6 @@ from .states import (
     marginal,
     project,
     require_dense,
-    shannon_entropy,
     vector,
 )
 
@@ -46,15 +45,6 @@ class CheckOverlapGraph:
     n_checks: int
     edges: frozenset[tuple[int, int]]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
-
     @property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n_checks
@@ -62,10 +52,6 @@ class CheckOverlapGraph:
             deg[a] += 1
             deg[b] += 1
         return tuple(deg)
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees) if self.n_checks else 0
 
 
 def overlap_graph(group: StabilizerGroup) -> CheckOverlapGraph:
@@ -111,14 +97,6 @@ class SyndromeCircuit:
     circuit: LayeredCircuit
     coloring: Coloring
     group: StabilizerGroup = field(repr=False)
-
-    @property
-    def n_data(self) -> int:
-        return self.group.n
-
-    @property
-    def n_ancillas(self) -> int:
-        return len(self.group.generators)
 
     @property
     def depth(self) -> int:
@@ -196,41 +174,14 @@ class DecoheredState:
     def total_probability(self) -> float:
         return float(sum(p for _, p, _ in self.branches))
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
 
-    def probability_of(self, bits) -> float:
-        key = tuple(int(b) & 1 for b in bits)
-        for s, p, _ in self.branches:
-            if s == key:
-                return p
-        return 0.0
-
-    @property
-    def mixing_entropy(self) -> float:
-        """Shannon entropy (bits) of the syndrome distribution."""
-        return shannon_entropy([p for _, p, _ in self.branches])
-
-    @property
-    def average_syndrome_weight(self) -> float:
-        return float(sum(p * sum(s) for s, p, _ in self.branches))
-
-    def to_dict(self) -> dict:
-        return {
-            "branches": [
-                {"s": "".join(str(b) for b in s), "p": p} for s, p, _ in self.branches
-            ]
-        }
-
-
-def decohere(state, group: StabilizerGroup, prune: float = 1e-14) -> DecoheredState:
+def decohere(state, group: StabilizerGroup) -> DecoheredState:
     """Measure every check; returns the branch map ordered by syndrome.
 
     Works on stabilizer mixtures and dense vectors. The commuting checks make
-    the measurement order irrelevant. Branches of probability at most prune
+    the measurement order irrelevant. Branches of probability at most 1e-14
     are dropped as roundoff; mixture probabilities are exact powers of 1/2,
-    at least 2^-n, so at the default prune no mixture branch is dropped.
+    at least 2^-n, so no mixture branch is dropped.
     """
     work = [((), 1.0, state)]
     for g in group.generators:
@@ -238,7 +189,7 @@ def decohere(state, group: StabilizerGroup, prune: float = 1e-14) -> DecoheredSt
         for bits, p, st in work:
             for outcome, sign in ((0, g.sign), (1, -g.sign)):
                 q, branch = project(st, PauliOperator(g.n, g.x, g.z, sign))
-                if branch is not None and p * q > prune:
+                if branch is not None and p * q > 1e-14:
                     nxt.append((bits + (outcome,), p * q, branch))
         work = nxt
     work.sort(key=lambda item: item[0])

@@ -4,15 +4,20 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works on
 Python int lists, Pauli matrices are built by literal np.kron chains, and
 circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these. Four oracles are earlier
+package's optimized paths against these. Five oracles are earlier
 versions of a package path and reuse its kernels: the per-step tableau
 loop (oracle for the composed gate tables), the per-gate word draws of
 random Clifford circuits (oracle for one draw per layer), the marginal of
 a vector via its full density matrix (oracle for the pure-state partial
-trace), and the entropy audit taken one syndrome branch at a time, at the
-end of this file (oracle for the one-state construction of Theta), which
-reuses the package's decoherence, mixture channel and rotation, branch by
-branch.
+trace), the distance searches that walked the candidates once per search
+and once per logical pair (oracle for the one shared walk), and the entropy
+audit taken one syndrome branch at a time, at the end of this file (oracle
+for the one-state construction of Theta), which reuses the package's
+decoherence, mixture channel and rotation, branch by branch.
+
+A few helpers that several test modules share sit here too: seeded random
+Paulis, computational basis vectors, the trace distance, and the projection
+onto a syndrome sector (through the package's ``project_all``).
 """
 
 from __future__ import annotations
@@ -91,6 +96,56 @@ def gf2_solve_naive(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     for row_idx, col in enumerate(pivots):
         x[col] = aug[row_idx][n]
     return x
+
+
+def random_pauli(n: int, rng: np.random.Generator, allow_sign: bool = True):
+    """Uniform x and z bits on n qubits; a uniform sign unless allow_sign is off."""
+    from stablab.paulis import PauliOperator
+
+    x = int(rng.integers(0, 1 << n))
+    z = int(rng.integers(0, 1 << n))
+    sign = int(rng.choice((1, -1))) if allow_sign else 1
+    return PauliOperator(n, x, z, sign)
+
+
+def basis_vector(m: int, bits) -> np.ndarray:
+    """|bits> on m qubits: an int index, or a bit list with qubit 0 most significant."""
+    if isinstance(bits, int):
+        index = bits
+    else:
+        index = 0
+        for q, b in enumerate(bits):
+            if b:
+                index |= 1 << (m - 1 - q)
+    psi = np.zeros(2**m, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the trace norm of rho - sigma, from its eigenvalues."""
+    vals = np.linalg.eigvalsh(rho - sigma)
+    return float(0.5 * np.abs(vals).sum())
+
+
+def project_eigenspace(state, ham, syndrome) -> tuple[float, object]:
+    """Project onto the joint eigenspace C_i = (-1)^(s_i): (probability, state).
+
+    The state slot of the return is None when the probability is below 1e-14
+    (inconsistent syndromes for dependent checks land here). Works on dense
+    vectors and stabilizer mixtures.
+    """
+    from stablab.paulis import PauliOperator
+    from stablab.states import project_all
+
+    syndrome = [int(b) & 1 for b in syndrome]
+    if len(syndrome) != ham.n_terms:
+        raise ValueError(f"syndrome length {len(syndrome)} != {ham.n_terms} checks")
+    signed = (
+        PauliOperator(c.n, c.x, c.z, -c.sign if bit else c.sign)
+        for bit, c in zip(syndrome, ham.group.generators)
+    )
+    return project_all(state, signed)
 
 
 def projector_from_strings(checks: list[str], signs: list[int] | None = None) -> np.ndarray:
@@ -306,6 +361,65 @@ def gate_fields_after_validation(gate) -> tuple[tuple, tuple]:
     return tuple(getattr(gate, f) for f in Gate.__slots__), tuple(getattr(again, f) for f in Gate.__slots__)
 
 
+def min_weight_logical_by_candidates(group, cap: int = 4):
+    """Lightest logical, by a weight-ascending walk that tests each candidate.
+
+    The search ``min_weight_logical`` ran before the distance searches
+    shared one walk: every candidate of weight <= cap that commutes with all
+    generators and lies outside the group.
+    """
+    from stablab.paulis import PauliOperator, _parity, _weight_ascending_candidates
+
+    if group.n_logical == 0:
+        return None
+    gens = [(g.x, g.z) for g in group.generators]
+    n = group.n
+    for x, z, _ in _weight_ascending_candidates(n, cap):
+        ok = True
+        for gx, gz in gens:
+            if _parity(x & gz) ^ _parity(z & gx):
+                ok = False
+                break
+        if ok and not group._reducer.contains(x | (z << n)):
+            return PauliOperator(n, x, z, 1)
+    return None
+
+
+def best_distance_per_pair(group, cap: int = 6):
+    """(pair index, d_prime, w, witness) by one candidate walk per logical pair.
+
+    The search ``best_distance`` ran before the distance searches shared one
+    walk: for each pair, the first candidate that commutes with every
+    generator and anticommutes with its xbar or zbar; the pair with the
+    largest such weight wins, the lowest index on ties. None when no pair
+    has a hit under the cap.
+    """
+    from stablab.paulis import PauliOperator, _parity, _weight_ascending_candidates, logical_pairs
+
+    gens = [(g.x, g.z) for g in group.generators]
+    n = group.n
+    best = None
+    for idx, pair in enumerate(logical_pairs(group)):
+        xb, zb = pair.xbar, pair.zbar
+        found = None
+        for x, z, w in _weight_ascending_candidates(n, cap):
+            commuting = True
+            for gx, gz in gens:
+                if _parity(x & gz) ^ _parity(z & gx):
+                    commuting = False
+                    break
+            if not commuting:
+                continue
+            if (_parity(x & xb.z) ^ _parity(z & xb.x)) or (_parity(x & zb.z) ^ _parity(z & zb.x)):
+                found = (w, PauliOperator(n, x, z, 1))
+                break
+        if found is None:
+            continue
+        if best is None or found[0] > best[1]:
+            best = (idx, found[0], max(xb.weight, zb.weight), found[1])
+    return best
+
+
 def vector_marginal_via_rho(psi: np.ndarray, region) -> np.ndarray:
     """Marginal of a state vector by tracing out its full 2^m-square density matrix."""
     from stablab.states import density_matrix, partial_trace
@@ -400,11 +514,10 @@ def entropy_audit_by_branches(phi, group, w) -> dict:
     n, n_checks = group.n, len(group.generators)
     m = n + n_checks
     wdag = reverse_circuit(w)
-    clifford = all(g.is_clifford_representable for layer in w.layers for g in layer)
     branches = depolarized_branches(phi, group)
     marginals = [np.zeros((2, 2), dtype=complex) for _ in range(m)]
     for bits, p, mu in branches:
-        if isinstance(mu, StabilizerMixture) and clifford:
+        if isinstance(mu, StabilizerMixture) and w.is_clifford:
             rows = [PauliOperator(m, r.x, r.z, r.sign) for r in mu.rows]
             rows += [PauliOperator(m, 0, 1 << (n + i), -1 if b else 1) for i, b in enumerate(bits)]
             rotated = StabilizerMixture(m, tuple(rows)).apply_circuit(wdag)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from stablab.bounds import trace_distance_to_code
 from stablab.codes import build_code
-from stablab.paulis import identity, multiply
+from stablab.paulis import PauliOperator, multiply
 from stablab.states import group_mixture, zero_mixture
 from stablab.suites import SUITES
 
@@ -82,7 +82,7 @@ def _exact_zero_overlap(group) -> Fraction:
     """
     rows = group_mixture(group).rows
     r = len(rows)
-    current = identity(group.n)
+    current = PauliOperator(group.n, 0, 0, 1)
     total = Fraction(1)  # the identity term
     gray_prev = 0
     for step in range(1, 2**r):
@@ -99,7 +99,7 @@ def test_acceptance_zero_state_distance():
     start = time.perf_counter()
     report = SUITES["zero-state-distance"]()
     toric3 = build_code("toric3")
-    rep = trace_distance_to_code(zero_mixture(18), toric3, cross_check=False)
+    rep = trace_distance_to_code(zero_mixture(18), toric3)
     oracle = _exact_zero_overlap(toric3.group)
     exact = (
         oracle == Fraction(1, 256)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ import pytest
 from stablab.bounds import (
     BoundInputs,
     depth_lower_bounds,
-    distinguishing_region,
     lightcone_count_check,
     product_state_separation_check,
-    region_distance_threshold,
     trace_distance_to_code,
     uncertainty_check,
     zero_state_distance_check,
@@ -25,10 +24,18 @@ from stablab.paulis import (
     from_letters,
     logical_pairs,
 )
-from stablab.states import StabilizerMixture, zero_mixture, zero_vector
+from stablab.states import (
+    StabilizerMixture,
+    density_matrix,
+    num_qubits,
+    partial_trace,
+    require_dense,
+    zero_mixture,
+    zero_vector,
+)
 from stablab.syndrome import build_syndrome_circuit
 
-from oracles import pauli_matrix, projector_from_strings
+from oracles import pauli_matrix, projector_from_strings, trace_distance
 
 
 def test_inputs_validate_ranges():
@@ -207,9 +214,17 @@ def test_trace_distance_orthogonal_sector():
     pair = logical_pairs(code.group)[0]
     state = StabilizerMixture(5, code.group.generators + (pair.zbar,))
     flipped = state.conjugate_pauli(single(5, 0, "X"))
-    rep = trace_distance_to_code(flipped, code, cross_check=False)
+    rep = trace_distance_to_code(flipped, code)
     assert rep["fidelity"] == pytest.approx(0.0)
     assert rep["trace_distance"] == pytest.approx(1.0)
+    assert rep["cross_check"] == pytest.approx(0.0)
+
+
+def test_trace_distance_cross_check_runs_exactly_up_to_nine_qubits():
+    for name in ("five_qubit", "toric2", "surface13", "toric3"):
+        group = build_code(name).group
+        rep = trace_distance_to_code(zero_mixture(group.n), group)
+        assert ("cross_check" in rep) == (group.n <= 9), name
 
 
 def test_trace_distance_cross_check_uses_projector_oracle():
@@ -342,6 +357,45 @@ def test_no_basis_state_is_a_code_state():
             rep = product_state_separation_check(StabilizerMixture(n, rows), code)
             assert rep["distance"] > 0.0, (name, bits)
             assert rep["holds"]
+
+
+def region_distance_threshold(size: int, t: int, w: int) -> float:
+    """Marginal trace distance a K-qubit region must show at depth t."""
+    return size / (2.0 ** (t + 4) * w)
+
+
+def distinguishing_region(psi, theta, size_cap: int, threshold: float | None = None) -> dict:
+    """Smallest region whose marginals tell two states apart.
+
+    Exhaustive sweep over regions of size 1..size_cap in lexicographic
+    order. With a threshold, returns the first region at or above it;
+    without one, the maximizing region. region None means no region
+    distinguishes the states (identical marginals everywhere).
+    """
+    m = num_qubits(psi)
+    if num_qubits(theta) != m:
+        raise ValueError("states live on different qubit counts")
+    require_dense(m)
+    rho = density_matrix(psi)
+    sigma = density_matrix(theta)
+    size_cap = min(size_cap, m)
+    best_region = None
+    best_dist = 0.0
+    for size in range(1, size_cap + 1):
+        for region in combinations(range(m), size):
+            dist = trace_distance(
+                partial_trace(rho, region, m), partial_trace(sigma, region, m)
+            )
+            if threshold is not None and dist >= threshold:
+                return {"region": region, "distance": dist, "threshold": threshold}
+            if dist > best_dist + 1e-12:
+                best_dist = dist
+                best_region = region
+    if threshold is not None:
+        return {"region": None, "distance": best_dist, "threshold": threshold}
+    if best_dist < 1e-12:
+        best_region = None
+    return {"region": best_region, "distance": best_dist, "threshold": None}
 
 
 def test_distinguishing_region_single_flip():

@@ -8,28 +8,36 @@ from hypothesis import strategies as st
 
 import stablab.paulis
 from stablab.channels import (
-    LogicalDepolarizer,
     _logical_basis_family,
     _region_is_correctable,
     encoded_state,
     entropy_audit,
-    extended_invariance_check,
     logical_depolarize,
-    logical_depolarizer,
     marginal_invariance_suite,
-    von_neumann_entropy,
-    zero_expectation_suite,
 )
 from stablab.circuits import Gate, LayeredCircuit, identity_circuit, random_low_depth
-from stablab.codes import code_parameters, five_qubit_code, hypergraph_product, surface_code, toric_code
+from stablab.codes import as_group, code_parameters, five_qubit_code, hypergraph_product, surface_code, toric_code
+from stablab.hamiltonians import build_code_hamiltonian
 from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
-from stablab.states import StabilizerMixture, group_mixture, rho_from_vector, zero_mixture
+from stablab.states import (
+    StabilizerMixture,
+    apply_pauli_vec,
+    group_mixture,
+    partial_trace,
+    pauli_expectation_vec,
+    require_dense,
+    rho_from_vector,
+    von_neumann_entropy,
+    zero_mixture,
+)
 from stablab.syndrome import build_syndrome_circuit, decohere
 from oracles import (
+    basis_vector,
     depolarized_branches,
     entropy_audit_by_branches,
     logical_channel_kraus,
     mixture_rho,
+    project_eigenspace,
     theta_by_branches,
     von_neumann_entropy_naive,
 )
@@ -50,101 +58,101 @@ def random_vec(n, seed):
 
 def test_dense_channel_matches_kraus_oracle():
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     for seed in range(3):
         rho = random_rho(5, seed)
-        got = logical_depolarize(rho, chan)
-        want = logical_channel_kraus(rho, chan.pairs)
+        got = logical_depolarize(rho, pairs)
+        want = logical_channel_kraus(rho, pairs)
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_channel_trace_preserving_and_unital():
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     rho = random_rho(5, 7)
-    out = logical_depolarize(rho, chan)
+    out = logical_depolarize(rho, pairs)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
     eye = np.eye(32, dtype=complex) / 32
-    assert np.allclose(logical_depolarize(eye, chan), eye, atol=1e-12)
+    assert np.allclose(logical_depolarize(eye, pairs), eye, atol=1e-12)
 
 
 def test_channel_idempotent():
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     rho = random_rho(5, 3)
-    once = logical_depolarize(rho, chan)
-    twice = logical_depolarize(once, chan)
+    once = logical_depolarize(rho, pairs)
+    twice = logical_depolarize(once, pairs)
     assert np.allclose(once, twice, atol=1e-12)
 
 
 def test_k_zero_channel_is_identity():
     group = StabilizerGroup([from_letters("Z")])
-    chan = logical_depolarizer(group)
-    assert chan.k == 0
+    pairs = logical_pairs(group)
+    assert pairs == ()
     rho = random_rho(1, 1)
-    assert logical_depolarize(rho, chan) is rho
+    assert logical_depolarize(rho, pairs) is rho
     mix = zero_mixture(1)
-    assert logical_depolarize(mix, chan) is mix
+    assert logical_depolarize(mix, pairs) is mix
 
 
 def test_five_qubit_code_state_entropy_one():
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     mix = group_mixture(code.group)
-    out = logical_depolarize(mix, chan)
+    out = logical_depolarize(mix, pairs)
     assert out.entropy == 1.0
-    dense = logical_depolarize(mix.dense_rho(), chan)
+    dense = logical_depolarize(mix.dense_rho(), pairs)
     assert von_neumann_entropy_naive(dense) == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(out.dense_rho(), dense, atol=1e-12)
 
 
 def test_toric_code_state_entropy_two():
     code = toric_code(2)
-    chan = logical_depolarizer(code)
-    assert chan.k == 2
-    out = logical_depolarize(group_mixture(code.group), chan)
+    pairs = logical_pairs(code.group)
+    assert len(pairs) == 2
+    out = logical_depolarize(group_mixture(code.group), pairs)
     assert out.entropy == 2.0
-    dense = logical_depolarize(group_mixture(code.group).dense_rho(), chan)
+    dense = logical_depolarize(group_mixture(code.group).dense_rho(), pairs)
     assert von_neumann_entropy_naive(dense) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_mixture_channel_matches_dense_on_generic_states():
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     for seed in range(6):
         circ = random_low_depth(5, depth=3, family="clifford", seed=seed)
         st = zero_mixture(5).apply_circuit(circ)
-        via_mixture = logical_depolarize(st, chan).dense_rho()
-        via_dense = logical_depolarize(st.dense_rho(), chan)
+        via_mixture = logical_depolarize(st, pairs).dense_rho()
+        via_dense = logical_depolarize(st.dense_rho(), pairs)
         assert np.allclose(via_mixture, via_dense, atol=1e-10)
 
 
 def test_channel_entropy_floor():
     """S(E(rho)) >= k, equality exactly on pure code states."""
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     group = code.group
     for seed in range(10):
         rho = random_rho(5, 40 + seed)
-        out = logical_depolarize(rho, chan)
-        assert von_neumann_entropy_naive(out) >= chan.k - 1e-9
+        out = logical_depolarize(rho, pairs)
+        assert von_neumann_entropy_naive(out) >= len(pairs) - 1e-9
     # pure code state: project a random vector into the zero sector
     from stablab.states import project_pauli_vec
 
     vec = random_vec(5, 5)
     for g in group.generators:
         _, vec = project_pauli_vec(vec, g)
-    out = logical_depolarize(rho_from_vector(vec), chan)
+    out = logical_depolarize(rho_from_vector(vec), pairs)
     assert von_neumann_entropy_naive(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vector_input_returns_density_matrix():
     code = five_qubit_code()
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     vec = random_vec(5, 2)
-    out = logical_depolarize(vec, chan)
+    out = logical_depolarize(vec, pairs)
     assert out.shape == (32, 32)
-    assert np.allclose(out, logical_depolarize(rho_from_vector(vec), chan), atol=1e-12)
+    assert np.allclose(out, logical_depolarize(rho_from_vector(vec), pairs), atol=1e-12)
 
 
 def test_von_neumann_entropy_values_and_validation():
@@ -197,6 +205,123 @@ def test_weight_three_logical_support_distinguishes():
     minus = base.with_rows([PauliOperator(xbar.n, xbar.x, xbar.z, -xbar.sign)])
     dev = np.abs(plus.marginal(region) - minus.marginal(region)).max()
     assert dev > 0.1
+
+
+def _sector_state(group: StabilizerGroup, sector, rng: np.random.Generator) -> np.ndarray:
+    """Random pure state in D_s, by projecting a generic dense vector."""
+    n = group.n
+    ham = build_code_hamiltonian(group)
+    for _ in range(8):
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        vec /= np.linalg.norm(vec)
+        _, vec = project_eigenspace(vec, ham, sector)
+        if vec is not None:
+            return vec
+    raise ValueError("syndrome sector is empty (inconsistent with dependent checks)")
+
+
+def zero_expectation_suite(code, sector, n_samples: int = 5, seed: int = 0, max_paulis: int = 4096) -> dict:
+    """Anticommuting Paulis average to zero on any syndrome sector.
+
+    For random states in D_s: every Pauli that anticommutes with some check
+    has expectation 0 (to 1e-10), and conjugation by logicals keeps every
+    check expectation at (-1)^{s_i}.
+    """
+    group = as_group(code)
+    n = group.n
+    sector = tuple(int(b) & 1 for b in sector)
+    if len(sector) != len(group.generators):
+        raise ValueError("sector length does not match check count")
+    rng = np.random.default_rng(seed)
+
+    if 4**n <= max_paulis:
+        paulis = [
+            PauliOperator(n, x, z)
+            for x in range(2**n)
+            for z in range(2**n)
+            if (x, z) != (0, 0)
+        ]
+    else:
+        paulis = [
+            PauliOperator(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
+            for _ in range(max_paulis)
+        ]
+    anticommuting = [p for p in paulis if any(group.syndrome_of(p))]
+
+    pairs = logical_pairs(group)
+    logicals = [p.xbar for p in pairs] + [p.zbar for p in pairs]
+    max_abs = 0.0
+    max_syndrome_dev = 0.0
+    for _ in range(n_samples):
+        state = _sector_state(group, sector, rng)
+        for p in anticommuting:
+            max_abs = max(max_abs, abs(pauli_expectation_vec(state, p)))
+        for logical in logicals:
+            moved = apply_pauli_vec(state, logical)
+            for bit, g in zip(sector, group.generators):
+                want = (-1.0) ** bit
+                max_syndrome_dev = max(
+                    max_syndrome_dev, abs(pauli_expectation_vec(moved, g) - want)
+                )
+
+    report = {
+        "sector": "".join(str(b) for b in sector),
+        "n_samples": n_samples,
+        "n_paulis_checked": len(anticommuting),
+        "max_abs_expectation": max_abs,
+        "max_syndrome_deviation": max_syndrome_dev,
+        "passed": max_abs <= 1e-10 and max_syndrome_dev <= 1e-10,
+    }
+    return report
+
+
+def extended_invariance_check(code, region1, region2, seed: int = 0, distance=None) -> dict:
+    """Purified code state vs its logically-depolarized image on R1 u R2.
+
+    R1 sits in the code block (|R1| < d), R2 in the k entangled reference
+    qubits appended after it; the marginals must agree to 1e-10.
+    """
+    group = as_group(code)
+    pairs = logical_pairs(group)
+    k = len(pairs)
+    n = group.n
+    if distance is None:
+        distance = code_parameters(group).d
+    if distance is None:
+        raise ValueError("distance unknown; pass distance explicitly")
+    region1 = tuple(sorted(int(q) for q in region1))
+    region2 = tuple(sorted(int(q) for q in region2))
+    if len(region1) >= distance:
+        raise ValueError(f"code region size {len(region1)} not below distance {distance}")
+    if any(not 0 <= q < n for q in region1):
+        raise ValueError("region1 must sit in the code block")
+    if any(not n <= q < n + k for q in region2):
+        raise ValueError("region2 must sit in the reference block")
+    require_dense(n + k)
+
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+    coeffs /= np.linalg.norm(coeffs)
+    base = group_mixture(group)
+    psi = np.zeros(2 ** (n + k), dtype=complex)
+    for x in range(2**k):
+        rows = [
+            PauliOperator(n, p.zbar.x, p.zbar.z, (-1 if (x >> (k - 1 - i)) & 1 else 1) * p.zbar.sign)
+            for i, p in enumerate(pairs)
+        ]
+        codeword = base.with_rows(rows).dense_vector()
+        psi += coeffs[x] * np.kron(codeword, basis_vector(k, x))
+
+    rho = rho_from_vector(psi)
+    theta = logical_depolarize(rho, pairs)
+    region = region1 + region2
+    dev = float(np.abs(partial_trace(rho, region) - partial_trace(theta, region)).max())
+    return {
+        "region1": list(region1),
+        "region2": list(region2),
+        "deviation": dev,
+        "passed": dev <= 1e-10,
+    }
 
 
 def test_zero_expectation_suite_sectors():
@@ -363,7 +488,7 @@ def test_entropy_audit_equals_the_branch_sum(name, depth):
     configs = _AUDIT_CONFIGS
     if name == "surface13":
         configs = [_AUDIT_CONFIGS[depth]]
-        while decohere(zero_mixture(group.n).apply_circuit(prep), group).branch_count > 2**8:
+        while len(decohere(zero_mixture(group.n).apply_circuit(prep), group).branches) > 2**8:
             prep = _named_gate_prep(group.n, depth, rng)
     for error, rotation in configs:
         state, group, w = _audit_case(name, prep, 17 * depth + 3, error, rotation)
@@ -429,18 +554,18 @@ _SMALL_CODES = {"five_qubit": five_qubit_code(), "toric2": toric_code(2)}
 )
 def test_mixture_channel_matches_dense_channel(name, keep, depth, seed):
     code = _SMALL_CODES[name]
-    chan = logical_depolarizer(code)
+    pairs = logical_pairs(code.group)
     n = code.n
     start = StabilizerMixture(n, zero_mixture(n).rows[: min(keep, n)])
     state = start.apply_circuit(random_low_depth(n, depth, family="clifford", seed=seed))
-    got = logical_depolarize(state, chan)
+    got = logical_depolarize(state, pairs)
     assert isinstance(got, StabilizerMixture)
 
     def rho(mixture):
         return mixture_rho([(r.letters(), r.sign) for r in mixture.rows], n)
 
     # the dense path is itself checked against the Kraus oracle above
-    assert np.allclose(rho(got), logical_depolarize(rho(state), chan), atol=1e-12)
+    assert np.allclose(rho(got), logical_depolarize(rho(state), pairs), atol=1e-12)
 
 
 # --- rank test (cleaning lemma) against the dense family suite ---
@@ -561,6 +686,6 @@ def test_rank_path_decides_every_pair_on_the_k16_hypergraph_product():
     # along one row: X there commutes with every check but is no stabilizer
     logical = from_letters("XXX" + "I" * 55)
     assert not any(group.syndrome_of(logical))
-    assert not group.contains_bits(logical)
+    assert group_mixture(group).expectation(logical) == 0.0  # commutes, so not a member
     assert not _region_is_correctable(group, pairs, (0, 1, 2))
     assert _region_is_correctable(group, pairs, (0, 1, 3))

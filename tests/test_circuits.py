@@ -122,7 +122,7 @@ def test_dagger_gate_is_adjoint(kind):
         gates = [Gate(qubits=(1,), name=n) for n in ("H", "S", "SDG", "X", "Y", "Z")]
         gates += [Gate(qubits=(0, 2), name=n) for n in ("CX", "CZ", "CY", "SWAP")]
     elif kind == "word":
-        words = [layer[0].word for layer in random_low_depth(2, 5, rng=rng).layers]
+        words = [layer[0].word for layer in random_low_depth(2, 5, seed=7).layers]
         gates = [Gate(qubits=(2, 0), word=word) for word in words]
     else:
         from scipy.stats import unitary_group
@@ -156,7 +156,6 @@ def test_layer_validation_rejects_wire_collisions():
         LayeredCircuit(m=3, layers=((g1, g2),))
     circ = LayeredCircuit(m=3, layers=((g1,), (g2,)))
     assert circ.depth == 2
-    assert circ.n_gates == 2
     with pytest.raises(ValueError):
         LayeredCircuit(m=2, layers=((g2,),))  # wire 2 out of range
 
@@ -272,6 +271,15 @@ def test_clifford_words_are_single_gates_per_slot():
         for g in layer:
             assert g.word is not None
             assert g.is_clifford_representable
+    assert circ.is_clifford
+
+
+def test_one_dense_gate_makes_a_circuit_non_clifford():
+    assert identity_circuit(3).is_clifford
+    assert not random_low_depth(4, 1, family="haar", seed=2).is_clifford
+    words = random_low_depth(4, 2, family="clifford", seed=2)
+    dense = Gate(qubits=(0, 3), matrix=np.eye(4))
+    assert not compose(words, LayeredCircuit(m=4, layers=((dense,),))).is_clifford
 
 
 def test_circuit_json_roundtrip(tmp_path):
@@ -281,7 +289,7 @@ def test_circuit_json_roundtrip(tmp_path):
     loaded = load_circuit(path)
     # words are written as words, so the loaded circuit stays on the tableau
     assert [g.word for layer in loaded.layers for g in layer] == [g.word for layer in circ.layers for g in layer]
-    assert all(g.is_clifford_representable for layer in loaded.layers for g in layer)
+    assert loaded.is_clifford
     assert np.allclose(circuit_unitary(loaded), circuit_unitary(circ), atol=1e-10)
     assert loaded.m == circ.m
     # a second dump of the loaded circuit is byte-identical

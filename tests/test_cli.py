@@ -402,6 +402,9 @@ def _reject_constant(name):
         (["frontier", "--builtin", "five_qubit", "--t-max", "100000", "--budget", "1"], {}),
         (["frontier", "--builtin", "five_qubit", "--t-max", "1", "--budget", str(10**30)], {}),
         (["amplify", "check", "--builtin", "five_qubit", "--n-states", str(10**30)], {}),
+        # a distance search cap below 1
+        (["code", "params", "--builtin", "toric3", "--distance-cap", "0"], {}),
+        (["code", "params", "--builtin", "toric3", "--distance-cap", "-1"], {}),
     ],
 )
 def test_invalid_input_exits_2_with_one_line_error(runner, args, env, tmp_path):

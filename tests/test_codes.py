@@ -89,31 +89,23 @@ def test_toric3_logical_pair_weights():
         assert pair.xbar.weight == 3 and pair.zbar.weight == 3
 
 
-# (xbar, zbar) letters per pair, with and without weight reduction; fixed
-# by the numpy-matrix implementation the int engine replaced
+# (xbar, zbar) letters per pair, weight-reduced; fixed by the numpy-matrix
+# implementation the int engine replaced
 GOLDEN_LOGICAL_PAIRS = {
-    ("five_qubit", True): [("YYIXI", "ZIXXI")],
-    ("five_qubit", False): [("XXXXX", "ZIXXI")],
-    ("toric2", True): [("XIXIIIII", "ZZIIIIII"), ("IIIIXXII", "IIIIZIZI")],
-    ("toric3", True): [
+    "five_qubit": [("YYIXI", "ZIXXI")],
+    "toric2": [("XIXIIIII", "ZZIIIIII"), ("IIIIXXII", "IIIIZIZI")],
+    "toric3": [
         ("XIIXIIXIIIIIIIIIII", "ZZZIIIIIIIIIIIIIII"),
         ("IIIIIIIIIXXXIIIIII", "IIIIIIIIIZIIZIIZII"),
     ],
-    ("surface5", True): [("XXIII", "ZIZII")],
-    ("surface13", True): [("XXXIIIIIIIIII", "ZIIZIIZIIIIII")],
-    ("punctured", True): [
+    "surface5": [("XXIII", "ZIZII")],
+    "surface13": [("XXXIIIIIIIIII", "ZIIZIIZIIIIII")],
+    "punctured": [
         ("XIIXIIXIIIIIIIIIII", "ZZZIIIIIIIIIIIIIII"),
         ("IIIIXIIIIIXIIIIIII", "ZIIZIIIIIZZIIIIIII"),
         ("IIIIIIIIIXXXIIIIII", "IIIIIIIIIZIIZIIZII"),
     ],
-    ("punctured", False): [
-        ("XIIXIIXIIIIIIIIIII", "ZZZIIIIIIIIIIIIIII"),
-        ("IIIIXIIIIIXIIIIIII", "ZZZZZZIIIIIIIIIIII"),
-        ("IIIIIIIIIXXXIIIIII", "IIIIIIIIIZIIZIIZII"),
-    ],
 }
-for _name in ("toric2", "toric3", "surface5", "surface13"):
-    GOLDEN_LOGICAL_PAIRS[(_name, False)] = GOLDEN_LOGICAL_PAIRS[(_name, True)]
 
 MEMO_CODES = {
     **{name: (lambda name=name: build_code(name)) for name in BUILTIN_CODES},
@@ -125,13 +117,11 @@ MEMO_CODES = {
 @pytest.mark.parametrize("name", sorted(MEMO_CODES))
 def test_per_code_data_memoized_and_equal_to_fresh(name):
     group = MEMO_CODES[name]().group
-    for reduce_weight in (True, False):
-        pairs = logical_pairs(group, reduce_weight=reduce_weight)
-        assert logical_pairs(group, reduce_weight=reduce_weight) is pairs
-        assert pairs == paulis._logical_pairs(MEMO_CODES[name]().group, reduce_weight)
-        if (name, reduce_weight) in GOLDEN_LOGICAL_PAIRS:
-            letters = [(str(p.xbar), str(p.zbar)) for p in pairs]
-            assert letters == GOLDEN_LOGICAL_PAIRS[(name, reduce_weight)]
+    pairs = logical_pairs(group)
+    assert logical_pairs(group) is pairs
+    assert pairs == paulis._logical_pairs(MEMO_CODES[name]().group)
+    if name in GOLDEN_LOGICAL_PAIRS:
+        assert [(str(p.xbar), str(p.zbar)) for p in pairs] == GOLDEN_LOGICAL_PAIRS[name]
     for cap in (2, 4):
         params = code_parameters(group, distance_cap=cap)
         assert code_parameters(group, distance_cap=cap) is params
@@ -153,6 +143,14 @@ def test_css_to_stabilizer_letters():
     assert [str(g) for g in group.generators] == ["XXI", "ZZZ"]
 
 
+def _dense_rows(rows, n: int) -> np.ndarray:
+    """0/1 matrix with a 1 at each listed column of each sparse row."""
+    out = np.zeros((len(rows), n), dtype=int)
+    for i, row in enumerate(rows):
+        out[i, list(row)] = 1
+    return out
+
+
 def test_hypergraph_product_shapes_and_orthogonality():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -165,8 +163,8 @@ def test_hypergraph_product_shapes_and_orthogonality():
         assert len(code.css.hx) == m1 * n2
         assert len(code.css.hz) == n1 * m2
         # CssCode validation already enforces orthogonality; double-check densely
-        prod = (code.css.dense_hx() @ code.css.dense_hz().T) % 2
-        assert not prod.any()
+        hx, hz = (_dense_rows(rows, code.n) for rows in (code.css.hx, code.css.hz))
+        assert not ((hx @ hz.T) % 2).any()
 
 
 def test_surface_codes_from_repetition_product():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import gate_fields_after_validation
+from oracles import gate_fields_after_validation, random_pauli
 from stablab.circuits import random_low_depth
 from stablab.codes import build_code
 from stablab.frontier import (
@@ -63,13 +63,11 @@ def test_product_minimum_matches_brute_force_toric_two():
 
 def test_product_minimum_random_small_groups():
     rng = np.random.default_rng(3)
-    from stablab.paulis import random_pauli
-
     for trial in range(6):
         rows = []
         group = None
         while group is None or len(group.generators) < 2:
-            cand = [random_pauli(4, rng=rng) for _ in range(3)]
+            cand = [random_pauli(4, rng) for _ in range(3)]
             try:
                 group = StabilizerGroup(
                     [p if p.sign == 1 else type(p)(p.n, p.x, p.z, 1) for p in cand]
@@ -117,7 +115,7 @@ def test_prep_and_brick_gates_are_valid_and_prepare_their_states():
     bricks = [["CX", "XC", "CZ"], ["SWAP", "II"]]
     assert sorted(c for layer in bricks for c in layer) == sorted(_BRICK_CHOICES)
     circuit = _assemble_descent(prep, bricks, n, pairings)
-    assert circuit.n_gates == 5 + 4  # |0> needs no prep word, II no gate
+    assert sum(len(layer) for layer in circuit.layers) == 5 + 4  # |0> needs no prep word, II no gate
     for gate in (g for layer in circuit.layers for g in layer):
         trusted, checked = gate_fields_after_validation(gate)
         assert trusted == checked

