@@ -76,14 +76,35 @@ def _check_tables(group: StabilizerGroup):
     return letters, touching
 
 
+def _conflict_pairs(checks, touching) -> list[tuple[int, int]]:
+    """Sorted pairs i < j of checks that want different letters on a shared qubit."""
+    pairs = set()
+    for q, idxs in enumerate(touching):
+        for a, i in enumerate(idxs):
+            for j in idxs[a + 1 :]:
+                if checks[i][1][q] != checks[j][1][q]:
+                    pairs.add((i, j))
+    return sorted(pairs)
+
+
 def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], ...]]:
     """Exact minimum total energy over Pauli-basis product states.
 
     Branch and bound over per-qubit assignments from the six single-qubit
-    stabilizer states. A check's expectation survives only if every
-    support qubit picks the check's letter there, so a mismatch settles
-    the check at energy 1/2 immediately and settled energy is an
-    admissible bound; uniform assignments seed the incumbent.
+    stabilizer states, qubit 0 first; uniform assignments seed the
+    incumbent. A check's expectation survives only if every support qubit
+    picks the check's letter there, so a mismatch settles the check at
+    energy 1/2 immediately.
+
+    Two checks conflict when they want different letters on a shared
+    qubit. If both are still live, that qubit is unassigned, so one of
+    them dies below this node and costs at least 1/2 more. A node's lower
+    bound is its settled energy plus 1/2 per pair in a greedy disjoint
+    matching of live conflict pairs; the node is pruned when the bound
+    reaches the incumbent. The bound is admissible and the visiting order
+    is fixed, so a pruned subtree holds no leaf that would have replaced
+    the incumbent: the returned (energy, assignment) is the one the
+    settled-energy bound alone finds.
     """
     group = as_group(code_or_group)
     n = group.n
@@ -121,15 +142,25 @@ def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], 
     value = [sign for sign, _ in checks]
     assign: list[tuple[str, int] | None] = [None] * n
     settled = 0.0
+    conflicts = _conflict_pairs(checks, touching)
+
+    def matching_bound() -> float:
+        bound = settled
+        matched = 0  # bit i set once check i is in the matching
+        for i, j in conflicts:
+            if value[i] and value[j] and not (matched >> i | matched >> j) & 1:
+                matched |= 1 << i | 1 << j
+                bound += 0.5
+        return bound
 
     def descend(q: int):
         nonlocal settled, best_energy, best_assign
-        if settled >= best_energy - 1e-12:
-            return
         if q == n:
             if settled < best_energy - 1e-12:
                 best_energy = settled
                 best_assign = [pick for pick in assign]  # all assigned here
+            return
+        if matching_bound() >= best_energy - 1e-12:
             return
         for letter, sign, _ in _SINGLE_STATES:
             assign[q] = (letter, sign)

@@ -4,13 +4,15 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works on
 Python int lists, Pauli matrices are built by literal np.kron chains, and
 circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these. Five oracles are earlier
+package's optimized paths against these. Six oracles are earlier
 versions of a package path and reuse its kernels: the per-step tableau
 loop (oracle for the composed gate tables), the per-gate word draws of
 random Clifford circuits (oracle for one draw per layer), the marginal of
 a vector via its full density matrix (oracle for the pure-state partial
 trace), the distance searches that walked the candidates once per search
-and once per logical pair (oracle for the one shared walk), and the entropy
+and once per logical pair (oracle for the one shared walk), the product
+search bounded by settled energy alone (oracle for the conflict-matching
+bound), and the entropy
 audit taken one syndrome branch at a time, at the end of this file (oracle
 for the one-state construction of Theta), which reuses the package's
 decoherence, mixture channel and rotation, branch by branch.
@@ -418,6 +420,99 @@ def best_distance_per_pair(group, cap: int = 6):
         if best is None or found[0] > best[1]:
             best = (idx, found[0], max(xb.weight, zb.weight), found[1])
     return best
+
+
+def product_state_minimum_settled_only(code_or_group):
+    """(energy, assignment) of the Pauli-basis product search bounded by settled energy alone.
+
+    The search ``product_state_minimum`` ran before it bounded nodes with a
+    conflict matching: the same depth-first order over the six
+    single-qubit stabilizer states per qubit, pruning only when the energy
+    of checks already settled reaches the incumbent.
+    """
+    from stablab.codes import as_group
+    from stablab.frontier import _SINGLE_STATES, _check_tables
+
+    group = as_group(code_or_group)
+    n = group.n
+    if n > 20:
+        raise ValueError("exhaustive product search capped at 20 qubits")
+    checks, touching = _check_tables(group)
+    n_checks = len(checks)
+    if n_checks == 0:
+        return 0.0, tuple(("Z", 1) for _ in range(n))
+
+    def assignment_energy(assign: list[tuple[str, int]]) -> float:
+        total = 0.0
+        for sign, table in checks:
+            value = sign
+            for q, letter in table.items():
+                pick_letter, pick_sign = assign[q]
+                if pick_letter != letter:
+                    value = 0
+                    break
+                value *= pick_sign
+            total += 0.5 * (1 - value)
+        return total
+
+    best_assign = None
+    best_energy = float("inf")
+    for letter, sign, _ in _SINGLE_STATES:
+        uniform = [(letter, sign)] * n
+        energy = assignment_energy(uniform)
+        if energy < best_energy:
+            best_energy = energy
+            best_assign = list(uniform)
+
+    # per-check bookkeeping: remaining unassigned support, running value
+    remaining = [len(table) for _, table in checks]
+    value = [sign for sign, _ in checks]
+    assign: list[tuple[str, int] | None] = [None] * n
+    settled = 0.0
+
+    def descend(q: int):
+        nonlocal settled, best_energy, best_assign
+        if settled >= best_energy - 1e-12:
+            return
+        if q == n:
+            if settled < best_energy - 1e-12:
+                best_energy = settled
+                best_assign = [pick for pick in assign]  # all assigned here
+            return
+        for letter, sign, _ in _SINGLE_STATES:
+            assign[q] = (letter, sign)
+            delta = 0.0
+            touched = []
+            for idx in touching[q]:
+                if value[idx] == 0:
+                    # already dead; support countdown still tracked
+                    remaining[idx] -= 1
+                    touched.append((idx, 0, False))
+                    continue
+                want = checks[idx][1][q]
+                old = value[idx]
+                if letter != want:
+                    value[idx] = 0
+                    delta += 0.5
+                    remaining[idx] -= 1
+                    touched.append((idx, old, True))
+                else:
+                    value[idx] = old * sign
+                    remaining[idx] -= 1
+                    touched.append((idx, old, True))
+                    if remaining[idx] == 0:
+                        delta += 0.5 * (1 - value[idx])
+            settled += delta
+            descend(q + 1)
+            settled -= delta
+            for idx, old, restore in touched:
+                remaining[idx] += 1
+                if restore:
+                    value[idx] = old
+        assign[q] = None
+
+    descend(0)
+    return best_energy, tuple(best_assign)
 
 
 def vector_marginal_via_rho(psi: np.ndarray, region) -> np.ndarray:

@@ -18,7 +18,6 @@ from stablab.codes import build_code
 from stablab.paulis import (
     single,
     LogicalPair,
-    PauliOperator,
     StabilizerGroup,
     best_distance,
     from_letters,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from stablab.codes import (
     build_code,
     code_from_dict,
     code_parameters,
-    code_to_dict,
     css_to_stabilizer,
     dump_code,
     hypergraph_product,
@@ -24,7 +21,7 @@ from stablab.codes import (
     surface_code,
     toric_code,
 )
-from stablab.paulis import logical_pairs, min_weight_logical
+from stablab.paulis import logical_pairs
 
 from oracles import gf2_rank_naive
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import gate_fields_after_validation, random_pauli
+from oracles import gate_fields_after_validation, product_state_minimum_settled_only, random_pauli
 from stablab.circuits import random_low_depth
-from stablab.codes import build_code
+from stablab.codes import BUILTIN_CODES, build_code
 from stablab.frontier import (
     _BRICK_CHOICES,
     _SINGLE_STATES,
@@ -62,20 +64,52 @@ def test_product_minimum_matches_brute_force_toric_two():
 
 
 def test_product_minimum_random_small_groups():
+    # signed checks: a complete check of sign -1 costs 1, not 1/2
     rng = np.random.default_rng(3)
+    signs = set()
     for trial in range(6):
-        rows = []
         group = None
         while group is None or len(group.generators) < 2:
-            cand = [random_pauli(4, rng) for _ in range(3)]
             try:
-                group = StabilizerGroup(
-                    [p if p.sign == 1 else type(p)(p.n, p.x, p.z, 1) for p in cand]
-                )
+                group = StabilizerGroup([random_pauli(4, rng) for _ in range(3)])
             except ValueError:
                 group = None
+        signs.update(check.sign for check in group.generators)
         best, _ = product_state_minimum(group)
         assert best == pytest.approx(brute_force_product_minimum(group)), trial
+    assert signs == {1, -1}
+
+
+@st.composite
+def signed_commuting_groups(draw, max_n=6, max_checks=8):
+    """Signed Paulis on up to max_n qubits, each kept if the group stays valid."""
+    n = draw(st.integers(1, max_n))
+    kept: list[PauliOperator] = []
+    for _ in range(draw(st.integers(1, max_checks))):
+        cand = PauliOperator(
+            n,
+            draw(st.integers(0, 2**n - 1)),
+            draw(st.integers(0, 2**n - 1)),
+            draw(st.sampled_from((1, -1))),
+        )
+        try:
+            StabilizerGroup(kept + [cand])
+        except ValueError:
+            continue
+        kept.append(cand)
+    return StabilizerGroup(kept, n=n)
+
+
+@pytest.mark.parametrize("name", [name for name in BUILTIN_CODES if build_code(name).group.n <= 20])
+def test_product_minimum_matches_settled_only_search_on_builtins(name):
+    group = build_code(name).group
+    assert product_state_minimum(group) == product_state_minimum_settled_only(group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_commuting_groups())
+def test_product_minimum_matches_settled_only_search_on_random_groups(group):
+    assert product_state_minimum(group) == product_state_minimum_settled_only(group)
 
 
 def test_product_minimum_toric_three_is_frozen():

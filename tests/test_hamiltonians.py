@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import gf2_rank_naive, pauli_matrix, project_eigenspace, projector_from_strings
+from oracles import gf2_rank_naive, pauli_matrix, project_eigenspace
 from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab import hamiltonians
@@ -13,7 +13,6 @@ from stablab.hamiltonians import (
     MAX_AMPLIFIED_TUPLES,
     MAX_GAP_DEPTH,
     MAX_SPARSIFIER_SAMPLES,
-    CodeHamiltonian,
     amplification_gap_check,
     amplified_energy,
     amplify,
@@ -29,13 +28,12 @@ from stablab.hamiltonians import (
     sparsify,
     spectral_deviation,
 )
-from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
+from stablab.paulis import StabilizerGroup, from_letters, single
 from stablab.suites import SUITES
 from stablab.states import (
     apply_circuit_vec,
     dense_qubit_limit,
     group_mixture,
-    pauli_expectation_vec,
     zero_mixture,
     zero_vector,
 )

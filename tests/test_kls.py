@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stablab.circuits import Gate, LayeredCircuit, identity_circuit, random_low_depth
+from stablab.circuits import identity_circuit, random_low_depth
 from stablab.codes import build_code
 from stablab.kls import agsp_projector_check, kls_polynomial
 from stablab.paulis import StabilizerGroup
