@@ -24,6 +24,7 @@ from .states import (
     StabilizerMixture,
     expectation,
     group_mixture,
+    marginal,
     num_qubits,
     project_all,
     require_dense,
@@ -293,15 +294,6 @@ def uncertainty_check(state, pair: LogicalPair) -> dict:
     return {"ex": ex, "ez": ez, "holds": ex**2 + ez**2 <= 1.0 + 1e-9}
 
 
-def _is_product_vector(vec: np.ndarray) -> bool:
-    m = num_qubits(vec)
-    for q in range(m):
-        mat = np.moveaxis(vec.reshape((2,) * m), q, 0).reshape(2, -1)
-        if np.linalg.matrix_rank(mat, tol=1e-10) > 1:
-            return False
-    return True
-
-
 def product_state_separation_check(state, code_or_group) -> dict:
     """Product states sit at least d'/(8w) away from any code state.
 
@@ -312,13 +304,10 @@ def product_state_separation_check(state, code_or_group) -> dict:
     """
     group = as_group(code_or_group)
     f_sq = code_overlap(state, group)
-    if isinstance(state, StabilizerMixture):
-        product = all(
-            np.trace(mat @ mat).real > 1.0 - 1e-10
-            for mat in (state.marginal((q,)) for q in range(state.m))
-        )
-    else:
-        product = _is_product_vector(vector(state))
+    product = all(
+        np.trace(mat @ mat).real > 1.0 - 1e-10
+        for mat in (marginal(state, (q,)) for q in range(num_qubits(state)))
+    )
     rep = best_distance(group)
     bound = rep.d_prime / (8.0 * rep.w)
     out = {

@@ -28,9 +28,8 @@ from .codes import as_group, code_parameters
 from .paulis import PauliOperator, StabilizerGroup, embed_pauli, logical_pairs, outside_mask, single
 from .states import (
     StabilizerMixture,
-    apply_circuit_rho,
+    apply_circuit,
     conjugate,
-    density_matrix,
     dephase,
     entropy,
     group_mixture,
@@ -80,8 +79,8 @@ def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
     Theta is :func:`encoded_state` of phi. The rate bound holds by the
     channel's entropy floor on each syndrome branch; the second step is
     subadditivity after the (entropy-preserving) rotation. Both are
-    asserted, all three numbers reported. A mixture Theta is rotated on the
-    tableau when W is Clifford; otherwise Theta is rotated densely.
+    asserted, all three numbers reported. ``states.apply_circuit`` rotates
+    a mixture Theta on the tableau when W is Clifford, densely otherwise.
     """
     group = as_group(group)
     m = group.n + len(group.generators)
@@ -89,10 +88,7 @@ def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
         raise ValueError(f"circuit acts on {w.m} wires, state has {m}")
     theta = encoded_state(phi, group)
     wdag = reverse_circuit(w)
-    if isinstance(theta, StabilizerMixture) and w.is_clifford:
-        rotated = theta.apply_circuit(wdag)
-    else:
-        rotated = apply_circuit_rho(density_matrix(theta), wdag)
+    rotated = apply_circuit(theta, wdag)
 
     k = len(logical_pairs(group))
     total = entropy(theta)

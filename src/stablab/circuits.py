@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import json_int, load_payload
-from .paulis import gather, scatter
+from .paulis import PauliOperator, dense_matrix, gather, scatter
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -153,10 +153,6 @@ def dagger_gate(gate: Gate) -> Gate:
     return Gate(qubits=gate.qubits, matrix=gate.matrix.conj().T)
 
 
-# Hermitian Pauli letters by (x bit, z bit): I, X, Z, Y
-_LETTERS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (0, 1): _Z, (1, 1): _Y}
-
-
 @cache
 def pauli_image_table(name: str) -> tuple[tuple[int, int], ...]:
     """Conjugation table of a named Clifford: entry v is (image, sign).
@@ -169,12 +165,7 @@ def pauli_image_table(name: str) -> tuple[tuple[int, int], ...]:
     """
     mat = NAMED_GATES[name]
     k = mat.shape[0].bit_length() - 1
-    basis = []
-    for v in range(4**k):
-        p = np.eye(1, dtype=complex)
-        for j in range(k):
-            p = np.kron(p, _LETTERS[(v >> j) & 1, (v >> (k + j)) & 1])
-        basis.append(p)
+    basis = [dense_matrix(PauliOperator(k, v & ((1 << k) - 1), v >> k)) for v in range(4**k)]
     table = []
     for p in basis:
         image = mat @ p @ mat.conj().T

@@ -22,7 +22,7 @@ import click
 
 from .bounds import BoundInputs, depth_lower_bounds
 from .channels import entropy_audit
-from .circuits import circuit_to_dict, lightcone, load_circuit
+from .circuits import circuit_to_dict, lightcone, load_circuit, random_low_depth
 from .codes import BUILTIN_CODES, build_code, code_parameters, load_code
 from .frontier import (
     MAX_FRONTIER_BUDGET,
@@ -41,7 +41,7 @@ from .hamiltonians import (
     sparsifier_sample_count,
     sparsify,
 )
-from .io import canonical_json, frontier_csv, write_frontier_csv, write_json, write_text
+from .io import canonical_json, frontier_csv, write_text
 from .states import (
     DenseLimitError,
     apply_circuit_vec,
@@ -92,12 +92,17 @@ def _prepared_state(n: int, circuit_path: str | None):
     return apply_circuit_vec(zero_vector(n), circuit)
 
 
-def _emit(payload, out: str | None):
+def _emit_text(text: str, out: str | None):
+    """Print text, or write it atomically to out and print the path."""
     if out is not None:
-        write_json(out, payload)
+        write_text(out, text)
         click.echo(out)
     else:
-        click.echo(canonical_json(payload), nl=False)
+        click.echo(text, nl=False)
+
+
+def _emit(payload, out: str | None):
+    _emit_text(canonical_json(payload), out)
 
 
 _code_options = [
@@ -183,12 +188,7 @@ def ham_energy(builtin, file_path, circuit_path, normalization, as_csv, out):
     if as_csv:
         lines = ["term,energy"]
         lines.extend(f"{i},{v!r}" for i, v in enumerate(report.per_term))
-        text = "\n".join(lines) + "\n"
-        if out is not None:
-            write_text(out, text)
-            click.echo(out)
-        else:
-            click.echo(text, nl=False)
+        _emit_text("\n".join(lines) + "\n", out)
         return
     payload = {
         "per_term": list(report.per_term),
@@ -395,11 +395,7 @@ def frontier_cmd(builtin, file_path, t_max, strategies, budget, seed, fmt, out):
     ]
     merged = merge_frontiers(*runs)
     if fmt == "csv":
-        if out is not None:
-            write_frontier_csv(out, merged)
-            click.echo(out)
-        else:
-            click.echo(frontier_csv(merged), nl=False)
+        _emit_text(frontier_csv(merged), out)
         return
     payload = {
         "code": chosen.name,
@@ -407,16 +403,7 @@ def frontier_cmd(builtin, file_path, t_max, strategies, budget, seed, fmt, out):
         "budget": budget,
         "t_max": t_max,
         "strategies": sorted(strategies),
-        "records": [
-            {
-                "t": rec.t,
-                "strategy": rec.strategy,
-                "seed": rec.seed,
-                "total_energy": rec.best_energy.total,
-                "mean_energy": rec.best_energy.mean,
-            }
-            for rec in merged
-        ],
+        "records": [rec.row() for rec in merged],
     }
     _emit(payload, out)
 
@@ -443,8 +430,6 @@ def amplify_group():
 @click.option("--out", default=None, type=click.Path())
 def amplify_check(builtin, file_path, p, t, n_states, seed, out):
     """Gap inequality over random depth-t states; exit 1 on a violation."""
-    from .circuits import random_low_depth
-
     chosen = _pick_code(builtin, file_path)
     group = chosen.group
     hamiltonian = build_code_hamiltonian(group, "mean")

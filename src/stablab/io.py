@@ -43,7 +43,8 @@ def canonical_json(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _atomic_write(path, text: str):
+def write_text(path, text: str):
+    """Write text to path atomically: a temporary file in the same directory, then a rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -55,14 +56,6 @@ def _atomic_write(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_json(path, obj):
-    _atomic_write(path, canonical_json(obj))
-
-
-def write_text(path, text: str):
-    _atomic_write(path, text)
 
 
 def json_int(value, what: str) -> int:
@@ -99,10 +92,6 @@ def frontier_csv(records) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(FRONTIER_COLUMNS)
     for rec in records:
-        row = rec.row() if hasattr(rec, "row") else rec
+        row = rec.row()
         writer.writerow([row[col] for col in FRONTIER_COLUMNS])
     return buffer.getvalue()
-
-
-def write_frontier_csv(path, records):
-    _atomic_write(path, frontier_csv(records))

@@ -95,16 +95,6 @@ def kls_polynomial(n_domain: int, deg: int) -> KlsPolynomial:
     return poly
 
 
-def _circuit_unitary(circuit: LayeredCircuit) -> np.ndarray:
-    dim = 2**circuit.m
-    cols = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        cols[:, j] = apply_circuit_vec(e, circuit)
-    return cols
-
-
 def agsp_projector_check(
     circuit: LayeredCircuit,
     group: StabilizerGroup | Code | None,
@@ -123,7 +113,7 @@ def agsp_projector_check(
     m = circuit.m
     require_dense(m)
     poly = kls_polynomial(m, deg)
-    unitary = _circuit_unitary(circuit)
+    unitary = apply_circuit_vec(np.eye(2**m, dtype=complex), circuit)
     psi = unitary[:, 0]
     weights = np.bitwise_count(np.arange(2**m, dtype=np.uint64)).astype(float)
     approx = (unitary * poly.evaluate(weights)) @ unitary.conj().T

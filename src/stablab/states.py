@@ -21,11 +21,18 @@ tableau and the dense simulator read the same definition of each gate. A
 row costs one gather, one lookup and one scatter per gate, however long
 the word.
 
+Every dense operator acts through one leading-axis kernel: ``apply_gate_vec``
+and ``apply_pauli_vec`` act on the first axis of a ``(2^m, ...)`` array, so
+a density matrix is rotated as (U (U rho)^dagger)^dagger by two passes of
+the vector kernel, and a circuit unitary is the circuit applied to the
+identity.
+
 ``num_qubits``, ``expectation``, ``project``, ``project_all``,
-``conjugate``, ``dephase``, ``marginal``, ``density_matrix``, ``vector``
-and ``entropy`` take either backend; they are the one place that chooses
-between the two. Dense paths call ``require_dense`` first, so an input past
-the dense qubit limit raises one error type, :class:`DenseLimitError`.
+``conjugate``, ``apply_circuit``, ``extend``, ``dephase``, ``marginal``,
+``density_matrix``, ``vector`` and ``entropy`` take either backend; they
+are the one place that chooses between the two. Dense paths call
+``require_dense`` first, so an input past the dense qubit limit raises one
+error type, :class:`DenseLimitError`.
 """
 
 from __future__ import annotations
@@ -96,13 +103,14 @@ def _num_qubits(psi: np.ndarray) -> int:
 
 
 def apply_gate_vec(psi: np.ndarray, gate: Gate) -> np.ndarray:
+    """U psi; a 2-D array is acted on along its leading axis, U @ psi."""
     m = _num_qubits(psi)
     mat = gate_matrix(gate)
     k = len(gate.qubits)
-    tensor = psi.reshape((2,) * m)
+    tensor = psi.reshape((2,) * m + psi.shape[1:])
     mat_t = mat.reshape((2,) * (2 * k))
     moved = np.tensordot(mat_t, tensor, axes=(tuple(range(k, 2 * k)), gate.qubits))
-    return np.moveaxis(moved, tuple(range(k)), gate.qubits).reshape(-1)
+    return np.moveaxis(moved, tuple(range(k)), gate.qubits).reshape(psi.shape)
 
 
 def apply_circuit_vec(psi: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
@@ -158,48 +166,17 @@ def rho_from_vector(psi: np.ndarray) -> np.ndarray:
 
 
 def apply_circuit_rho(rho: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
-    """Conjugate a density matrix column by column."""
-    m = _num_qubits(rho[:, 0])
-    out = rho
-    for layer in circuit.layers:
-        for gate in layer:
-            mat = gate_matrix(gate)
-            k = len(gate.qubits)
-            tensor = out.reshape((2,) * (2 * m))
-            mat_t = mat.reshape((2,) * (2 * k))
-            row_axes = gate.qubits
-            tensor = np.moveaxis(
-                np.tensordot(mat_t, tensor, axes=(tuple(range(k, 2 * k)), row_axes)),
-                tuple(range(k)),
-                row_axes,
-            )
-            col_axes = tuple(m + q for q in gate.qubits)
-            tensor = np.moveaxis(
-                np.tensordot(mat_t.conj(), tensor, axes=(tuple(range(k, 2 * k)), col_axes)),
-                tuple(range(k)),
-                col_axes,
-            )
-            out = tensor.reshape(2**m, 2**m)
-    return out
+    """U rho U^dagger as (U (U rho)^dagger)^dagger: two passes of the vector kernel."""
+    return apply_circuit_vec(apply_circuit_vec(rho, circuit).conj().T, circuit).conj().T
 
 
 def conjugate_pauli_rho(rho: np.ndarray, p: PauliOperator) -> np.ndarray:
-    """P rho P (Hermitian P); the i^y and sign factors cancel between sides."""
-    m = _num_qubits(rho[:, 0])
-    x_idx, z_idx = _index_masks(p, m)
-    indices = np.arange(rho.shape[0], dtype=np.uint64)
-    # entry [r, c] picks up (-1)^{r.z} (-1)^{c.z} and both indices shift by x
-    zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
-    if x_idx:
-        shifted = indices ^ np.uint64(x_idx)
-        rho = rho.take(shifted, axis=0).take(shifted, axis=1)
-    out = rho * zphase[:, None]
-    out *= zphase[None, :]
-    return out
+    """P rho P (Hermitian P) as (P (P rho)^dagger)^dagger."""
+    return apply_pauli_vec(apply_pauli_vec(rho, p).conj().T, p).conj().T
 
 
 def pauli_expectation_rho(rho: np.ndarray, p: PauliOperator) -> float:
-    m = _num_qubits(rho[:, 0])
+    m = _num_qubits(rho)
     x_idx, z_idx = _index_masks(p, m)
     indices = np.arange(rho.shape[0], dtype=np.uint64)
     zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
@@ -211,7 +188,7 @@ def pauli_expectation_rho(rho: np.ndarray, p: PauliOperator) -> float:
 def partial_trace(rho: np.ndarray, keep, m: int | None = None) -> np.ndarray:
     """Reduced density matrix on the kept qubits (distinct, in [0, m)), ascending."""
     if m is None:
-        m = _num_qubits(rho[:, 0])
+        m = _num_qubits(rho)
     keep = sorted(int(q) for q in check_region(m, keep))
     traced = [q for q in range(m) if q not in keep]
     tensor = rho.reshape((2,) * (2 * m))
@@ -529,6 +506,31 @@ def conjugate(state, p: PauliOperator):
     if isinstance(state, StabilizerMixture):
         return state.conjugate_pauli(p)
     return conjugate_pauli_rho(density_matrix(state), p)
+
+
+def apply_circuit(state, circuit: LayeredCircuit):
+    """U rho U^dagger on either backend.
+
+    A mixture stays a mixture under a Clifford circuit, on the tableau;
+    under any other circuit it is materialized and rotated densely. A vector
+    stays a vector and a density matrix a density matrix.
+    """
+    if circuit.m != num_qubits(state):
+        raise ValueError(f"circuit acts on {circuit.m} wires, state has {num_qubits(state)}")
+    if isinstance(state, StabilizerMixture):
+        if circuit.is_clifford:
+            return state.apply_circuit(circuit)
+        state = density_matrix(state)
+    arr = _dense(state)
+    return apply_circuit_vec(arr, circuit) if arr.ndim == 1 else apply_circuit_rho(arr, circuit)
+
+
+def extend(state, extra: int):
+    """The state with `extra` fresh wires in |0> appended after its own."""
+    if isinstance(state, StabilizerMixture):
+        return state.extend(extra)
+    require_dense(num_qubits(state) + extra)
+    return np.kron(vector(state), zero_vector(extra))
 
 
 def marginal(state, region) -> np.ndarray:

@@ -11,6 +11,7 @@ of range.
 from __future__ import annotations
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 
@@ -38,15 +39,12 @@ from .kls import agsp_projector_check, kls_polynomial
 from .paulis import PauliOperator, logical_pairs
 from .states import (
     StabilizerMixture,
-    apply_circuit_vec,
     group_mixture,
+    project_rows,
     von_neumann_entropy,
     zero_mixture,
-    zero_vector,
 )
 from .syndrome import build_syndrome_circuit, coherent_extension, gentle_measurement_report
-
-from itertools import combinations
 
 
 def _random_clifford_state(n: int, depth: int, seed: int) -> StabilizerMixture:
@@ -115,19 +113,26 @@ def suite_syndrome_depth() -> dict:
 
 
 def suite_syndrome_projector(seed: int = 0) -> dict:
-    """Circuit action equals the syndrome-sector decomposition, dense."""
+    """The coherent extension equals the syndrome-sector sum, dense.
+
+    The reference is built without the extraction circuit: column s of a
+    2^n x 2^N array is D_s phi, the signed checks folded onto phi by
+    ``project_rows`` with check i negated where s_i = 1, so the flattened
+    array is sum_s (D_s phi) (x) |s>.
+    """
     group = build_code("five_qubit").group
-    built = build_syndrome_circuit(group)
+    checks = group.generators
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
         phi = rng.normal(size=32) + 1j * rng.normal(size=32)
         phi = phi / np.linalg.norm(phi)
-        via_circuit = apply_circuit_vec(
-            np.kron(phi, zero_vector(4)), built.circuit
-        )
-        via_projectors = coherent_extension(phi, group)
-        worst = max(worst, float(np.abs(via_circuit - via_projectors).max()))
+        sectors = []
+        for s in product((0, 1), repeat=len(checks)):
+            signed = [PauliOperator(g.n, g.x, g.z, g.sign * (-1) ** s_i) for g, s_i in zip(checks, s)]
+            sectors.append(project_rows(phi, signed))
+        reference = np.stack(sectors, axis=1).reshape(-1)
+        worst = max(worst, float(np.abs(coherent_extension(phi, group) - reference).max()))
     return {"passed": worst <= 1e-10, "max_deviation": worst, "seed": seed}
 
 

@@ -9,6 +9,11 @@ two Hadamard layers. On input |phi>|0^N> the output is
 
     sum_s (D_s |phi>) (x) |s>,    D_s = prod_i (I + (-1)^{s_i} C_i) / 2.
 
+``coherent_extension`` is that circuit run on |phi>|0^N> through the one
+backend dispatch in :mod:`stablab.states`, so a stabilizer mixture rides the
+tableau and a state vector the dense kernel; the sector sum above is kept
+only as the independent reference of the ``syndrome-projector`` suite.
+
 Measuring the ancillas instead of keeping them coherent gives the decohered
 state: a probability-weighted family of syndrome branches, which ``decohere``
 lists one by one. As one state it is the coherent output with every register
@@ -21,21 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circuits import Gate, LayeredCircuit
 from .hamiltonians import build_code_hamiltonian, energy_report
 from .paulis import PauliOperator, StabilizerGroup
-from .states import (
-    StabilizerMixture,
-    apply_pauli_vec,
-    dephase,
-    fidelity,
-    marginal,
-    project,
-    require_dense,
-    vector,
-)
+from .states import apply_circuit, dephase, extend, fidelity, marginal, project
 
 _CONTROLLED = {"X": "CX", "Y": "CY", "Z": "CZ"}
 
@@ -199,44 +193,15 @@ def decohere(state, group: StabilizerGroup) -> DecoheredState:
     )
 
 
-def pack_syndrome(bits) -> int:
-    """Syndrome bits as a register basis index, bit 0 most significant."""
-    packed = 0
-    for b in bits:
-        packed = (packed << 1) | b
-    return packed
-
-
 def coherent_extension(phi, group: StabilizerGroup):
     """sum_s (D_s phi) (x) |s> on n + N wires, ancilla i carrying s_i.
 
-    A stabilizer mixture is extended by N fresh wires in |0> and pushed
-    through the extraction circuit, which has exactly this action; it stays a
-    mixture. A state vector is built term by term from the projectors D_s,
-    under the dense limit on n + N qubits.
+    This is the extraction circuit applied to phi (x) |0^N>, on either
+    backend: a stabilizer mixture stays a mixture (the circuit is Clifford),
+    and a state vector stays a vector, under the dense limit on n + N
+    qubits.
     """
-    n = group.n
-    N = len(group.generators)
-    if isinstance(phi, StabilizerMixture):
-        return phi.extend(N).apply_circuit(build_syndrome_circuit(group).circuit)
-    require_dense(n + N)
-    phi = vector(phi)
-    components = [((), phi)]
-    for g in group.generators:
-        nxt = []
-        for bits, vec in components:
-            moved = apply_pauli_vec(vec, g)
-            plus = (vec + moved) / 2
-            minus = (vec - moved) / 2
-            if np.vdot(plus, plus).real > 1e-28:
-                nxt.append((bits + (0,), plus))
-            if np.vdot(minus, minus).real > 1e-28:
-                nxt.append((bits + (1,), minus))
-        components = nxt
-    out = np.zeros(2 ** (n + N), dtype=complex)
-    for bits, vec in components:
-        out[pack_syndrome(bits) :: 2**N] += vec  # data index strides the high bits
-    return out
+    return apply_circuit(extend(phi, len(group.generators)), build_syndrome_circuit(group).circuit)
 
 
 @dataclass(frozen=True)

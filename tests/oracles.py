@@ -18,13 +18,17 @@ for the one-state construction of Theta), which reuses the package's
 decoherence, mixture channel and rotation, branch by branch.
 
 A few helpers that several test modules share sit here too: seeded random
-Paulis, computational basis vectors, the trace distance, and the projection
-onto a syndrome sector (through the package's ``project_all``).
+Paulis, the hypothesis strategy for signed commuting groups, computational
+basis vectors, the trace distance, and the projection onto a syndrome
+sector (through the package's ``project_all``).
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from hypothesis import strategies as st
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -158,6 +162,57 @@ def projector_from_strings(checks: list[str], signs: list[int] | None = None) ->
     for s, c in zip(signs, checks):
         proj = proj @ (np.eye(2**n) + s * pauli_matrix(c)) / 2
     return proj
+
+
+@st.composite
+def signed_commuting_groups(draw, max_n=6, max_checks=8):
+    """Signed Paulis on up to max_n qubits, each kept if the group stays valid."""
+    from stablab.paulis import PauliOperator, StabilizerGroup
+
+    n = draw(st.integers(1, max_n))
+    kept: list[PauliOperator] = []
+    for _ in range(draw(st.integers(1, max_checks))):
+        cand = PauliOperator(
+            n,
+            draw(st.integers(0, 2**n - 1)),
+            draw(st.integers(0, 2**n - 1)),
+            draw(st.sampled_from((1, -1))),
+        )
+        try:
+            StabilizerGroup(kept + [cand])
+        except ValueError:
+            continue
+        kept.append(cand)
+    return StabilizerGroup(kept, n=n)
+
+
+def coherent_extension_by_sectors(phi: np.ndarray, group) -> np.ndarray:
+    """sum_s (D_s phi) (x) |s>, each sector projector D_s a product of kron chains."""
+    checks = group.generators
+    letters = [g.letters() for g in checks]
+    out = np.zeros(len(phi) * 2 ** len(checks), dtype=complex)
+    for s in itertools.product((0, 1), repeat=len(checks)):
+        d_s = projector_from_strings(letters, [(-1) ** b * g.sign for b, g in zip(s, checks)])
+        out += np.kron(d_s @ phi, basis_vector(len(checks), list(s)))
+    return out
+
+
+def pauli_image_table_kron(mat: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Conjugation table of a k-qubit Clifford matrix: entry v is (image, sign).
+
+    v = x | z << k with local qubit j at bit j and leftmost in the kron
+    chain; the image is found by comparing U P_v U^dagger with every signed
+    basis Pauli.
+    """
+    k = mat.shape[0].bit_length() - 1
+    basis = [pauli_matrix(pauli_letters(v & ((1 << k) - 1), v >> k, k)) for v in range(4**k)]
+    table = []
+    for p in basis:
+        image = mat @ p @ mat.conj().T
+        hits = [(w, s) for w, q in enumerate(basis) for s in (1, -1) if np.allclose(image, s * q, atol=1e-9)]
+        assert len(hits) == 1
+        table.append(hits[0])
+    return tuple(table)
 
 
 def mixture_rho(rows: list[tuple[str, int]], n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from oracles import (
     circuit_unitary_naive,
     expand_gate,
     gate_fields_after_validation,
+    pauli_image_table_kron,
     pauli_letters,
     pauli_matrix,
     random_clifford_circuit_per_gate,
@@ -39,6 +40,11 @@ from stablab.circuits import (
 
 def circuit_unitary(circuit):
     return circuit_unitary_naive(circuit, gate_matrix)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GATES))
+def test_pauli_image_table_matches_the_kron_built_table(name):
+    assert pauli_image_table(name) == pauli_image_table_kron(NAMED_GATES[name])
 
 
 def test_named_gates_are_unitary_and_conjugate_paulis_correctly():

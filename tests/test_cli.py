@@ -486,6 +486,24 @@ def test_out_writes_identical_bytes(runner, tmp_path):
     assert target.read_text() == GOLDEN_TORIC3_PARAMS
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["frontier", "--builtin", "toric2", "--t-max", "1", "--budget", "8"],
+        ["frontier", "--builtin", "toric2", "--t-max", "1", "--budget", "8", "--format", "csv"],
+        ["ham", "energy", "--builtin", "five_qubit", "--csv"],
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(runner, tmp_path, args):
+    printed = invoke(runner, args)
+    assert printed.exit_code == 0
+    target = tmp_path / "payload"
+    written = invoke(runner, args + ["--out", str(target)])
+    assert written.exit_code == 0
+    assert written.output == f"{target}\n"
+    assert target.read_bytes() == printed.stdout_bytes
+
+
 def test_help_lists_every_subcommand(runner):
     result = invoke(runner, ["--help"])
     for name in ("code", "ham", "circuit", "syndrome", "entropy", "bounds",

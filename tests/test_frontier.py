@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from oracles import gate_fields_after_validation, product_state_minimum_settled_only, random_pauli
+from oracles import (
+    gate_fields_after_validation,
+    product_state_minimum_settled_only,
+    random_pauli,
+    signed_commuting_groups,
+)
 from stablab.circuits import random_low_depth
 from stablab.codes import BUILTIN_CODES, build_code
 from stablab.frontier import (
@@ -78,26 +82,6 @@ def test_product_minimum_random_small_groups():
         best, _ = product_state_minimum(group)
         assert best == pytest.approx(brute_force_product_minimum(group)), trial
     assert signs == {1, -1}
-
-
-@st.composite
-def signed_commuting_groups(draw, max_n=6, max_checks=8):
-    """Signed Paulis on up to max_n qubits, each kept if the group stays valid."""
-    n = draw(st.integers(1, max_n))
-    kept: list[PauliOperator] = []
-    for _ in range(draw(st.integers(1, max_checks))):
-        cand = PauliOperator(
-            n,
-            draw(st.integers(0, 2**n - 1)),
-            draw(st.integers(0, 2**n - 1)),
-            draw(st.sampled_from((1, -1))),
-        )
-        try:
-            StabilizerGroup(kept + [cand])
-        except ValueError:
-            continue
-        kept.append(cand)
-    return StabilizerGroup(kept, n=n)
 
 
 @pytest.mark.parametrize("name", [name for name in BUILTIN_CODES if build_code(name).group.n <= 20])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import (
     basis_vector,
     chp_conjugate,
+    circuit_unitary_naive,
     conjugated_rows_per_step,
     dephase_group_sum,
     expand_gate,
@@ -125,6 +126,38 @@ def test_apply_circuit_rho_is_conjugation():
     rho_out = apply_circuit_rho(rho_from_vector(psi), circ)
     psi_out = apply_circuit_vec(psi, circ)
     assert np.allclose(rho_out, rho_from_vector(psi_out), atol=1e-10)
+
+
+@st.composite
+def dense_circuits(draw, max_m=6):
+    """Clifford words or Haar two-qubit gates on m <= max_m wires, then a named one-qubit layer."""
+    m = draw(st.integers(1, max_m))
+    family = draw(st.sampled_from(("clifford", "haar")))
+    circ = random_low_depth(m, draw(st.integers(0, 3)), family=family, seed=draw(st.integers(0, 2**16)))
+    names = draw(st.lists(st.sampled_from(("H", "S", "SDG", "X", "Y", "Z")), min_size=m, max_size=m))
+    last = tuple(Gate(qubits=(q,), name=name) for q, name in enumerate(names))
+    return LayeredCircuit(m=m, layers=circ.layers + (last,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_circuits(), st.integers(1, 4), st.integers(0, 2**16))
+def test_apply_gate_vec_acts_on_the_leading_axis(circ, cols, seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal((2**circ.m, cols)) + 1j * rng.standard_normal((2**circ.m, cols))
+    for gate in (g for layer in circ.layers for g in layer):
+        got = apply_gate_vec(arr, gate)
+        by_column = np.stack([apply_gate_vec(arr[:, j], gate) for j in range(cols)], axis=1)
+        assert got.shape == arr.shape
+        assert np.abs(got - by_column).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_circuits(), st.integers(0, 2**16))
+def test_apply_circuit_rho_matches_the_naive_unitary(circ, seed):
+    rho = _random_rho(circ.m, np.random.default_rng(seed))
+    unitary = circuit_unitary_naive(circ, gate_matrix)
+    assert np.abs(apply_circuit_rho(rho, circ) - unitary @ rho @ unitary.conj().T).max() <= 1e-12
+    assert np.abs(apply_circuit_vec(np.eye(2**circ.m, dtype=complex), circ) - unitary).max() <= 1e-12
 
 
 def test_project_pauli_vec():
@@ -745,6 +778,37 @@ def _random_rho(m, rng):
     a = rng.standard_normal((2**m, 2**m)) + 1j * rng.standard_normal((2**m, 2**m))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(clifford_mixtures(max_m=5), st.sampled_from(("clifford", "haar")), st.integers(0, 2**16))
+def test_apply_circuit_dispatch_agrees_across_backends(state, family, seed):
+    circ = random_low_depth(state.m, 2, family=family, seed=seed)
+    rho = state.dense_rho()
+    unitary = circuit_unitary_naive(circ, gate_matrix)
+    want = unitary @ rho @ unitary.conj().T
+    rotated = states.apply_circuit(state, circ)
+    assert isinstance(rotated, StabilizerMixture) == circ.is_clifford
+    assert np.abs(states.density_matrix(rotated) - want).max() <= 1e-12
+    assert np.abs(states.apply_circuit(rho, circ) - want).max() <= 1e-12
+    if state.is_pure:
+        psi = states.apply_circuit(state.dense_vector(), circ)
+        assert psi.ndim == 1 and np.abs(rho_from_vector(psi) - want).max() <= 1e-12
+    with pytest.raises(ValueError, match="circuit acts on"):
+        states.apply_circuit(state, random_low_depth(state.m + 1, 1, seed=seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(clifford_mixtures(max_m=5, pure=True), st.integers(0, 3))
+def test_extend_appends_zero_wires_on_both_backends(state, extra):
+    psi = state.dense_vector()
+    grown = states.extend(state, extra)
+    assert isinstance(grown, StabilizerMixture) and grown.m == state.m + extra
+    dense = states.extend(psi, extra)
+    assert np.array_equal(dense, np.kron(psi, basis_vector(extra, 0)))
+    assert np.abs(states.density_matrix(grown) - rho_from_vector(dense)).max() <= 1e-12
+    with pytest.raises(ValueError, match="state vector is required"):
+        states.extend(rho_from_vector(psi), extra)
 
 
 @settings(max_examples=50, deadline=None)

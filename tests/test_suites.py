@@ -1,7 +1,10 @@
 """Suite registry plumbing; the full battery runs in test_acceptance."""
 
+from dataclasses import replace
+
 import pytest
 
+from stablab import syndrome
 from stablab.suites import SUITES, run_suites
 
 
@@ -31,3 +34,22 @@ def test_every_suite_is_callable_with_no_arguments():
         sig = inspect.signature(fn)
         for param in sig.parameters.values():
             assert param.default is not inspect.Parameter.empty, (name, param.name)
+
+
+def test_syndrome_projector_suite_catches_a_dropped_controlled_gate(monkeypatch):
+    """The suite's sector-sum reference does not run the extraction circuit."""
+    real = syndrome.build_syndrome_circuit
+
+    def drop_one_controlled_gate(group):
+        built = real(group)
+        layers = list(built.circuit.layers)
+        t = next(i for i, layer in enumerate(layers) if any(len(g.qubits) == 2 for g in layer))
+        j = next(j for j, g in enumerate(layers[t]) if len(g.qubits) == 2)
+        layers[t] = layers[t][:j] + layers[t][j + 1 :]
+        return replace(built, circuit=replace(built.circuit, layers=tuple(layers)))
+
+    assert SUITES["syndrome-projector"]()["passed"]
+    monkeypatch.setattr(syndrome, "build_syndrome_circuit", drop_one_controlled_gate)
+    report = SUITES["syndrome-projector"]()
+    assert report["passed"] is False
+    assert report["max_deviation"] > 1e-3

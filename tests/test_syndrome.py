@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from stablab.codes import five_qubit_code, surface_code, toric_code
+from stablab.codes import build_code, five_qubit_code, surface_code, toric_code
 from stablab.hamiltonians import build_code_hamiltonian, energy_report
 from stablab.paulis import StabilizerGroup, from_letters, single
 from stablab.states import (
@@ -28,6 +30,8 @@ from stablab.syndrome import (
 from oracles import (
     basis_vector,
     circuit_unitary_naive,
+    coherent_extension_by_sectors,
+    signed_commuting_groups,
     mixture_rho,
     pauli_matrix,
     projector_from_strings,
@@ -130,6 +134,24 @@ def test_circuit_matches_projector_decomposition():
         assert np.allclose(got, expected, atol=1e-10)
         # the standalone extension helper agrees with the circuit
         assert np.allclose(coherent_extension(phi, group), expected, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_commuting_groups(max_n=4, max_checks=2), st.sampled_from(("clifford", "haar")), st.integers(0, 2**16))
+def test_dense_coherent_extension_matches_the_sector_sum(group, family, seed):
+    """The extraction circuit on a dense vector against kron-chain sector projectors."""
+    assume(group.generators)
+    phi = apply_circuit_vec(random_state(group.n, seed), random_low_depth(group.n, 2, family=family, seed=seed))
+    got = coherent_extension(phi, group)
+    assert np.abs(got - coherent_extension_by_sectors(phi, group)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "surface5"])
+def test_dense_coherent_extension_matches_the_sector_sum_on_codes(name):
+    group = build_code(name).group
+    for seed in range(3):
+        phi = random_state(group.n, seed)
+        assert np.abs(coherent_extension(phi, group) - coherent_extension_by_sectors(phi, group)).max() <= 1e-12
 
 
 def test_mixture_coherent_extension_matches_the_dense_one():
