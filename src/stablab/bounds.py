@@ -261,7 +261,7 @@ def trace_distance_to_code(state, code_or_group) -> dict:
     return out
 
 
-def zero_state_distance_check(code_or_group, distance: int | None = None) -> dict:
+def zero_state_distance_check(code_or_group) -> dict:
     """Does |0^n> sit at trace distance more than d/(6n) from the code?
 
     Requires at least one logical qubit. A code whose distance comes from
@@ -272,10 +272,9 @@ def zero_state_distance_check(code_or_group, distance: int | None = None) -> dic
     group = as_group(code_or_group)
     if group.n_logical < 1:
         raise ValueError("code encodes nothing: k = 0")
+    distance = code_parameters(group).d
     if distance is None:
-        distance = code_parameters(group).d
-    if distance is None:
-        raise ValueError("distance unknown; pass distance explicitly")
+        raise ValueError("distance unknown")
     rep = trace_distance_to_code(zero_mixture(group.n), group)
     threshold = distance / (6.0 * group.n)
     return {

@@ -306,27 +306,9 @@ def compose(first: LayeredCircuit, then: LayeredCircuit) -> LayeredCircuit:
     return LayeredCircuit(m=first.m, layers=first.layers + then.layers, code_qubits=code)
 
 
-def embed(circuit: LayeredCircuit, m_new: int, wire_map: dict[int, int] | None = None) -> LayeredCircuit:
-    """Re-house the circuit on m_new wires, mapping wire q to wire_map[q]."""
-    if wire_map is None:
-        wire_map = {q: q for q in range(circuit.m)}
-    layers = []
-    for layer in circuit.layers:
-        layers.append(
-            tuple(
-                Gate(
-                    qubits=tuple(wire_map[q] for q in g.qubits),
-                    name=g.name,
-                    word=g.word,
-                    matrix=g.matrix,
-                )
-                for g in layer
-            )
-        )
-    code = None
-    if circuit.code_qubits is not None:
-        code = tuple(wire_map[q] for q in circuit.code_qubits)
-    return LayeredCircuit(m=m_new, layers=tuple(layers), code_qubits=code)
+def embed(circuit: LayeredCircuit, m_new: int) -> LayeredCircuit:
+    """The same circuit on m_new wires; wire q stays wire q."""
+    return LayeredCircuit(m=m_new, layers=circuit.layers, code_qubits=circuit.code_qubits)
 
 
 _WORD_ALPHABET: tuple[WordStep, ...] = (

@@ -211,13 +211,12 @@ def hypergraph_product(h1, h2, name: str = "hgp") -> Code:
     return Code(name, css_to_stabilizer(css), css)
 
 
-def repetition_check_matrix(length: int, periodic: bool = False) -> np.ndarray:
-    """Adjacent-pair parity checks of the length-L repetition code."""
-    rows = length if periodic else length - 1
-    h = np.zeros((rows, length), dtype=np.uint8)
-    for i in range(rows):
+def repetition_check_matrix(length: int) -> np.ndarray:
+    """Adjacent-pair parity checks of the open length-L repetition code."""
+    h = np.zeros((length - 1, length), dtype=np.uint8)
+    for i in range(length - 1):
         h[i, i] = 1
-        h[i, (i + 1) % length] = 1
+        h[i, i + 1] = 1
     return h
 
 

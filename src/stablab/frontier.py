@@ -411,7 +411,6 @@ def theorem_consistency(
     d: int,
     ell: int,
     n: int | None = None,
-    c_ell: float = 1.0,
 ) -> dict:
     """Cross-check frontier records against the closed-form depth bounds.
 

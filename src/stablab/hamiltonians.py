@@ -98,9 +98,9 @@ def energy_report(state, ham: CodeHamiltonian, code_qubits=None) -> EnergyReport
     return EnergyReport(per_term=per_term, total=total, mean=total / len(per_term) if per_term else 0.0)
 
 
-def energy_value(state, ham: CodeHamiltonian, code_qubits=None) -> float:
+def energy_value(state, ham: CodeHamiltonian) -> float:
     """tr(H rho) in the Hamiltonian's own normalization."""
-    report = energy_report(state, ham, code_qubits)
+    report = energy_report(state, ham)
     return report.mean if ham.normalization == "mean" else report.total
 
 
@@ -171,7 +171,7 @@ def amplify(ham: CodeHamiltonian, p: int) -> AmplifiedHamiltonian:
 MAX_AMPLIFIED_TUPLES = 2**22
 
 
-def amplified_energy(state, amp: AmplifiedHamiltonian, code_qubits=None) -> float:
+def amplified_energy(state, amp: AmplifiedHamiltonian) -> float:
     """tr(H^(p) rho) = 1 - mean over p-tuples of tr(rho g_{i1} .. g_{ip}).
 
     The product of commuting projectors is the projector onto the joint +1
@@ -181,7 +181,7 @@ def amplified_energy(state, amp: AmplifiedHamiltonian, code_qubits=None) -> floa
     density matrix). Raises ValueError when the n_terms^p tuples would
     exceed MAX_AMPLIFIED_TUPLES, or p its bit length.
     """
-    checks = _embedded_checks(state, amp.base, code_qubits)
+    checks = _embedded_checks(state, amp.base, None)
     n_terms = len(checks)
     if amp.p > MAX_AMPLIFIED_TUPLES.bit_length() or n_terms**amp.p > MAX_AMPLIFIED_TUPLES:
         raise ValueError(f"{n_terms}^{amp.p} check tuples exceed the cap of {MAX_AMPLIFIED_TUPLES}")
@@ -209,7 +209,7 @@ class GapAmplificationReport:
 MAX_GAP_DEPTH = 1023
 
 
-def amplification_gap_check(state, ham: CodeHamiltonian, p: int, t: int, code_qubits=None) -> GapAmplificationReport:
+def amplification_gap_check(state, ham: CodeHamiltonian, p: int, t: int) -> GapAmplificationReport:
     """Amplification guarantee for a depth-t state, both sides evaluated.
 
     lhs = tr(H^(p) phi); rhs = min{1, p tr(H phi)}/2 - 2^t p^2 ell^2 / n.
@@ -223,8 +223,8 @@ def amplification_gap_check(state, ham: CodeHamiltonian, p: int, t: int, code_qu
         raise ValueError(f"depth term 2^t p^2 ell^2 / n overflows a float at t = {t}, p = {p}")
     mean_ham = CodeHamiltonian(group=ham.group, normalization="mean")
     amp = amplify(mean_ham, p)
-    lhs = amplified_energy(state, amp, code_qubits)
-    base = energy_value(state, mean_ham, code_qubits)
+    lhs = amplified_energy(state, amp)
+    base = energy_value(state, mean_ham)
     rhs = 0.5 * min(1.0, p * base) - penalty
     return GapAmplificationReport(lhs=lhs, rhs=rhs, base_energy=base, p=p, t=t, holds=lhs >= rhs - 1e-12)
 

@@ -99,7 +99,6 @@ def agsp_projector_check(
     circuit: LayeredCircuit,
     group: StabilizerGroup | Code | None,
     deg: int,
-    distance: int | None = None,
 ) -> dict:
     """Projector approximation quality for the parent Hamiltonian of U|0^m>.
 
@@ -131,10 +130,9 @@ def agsp_projector_check(
 
     if group is not None:
         g = as_group(group)
+        distance = code_parameters(g).d
         if distance is None:
-            distance = code_parameters(g).d
-        if distance is None:
-            raise ValueError("distance unknown; pass distance explicitly")
+            raise ValueError("distance unknown")
         if g.n != m:
             raise ValueError("code and circuit qubit counts differ")
         f_sq = code_overlap(psi, g)

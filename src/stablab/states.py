@@ -28,7 +28,7 @@ the vector kernel, and a circuit unitary is the circuit applied to the
 identity.
 
 ``num_qubits``, ``expectation``, ``project``, ``project_all``,
-``conjugate``, ``apply_circuit``, ``extend``, ``dephase``, ``marginal``,
+``apply_circuit``, ``extend``, ``dephase``, ``marginal``,
 ``density_matrix``, ``vector`` and ``entropy`` take either backend; they
 are the one place that chooses between the two. Dense paths call
 ``require_dense`` first, so an input past the dense qubit limit raises one
@@ -114,29 +114,37 @@ def apply_gate_vec(psi: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def apply_circuit_vec(psi: np.ndarray, circuit: LayeredCircuit) -> np.ndarray:
+    """U psi along the leading axis; raises ValueError when the circuit's width is not the state's."""
+    m = _num_qubits(psi)
+    if circuit.m != m:
+        raise ValueError(f"circuit acts on {circuit.m} wires, state has {m}")
     for layer in circuit.layers:
         for gate in layer:
             psi = apply_gate_vec(psi, gate)
     return psi
 
 
-def _index_masks(p: PauliOperator, m: int) -> tuple[int, int]:
-    """Pauli bit q lives at index bit m-1-q (qubit 0 is most significant)."""
+def _pauli_action(p: PauliOperator, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis indices c, flipped indices c ^ x and Z phases (-1)^|c & z| of P on m qubits.
+
+    P|c> = sign i^y_count phase(c) |c ^ x>. Pauli bit q lives at index bit
+    m-1-q (qubit 0 is most significant).
+    """
     if p.n != m:
         raise ValueError(f"operator on {p.n} qubits against {m}-qubit state")
     index_order = range(m - 1, -1, -1)
-    return gather(p.x, index_order), gather(p.z, index_order)
+    x_idx, z_idx = gather(p.x, index_order), gather(p.z, index_order)
+    indices = np.arange(2**m, dtype=np.uint64)
+    zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
+    return indices, indices ^ np.uint64(x_idx), zphase
 
 
 def apply_pauli_vec(psi: np.ndarray, p: PauliOperator) -> np.ndarray:
     """P psi; a 2-D array is acted on along its leading axis, P @ psi."""
-    m = _num_qubits(psi)
-    x_idx, z_idx = _index_masks(p, m)
-    indices = np.arange(psi.shape[0], dtype=np.uint64)
-    zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
+    _, flipped, zphase = _pauli_action(p, _num_qubits(psi))
     zphase = zphase.reshape((-1,) + (1,) * (psi.ndim - 1))
     out = np.empty(psi.shape, dtype=complex)
-    out[indices ^ np.uint64(x_idx)] = (p.sign * 1j**p.y_count) * zphase * psi
+    out[flipped] = (p.sign * 1j**p.y_count) * zphase * psi
     return out
 
 
@@ -176,19 +184,15 @@ def conjugate_pauli_rho(rho: np.ndarray, p: PauliOperator) -> np.ndarray:
 
 
 def pauli_expectation_rho(rho: np.ndarray, p: PauliOperator) -> float:
-    m = _num_qubits(rho)
-    x_idx, z_idx = _index_masks(p, m)
-    indices = np.arange(rho.shape[0], dtype=np.uint64)
-    zphase = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(z_idx)) & 1)
+    indices, flipped, zphase = _pauli_action(p, _num_qubits(rho))
     # tr(P rho) = sum_c P[c^x, c] rho[c, c^x] with P[b, c] = phase(c) delta(b, c^x)
-    value = (p.sign * 1j**p.y_count) * np.sum(zphase * rho[indices, indices ^ np.uint64(x_idx)])
+    value = (p.sign * 1j**p.y_count) * np.sum(zphase * rho[indices, flipped])
     return float(value.real)
 
 
-def partial_trace(rho: np.ndarray, keep, m: int | None = None) -> np.ndarray:
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix on the kept qubits (distinct, in [0, m)), ascending."""
-    if m is None:
-        m = _num_qubits(rho)
+    m = _num_qubits(rho)
     keep = sorted(int(q) for q in check_region(m, keep))
     traced = [q for q in range(m) if q not in keep]
     tensor = rho.reshape((2,) * (2 * m))
@@ -345,18 +349,14 @@ class StabilizerMixture:
         return _trusted(self.m, self._conjugated_rows(gate))
 
     def apply_circuit(self, circuit: LayeredCircuit) -> "StabilizerMixture":
+        """Every gate in turn; raises ValueError when the circuit's width is not the state's."""
+        if circuit.m != self.m:
+            raise ValueError(f"circuit acts on {circuit.m} wires, state has {self.m}")
         state = self
         for layer in circuit.layers:
             for gate in layer:
                 state = state.apply_gate(gate)
         return state
-
-    def conjugate_pauli(self, p: PauliOperator) -> "StabilizerMixture":
-        """rho -> P rho P for a Hermitian Pauli P."""
-        rows = tuple(
-            PauliOperator(r.n, r.x, r.z, -r.sign) if not commutes(r, p) else r for r in self.rows
-        )
-        return _trusted(self.m, rows)
 
     # --- measurement ---
 
@@ -501,22 +501,14 @@ def project_all(state, ops) -> tuple[float, "StabilizerMixture | np.ndarray | No
     return prob, state
 
 
-def conjugate(state, p: PauliOperator):
-    """P rho P; a mixture stays a mixture, dense input gives a density matrix."""
-    if isinstance(state, StabilizerMixture):
-        return state.conjugate_pauli(p)
-    return conjugate_pauli_rho(density_matrix(state), p)
-
-
 def apply_circuit(state, circuit: LayeredCircuit):
     """U rho U^dagger on either backend.
 
     A mixture stays a mixture under a Clifford circuit, on the tableau;
     under any other circuit it is materialized and rotated densely. A vector
-    stays a vector and a density matrix a density matrix.
+    stays a vector and a density matrix a density matrix. Raises ValueError
+    when the circuit's width is not the state's.
     """
-    if circuit.m != num_qubits(state):
-        raise ValueError(f"circuit acts on {circuit.m} wires, state has {num_qubits(state)}")
     if isinstance(state, StabilizerMixture):
         if circuit.is_clifford:
             return state.apply_circuit(circuit)

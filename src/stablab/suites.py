@@ -1,8 +1,9 @@
 """Named end-to-end check suites: every inequality the package asserts.
 
-Each suite returns a report dict with a "passed" bool and enough detail
-to see what was measured. Defaults are sized so the full battery doubles
-as the acceptance gate; the CLI exposes the same registry behind
+Each suite takes no arguments and returns a report dict with a "passed"
+bool and enough detail to see what was measured. Every seeded suite draws
+from SEED, and the sample counts below are sized so the full battery
+doubles as the acceptance gate; the CLI exposes the same registry behind
 `bounds suite`. A False from any of these is a build-breaking bug, not a
 soft warning, except where an applicability flag says the premise is out
 of range.
@@ -46,6 +47,17 @@ from .states import (
 )
 from .syndrome import build_syndrome_circuit, coherent_extension, gentle_measurement_report
 
+SEED = 0
+GENTLE_PAIRS = 100
+ENTROPY_FLOOR_STATES = 100
+AMPLIFICATION_STATES = 200
+SPARSIFY_SEEDS = 100
+SPARSIFY_DELTA = 0.25
+# (code, random pure states): 1000 states in all
+UNCERTAINTY_PLAN = (("five_qubit", 600), ("toric2", 400))
+LIGHTCONE_SEEDS = 50
+FRONTIER_BUDGET = 150
+
 
 def _random_clifford_state(n: int, depth: int, seed: int) -> StabilizerMixture:
     circuit = random_low_depth(n, depth, family="clifford", seed=seed)
@@ -64,13 +76,6 @@ def suite_local_indistinguishability() -> dict:
                 rep = marginal_invariance_suite(code, region=region)
                 worst = max(worst, rep["max_deviation"])
                 regions += 1
-                if not rep["passed"]:
-                    return {
-                        "passed": False,
-                        "failed_region": region,
-                        "code": name,
-                        "max_deviation": rep["max_deviation"],
-                    }
     # negative control: a weight-d logical's support is distinguishable
     code = build_code("five_qubit")
     pair = logical_pairs(code.group)[0]
@@ -112,7 +117,7 @@ def suite_syndrome_depth() -> dict:
     return {"passed": ok, "codes": rows}
 
 
-def suite_syndrome_projector(seed: int = 0) -> dict:
+def suite_syndrome_projector() -> dict:
     """The coherent extension equals the syndrome-sector sum, dense.
 
     The reference is built without the extraction circuit: column s of a
@@ -122,7 +127,7 @@ def suite_syndrome_projector(seed: int = 0) -> dict:
     """
     group = build_code("five_qubit").group
     checks = group.generators
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(3):
         phi = rng.normal(size=32) + 1j * rng.normal(size=32)
@@ -133,18 +138,18 @@ def suite_syndrome_projector(seed: int = 0) -> dict:
             sectors.append(project_rows(phi, signed))
         reference = np.stack(sectors, axis=1).reshape(-1)
         worst = max(worst, float(np.abs(coherent_extension(phi, group) - reference).max()))
-    return {"passed": worst <= 1e-10, "max_deviation": worst, "seed": seed}
+    return {"passed": worst <= 1e-10, "max_deviation": worst, "seed": SEED}
 
 
-def suite_gentle_measurement(n_pairs: int = 100, seed: int = 0) -> dict:
+def suite_gentle_measurement() -> dict:
     """Fidelity floor 1 - sum of owned energies over random state/region pairs."""
     group = build_code("five_qubit").group
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     violations = 0
     worst_gap = float("inf")
-    for trial in range(n_pairs):
+    for trial in range(GENTLE_PAIRS):
         depth = int(rng.integers(0, 3))
-        state = _random_clifford_state(5, depth, seed=seed + 9973 * trial)
+        state = _random_clifford_state(5, depth, seed=SEED + 9973 * trial)
         size = int(rng.integers(1, 9))
         region = tuple(sorted(rng.choice(9, size=size, replace=False).tolist()))
         rep = gentle_measurement_report(state, group, region)
@@ -153,16 +158,16 @@ def suite_gentle_measurement(n_pairs: int = 100, seed: int = 0) -> dict:
             violations += 1
     return {
         "passed": violations == 0,
-        "pairs": n_pairs,
+        "pairs": GENTLE_PAIRS,
         "violations": violations,
         "worst_margin": worst_gap,
-        "seed": seed,
+        "seed": SEED,
     }
 
 
-def suite_entropy_floor(n_states: int = 100, seed: int = 0) -> dict:
+def suite_entropy_floor() -> dict:
     """Depolarizing any state lifts entropy to at least k; code states hit k."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     ok = True
     details = []
     for name in ("five_qubit", "toric2"):
@@ -173,7 +178,7 @@ def suite_entropy_floor(n_states: int = 100, seed: int = 0) -> dict:
         dim = 2**group.n
         floor_ok = True
         worst = float("inf")
-        for _ in range(n_states):
+        for _ in range(ENTROPY_FLOOR_STATES):
             a = rng.normal(size=(dim, 2 * k + 1)) + 1j * rng.normal(size=(dim, 2 * k + 1))
             rho = a @ a.conj().T
             rho = rho / np.trace(rho).real
@@ -189,10 +194,10 @@ def suite_entropy_floor(n_states: int = 100, seed: int = 0) -> dict:
         details.append(
             {"code": name, "k": k, "min_entropy": worst, "pure_code_entropy": exact}
         )
-    return {"passed": ok, "codes": details, "states_per_code": n_states, "seed": seed}
+    return {"passed": ok, "codes": details, "states_per_code": ENTROPY_FLOOR_STATES, "seed": SEED}
 
 
-def suite_entropy_audit(seed: int = 0) -> dict:
+def suite_entropy_audit() -> dict:
     """k <= S(Theta) <= sum_j S(rho_j) after the extraction rotation.
 
     Theta is the syndrome-recorded, logically depolarized state of a seeded
@@ -205,15 +210,15 @@ def suite_entropy_audit(seed: int = 0) -> dict:
         group = build_code(name).group
         rotation = build_syndrome_circuit(group).circuit
         for depth in range(5):
-            state = _random_clifford_state(group.n, depth, seed=seed + depth)
+            state = _random_clifford_state(group.n, depth, seed=SEED + depth)
             rep = entropy_audit(state, group, rotation)
             holds = rep["k"] <= rep["S_Theta"] + 1e-9 and rep["S_Theta"] <= rep["per_qubit_sum"] + 1e-9
             ok = ok and holds
             rows.append({"code": name, "depth": depth, "holds": holds, **rep})
-    return {"passed": ok, "audits": rows, "seed": seed}
+    return {"passed": ok, "audits": rows, "seed": SEED}
 
 
-def suite_amplification(n_states: int = 200, seed: int = 0) -> dict:
+def suite_amplification() -> dict:
     """Energy gap amplification inequality over recorded-depth states."""
     checked = 0
     violations = 0
@@ -222,10 +227,9 @@ def suite_amplification(n_states: int = 200, seed: int = 0) -> dict:
     for name in ("five_qubit", "toric2"):
         group = build_code(name).group
         ham = build_code_hamiltonian(group, "mean")
-        per_code = n_states // 2
-        for trial in range(per_code):
+        for trial in range(AMPLIFICATION_STATES // 2):
             t = trial % 3
-            state = _random_clifford_state(group.n, t, seed=seed + 31 * trial)
+            state = _random_clifford_state(group.n, t, seed=SEED + 31 * trial)
             for p in (1, 2, 3):
                 rep = amplification_gap_check(state, ham, p, t)
                 checked += 1
@@ -235,31 +239,33 @@ def suite_amplification(n_states: int = 200, seed: int = 0) -> dict:
                     identity_dev = max(identity_dev, abs(rep.lhs - rep.base_energy))
     return {
         "passed": violations == 0 and identity_dev <= 1e-12,
-        "states": n_states,
+        "states": AMPLIFICATION_STATES,
         "inequalities_checked": checked,
         "violations": violations,
         "p1_identity_deviation": identity_dev,
-        "seed": seed,
+        "seed": SEED,
     }
 
 
-def suite_sparsification(n_seeds: int = 100, delta: float = 0.25) -> dict:
+def suite_sparsification() -> dict:
     """Sampled sparsifier lands within delta often enough."""
     group = build_code("five_qubit").group
     amp = amplify(build_code_hamiltonian(group, "mean"), 1)
-    k = sparsifier_sample_count(group.n, delta, group.locality)
-    hits = sum(sparsifier_deviation(sparsify(amp, k, seed=seed)) <= delta for seed in range(n_seeds))
-    fraction = hits / n_seeds
+    k = sparsifier_sample_count(group.n, SPARSIFY_DELTA, group.locality)
+    hits = sum(
+        sparsifier_deviation(sparsify(amp, k, seed=seed)) <= SPARSIFY_DELTA for seed in range(SPARSIFY_SEEDS)
+    )
+    fraction = hits / SPARSIFY_SEEDS
     return {
         "passed": fraction >= 1.0 / 3.0,
         "success_fraction": fraction,
         "samples_per_seed": k,
-        "seeds": n_seeds,
-        "delta": delta,
+        "seeds": SPARSIFY_SEEDS,
+        "delta": SPARSIFY_DELTA,
     }
 
 
-def suite_kls_agsp(seed: int = 0) -> dict:
+def suite_kls_agsp() -> dict:
     """Step-polynomial guarantee on the grid plus the depth-1 projector check."""
     grid_ok = True
     worst_ratio = 0.0
@@ -275,7 +281,7 @@ def suite_kls_agsp(seed: int = 0) -> dict:
                 poly.achieved_error / poly.error_bound if poly.error_bound else 0.0,
             )
             deg *= 2
-    circuit = random_low_depth(8, 1, family="haar", seed=seed)
+    circuit = random_low_depth(8, 1, family="haar", seed=SEED)
     agsp = agsp_projector_check(circuit, None, 4)
     lemma = agsp_projector_check(identity_circuit(8), build_code("toric2").group, 4)
     return {
@@ -284,7 +290,7 @@ def suite_kls_agsp(seed: int = 0) -> dict:
         "depth1_error": agsp["norm_error"],
         "depth1_bound": agsp["fact_bound"],
         "lemma_rhs": lemma["lemma_rhs"],
-        "seed": seed,
+        "seed": SEED,
     }
 
 
@@ -299,15 +305,12 @@ def suite_zero_state_distance() -> dict:
     return {"passed": ok, "codes": rows}
 
 
-def suite_uncertainty(n_states: int = 1000, seed: int = 0) -> dict:
+def suite_uncertainty() -> dict:
     """Logical expectation uncertainty over random pure states, all pairs."""
-    rng = np.random.default_rng(seed)
-    plan = [("five_qubit", 600), ("toric2", n_states - 600)]
-    if n_states < 1000:
-        plan = [("five_qubit", n_states)]
+    rng = np.random.default_rng(SEED)
     checked = 0
     ok = True
-    for name, count in plan:
+    for name, count in UNCERTAINTY_PLAN:
         group = build_code(name).group
         pairs = logical_pairs(group)
         dim = 2**group.n
@@ -318,7 +321,8 @@ def suite_uncertainty(n_states: int = 1000, seed: int = 0) -> dict:
                 rep = uncertainty_check(vec, pair)
                 checked += 1
                 ok = ok and rep["holds"]
-    return {"passed": ok, "states": n_states, "checks": checked, "seed": seed}
+    states = sum(count for _, count in UNCERTAINTY_PLAN)
+    return {"passed": ok, "states": states, "checks": checked, "seed": SEED}
 
 
 def suite_product_separation() -> dict:
@@ -334,28 +338,28 @@ def suite_product_separation() -> dict:
     return {"passed": ok, "codes": rows}
 
 
-def suite_lightcone_sandwich(n_seeds: int = 50, seed: int = 0) -> dict:
+def suite_lightcone_sandwich() -> dict:
     """Average owned-energy sandwich over seeded prefix circuits."""
     group = build_code("five_qubit").group
     synd = build_syndrome_circuit(group)
     wires = synd.circuit.m
     ok = True
-    for trial in range(n_seeds):
-        prefix = random_low_depth(5, 2, family="clifford", seed=seed + trial)
+    for trial in range(LIGHTCONE_SEEDS):
+        prefix = random_low_depth(5, 2, family="clifford", seed=SEED + trial)
         w = compose(embed(prefix, wires), synd.circuit)
         phi = zero_mixture(5).apply_circuit(prefix)
         rep = lightcone_count_check(w, group, phi=phi)
         ok = ok and rep["holds"] and rep["count_floor_ok"]
-    return {"passed": ok, "seeds": n_seeds, "seed": seed}
+    return {"passed": ok, "seeds": LIGHTCONE_SEEDS, "seed": SEED}
 
 
-def suite_frontier_baseline(budget: int = 150, seed: int = 0) -> dict:
+def suite_frontier_baseline() -> dict:
     """Depth-0 product optimum on the distance-3 toric code, plus monotonicity."""
     code = build_code("toric3")
-    products = frontier_search(code, 3, "pauli-products", seed=seed)
+    products = frontier_search(code, 3, "pauli-products", seed=SEED)
     best = products[0].best_energy.total
-    cliffords = frontier_search(code, 3, "random-clifford", budget=budget, seed=seed)
-    descent = frontier_search(code, 3, "coordinate-descent", budget=budget, seed=seed)
+    cliffords = frontier_search(code, 3, "random-clifford", budget=FRONTIER_BUDGET, seed=SEED)
+    descent = frontier_search(code, 3, "coordinate-descent", budget=FRONTIER_BUDGET, seed=SEED)
     merged = merge_frontiers(products, cliffords, descent)
     totals = [rec.best_energy.total for rec in merged]
     monotone = all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
@@ -367,7 +371,7 @@ def suite_frontier_baseline(budget: int = 150, seed: int = 0) -> dict:
         and consistency["consistent"],
         "product_minimum": best,
         "merged_totals": totals,
-        "seed": seed,
+        "seed": SEED,
     }
 
 

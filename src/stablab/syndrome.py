@@ -109,24 +109,19 @@ class SyndromeCircuit:
         return 2 * self.group.locality**3
 
 
-def build_syndrome_circuit(group: StabilizerGroup, coloring: Coloring | None = None) -> SyndromeCircuit:
+def build_syndrome_circuit(group: StabilizerGroup) -> SyndromeCircuit:
     """Layered extraction circuit on n + N wires.
 
     A weight-w check of color c contributes its w controlled-Pauli gates to
     layers of slot c; slots run sequentially and same-color checks fill the
     same layers side by side. Checks with sign -1 get a Z on their ancilla
     (controlled minus sign) in one shared layer before the final Hadamards.
+    The slots are the greedy coloring of the overlap graph, which is proper
+    by construction.
     """
     n = group.n
     checks = group.generators
-    big = overlap_graph(group)
-    if coloring is None:
-        coloring = greedy_coloring(big)
-    if len(coloring.colors) != len(checks):
-        raise ValueError("coloring length does not match check count")
-    for a, b in big.edges:
-        if coloring.colors[a] == coloring.colors[b]:
-            raise ValueError(f"improper coloring: checks {a} and {b} overlap and share a color")
+    coloring = greedy_coloring(overlap_graph(group))
 
     m = n + len(checks)
     layers: list[tuple[Gate, ...]] = []

@@ -4,7 +4,7 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works on
 Python int lists, Pauli matrices are built by literal np.kron chains, and
 circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these. Six oracles are earlier
+package's optimized paths against these. Seven oracles are earlier
 versions of a package path and reuse its kernels: the per-step tableau
 loop (oracle for the composed gate tables), the per-gate word draws of
 random Clifford circuits (oracle for one draw per layer), the marginal of
@@ -12,10 +12,12 @@ a vector via its full density matrix (oracle for the pure-state partial
 trace), the distance searches that walked the candidates once per search
 and once per logical pair (oracle for the one shared walk), the product
 search bounded by settled energy alone (oracle for the conflict-matching
-bound), and the entropy
-audit taken one syndrome branch at a time, at the end of this file (oracle
+bound), the entropy audit taken one syndrome branch at a time (oracle
 for the one-state construction of Theta), which reuses the package's
-decoherence, mixture channel and rotation, branch by branch.
+decoherence, mixture channel and rotation, branch by branch, and the
+dense invariance checks on the logical-basis family, at the end of this
+file (oracle for the cleaning-lemma rank test), which reuse the package's
+marginals and channel.
 
 A few helpers that several test modules share sit here too: seeded random
 Paulis, the hypothesis strategy for signed commuting groups, computational
@@ -679,7 +681,7 @@ def entropy_audit_by_branches(phi, group, w) -> dict:
             theta_s = theta_by_branches([(bits, 1.0, mu)], n, n_checks)
             rotated = apply_circuit_rho(theta_s, wdag)
             for j in range(m):
-                marginals[j] += p * partial_trace(rotated, (j,), m)
+                marginals[j] += p * partial_trace(rotated, (j,))
 
     def entropy_bits(probs) -> float:
         probs = np.asarray(probs, dtype=float)
@@ -696,3 +698,119 @@ def entropy_audit_by_branches(phi, group, w) -> dict:
         "S_Theta": mixing + branch_entropy,
         "per_qubit_sum": float(sum(entropy_bits(np.linalg.eigvalsh(mj)) for mj in marginals)),
     }
+
+
+def conjugate_pauli_mixture(state, p):
+    """rho -> P rho P for a Hermitian Pauli P on a stabilizer mixture: anticommuting rows flip sign."""
+    from stablab.paulis import PauliOperator, commutes
+    from stablab.states import _trusted
+
+    rows = tuple(
+        PauliOperator(r.n, r.x, r.z, -r.sign) if not commutes(r, p) else r for r in state.rows
+    )
+    return _trusted(state.m, rows)
+
+
+def conjugate(state, p):
+    """P rho P; a mixture stays a mixture, dense input gives a density matrix."""
+    from stablab.states import StabilizerMixture, conjugate_pauli_rho, density_matrix
+
+    if isinstance(state, StabilizerMixture):
+        return conjugate_pauli_mixture(state, p)
+    return conjugate_pauli_rho(density_matrix(state), p)
+
+
+def logical_basis_family(group, pairs) -> list:
+    """The 2^k Zbar-basis states plus the 2^k Xbar-basis states."""
+    from stablab.paulis import PauliOperator
+    from stablab.states import group_mixture
+
+    base = group_mixture(group)
+    family = []
+    for which in ("zbar", "xbar"):
+        for signs in itertools.product((1, -1), repeat=len(pairs)):
+            rows = [
+                PauliOperator(group.n, l.x, l.z, s * l.sign)
+                for s, l in zip(signs, [getattr(p, which) for p in pairs])
+            ]
+            family.append(base.with_rows(rows))
+    return family
+
+
+def nonzero_syndrome_error(group):
+    """The first single-qubit X, Z or Y with a nonzero syndrome, or None."""
+    from stablab.paulis import single
+
+    for q in range(group.n):
+        for letter in ("X", "Z", "Y"):
+            err = single(group.n, q, letter)
+            if any(group.syndrome_of(err)):
+                return err
+    return None
+
+
+def marginal_invariance_dense(code, region, family=None) -> dict:
+    """The invariance report measured densely on any region, of any size.
+
+    (a) the family's marginals on the region agree; (b) conjugating each
+    family state, and one syndrome-shifted state, by every logical leaves
+    its marginal unchanged; (c) so does the logical depolarizing channel.
+    The family defaults to the logical-basis states. The report has the
+    package report's keys; the distance is only recorded. Oracle for the
+    cleaning-lemma rank test of ``channels.marginal_invariance_suite``,
+    which decides regions below the distance without any marginal.
+    """
+    from stablab.channels import _logicals, logical_depolarize
+    from stablab.codes import as_group, code_parameters
+    from stablab.paulis import logical_pairs
+    from stablab.states import marginal
+
+    group = as_group(code)
+    region = tuple(sorted(int(q) for q in region))
+    pairs = logical_pairs(group)
+    family = list(logical_basis_family(group, pairs) if family is None else family)
+
+    marginals = [marginal(s, region) for s in family]
+    dev_a = max(
+        (float(np.abs(mi - marginals[0]).max()) for mi in marginals[1:]), default=0.0
+    )
+
+    sector_states = list(family)
+    err = nonzero_syndrome_error(group)
+    if err is not None:
+        sector_states.append(conjugate(family[0], err))
+    dev_b = 0.0
+    dev_c = 0.0
+    for state in sector_states:
+        base = marginal(state, region)
+        for logical in _logicals(pairs, group.n):
+            moved = marginal(conjugate(state, logical), region)
+            dev_b = max(dev_b, float(np.abs(moved - base).max()))
+        pushed = marginal(logical_depolarize(state, pairs), region)
+        dev_c = max(dev_c, float(np.abs(pushed - base).max()))
+
+    tol = 1e-10
+    report = {
+        "region": list(region),
+        "distance": int(code_parameters(group).d),
+        "n_states": len(family),
+        "code_states_share_marginal": dev_a <= tol,
+        "logical_conjugation_invariant": dev_b <= tol,
+        "channel_preserves_marginal": dev_c <= tol,
+        "max_deviation": max(dev_a, dev_b, dev_c),
+    }
+    report["passed"] = bool(
+        report["code_states_share_marginal"]
+        and report["logical_conjugation_invariant"]
+        and report["channel_preserves_marginal"]
+    )
+    return report
+
+
+def ring_check_matrix(length: int) -> np.ndarray:
+    """Adjacent-pair parity checks of the length-L repetition code on a ring: L checks."""
+    h = np.zeros((length, length), dtype=np.uint8)
+    for i in range(length):
+        h[i, i] = 1
+        h[i, (i + 1) % length] = 1
+    return h

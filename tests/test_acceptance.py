@@ -14,9 +14,9 @@ from stablab.states import group_mixture, zero_mixture
 from stablab.suites import SUITES
 
 
-def _run(name: str, budget_s: float, **kwargs):
+def _run(name: str, budget_s: float):
     start = time.perf_counter()
-    report = SUITES[name](**kwargs) if kwargs else SUITES[name]()
+    report = SUITES[name]()
     elapsed = time.perf_counter() - start
     status = "PASS" if report.get("passed") else "FAIL"
     print(f"ACCEPTANCE {name}: {status} ({elapsed:.1f}s, budget {budget_s:.0f}s)")
@@ -43,13 +43,13 @@ def test_acceptance_syndrome_circuit():
 
 
 def test_acceptance_gentle_measurement():
-    report = _run("gentle-measurement", 120.0, n_pairs=100)
+    report = _run("gentle-measurement", 120.0)
     assert report["pairs"] >= 100
     assert report["violations"] == 0
 
 
 def test_acceptance_entropy_pipeline():
-    report = _run("entropy-floor", 120.0, n_states=100)
+    report = _run("entropy-floor", 120.0)
     assert report["states_per_code"] == 100
 
 
@@ -60,13 +60,13 @@ def test_acceptance_entropy_audit():
 
 
 def test_acceptance_amplification():
-    report = _run("amplification", 180.0, n_states=200)
+    report = _run("amplification", 180.0)
     assert report["states"] >= 200
     assert report["p1_identity_deviation"] <= 1e-12
 
 
 def test_acceptance_sparsification():
-    report = _run("sparsification", 120.0, n_seeds=100)
+    report = _run("sparsification", 120.0)
     assert report["success_fraction"] >= 1.0 / 3.0
 
 
@@ -116,12 +116,12 @@ def test_acceptance_zero_state_distance():
 
 
 def test_acceptance_uncertainty():
-    report = _run("uncertainty", 60.0, n_states=1000)
+    report = _run("uncertainty", 60.0)
     assert report["states"] == 1000
 
 
 def test_acceptance_lightcone_counting():
-    report = _run("lightcone-sandwich", 60.0, n_seeds=50)
+    report = _run("lightcone-sandwich", 60.0)
     assert report["seeds"] == 50
 
 

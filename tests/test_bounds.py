@@ -34,7 +34,7 @@ from stablab.states import (
 )
 from stablab.syndrome import build_syndrome_circuit
 
-from oracles import pauli_matrix, projector_from_strings, trace_distance
+from oracles import conjugate_pauli_mixture, pauli_matrix, projector_from_strings, trace_distance
 
 
 def test_inputs_validate_ranges():
@@ -212,7 +212,7 @@ def test_trace_distance_orthogonal_sector():
     code = build_code("five_qubit")
     pair = logical_pairs(code.group)[0]
     state = StabilizerMixture(5, code.group.generators + (pair.zbar,))
-    flipped = state.conjugate_pauli(single(5, 0, "X"))
+    flipped = conjugate_pauli_mixture(state, single(5, 0, "X"))
     rep = trace_distance_to_code(flipped, code)
     assert rep["fidelity"] == pytest.approx(0.0)
     assert rep["trace_distance"] == pytest.approx(1.0)
@@ -383,7 +383,7 @@ def distinguishing_region(psi, theta, size_cap: int, threshold: float | None = N
     for size in range(1, size_cap + 1):
         for region in combinations(range(m), size):
             dist = trace_distance(
-                partial_trace(rho, region, m), partial_trace(sigma, region, m)
+                partial_trace(rho, region), partial_trace(sigma, region)
             )
             if threshold is not None and dist >= threshold:
                 return {"region": region, "distance": dist, "threshold": threshold}
@@ -426,7 +426,7 @@ def test_distinguishing_region_logical_flip_five_qubit():
     rep_bd = best_distance(code.group)
     psi = random_low_depth(5, 1, family="clifford", seed=4)
     state = zero_mixture(5).apply_circuit(psi)
-    flipped = state.conjugate_pauli(pair.xbar)
+    flipped = conjugate_pauli_mixture(state, pair.xbar)
     # orthogonality premise: the logical flip must move the state far
     fid = abs(np.vdot(state.dense_vector(), flipped.dense_vector()))
     assert fid <= 1 / math.sqrt(2) + 1e-9

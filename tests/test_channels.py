@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import stablab.paulis
 from stablab.channels import (
-    _logical_basis_family,
     _region_is_correctable,
     encoded_state,
     entropy_audit,
@@ -33,9 +32,11 @@ from stablab.states import (
 from stablab.syndrome import build_syndrome_circuit, decohere
 from oracles import (
     basis_vector,
+    conjugate_pauli_mixture,
     depolarized_branches,
     entropy_audit_by_branches,
     logical_channel_kraus,
+    marginal_invariance_dense,
     mixture_rho,
     project_eigenspace,
     theta_by_branches,
@@ -417,7 +418,7 @@ def test_entropy_audit_clifford_branch_matches_dense():
     """Same Theta pushed through both backends gives the same numbers."""
     code = five_qubit_code()
     group = code.group
-    mix = group_mixture(group).conjugate_pauli(single(5, 2, "X"))
+    mix = conjugate_pauli_mixture(group_mixture(group), single(5, 2, "X"))
     w = random_low_depth(9, depth=2, family="clifford", seed=11)
     report = entropy_audit(mix, group, w)
     assert report["S_Theta"] == pytest.approx(1.0)  # error shifts sector, not entropy
@@ -466,7 +467,7 @@ def _audit_case(name, prep, seed, error, rotation):
     n, m = group.n, group.n + len(group.generators)
     state = zero_mixture(n).apply_circuit(prep)
     if error:
-        state = state.conjugate_pauli(single(n, seed % n, "XYZ"[seed % 3]))
+        state = conjugate_pauli_mixture(state, single(n, seed % n, "XYZ"[seed % 3]))
     if rotation == "extraction":
         w = build_syndrome_circuit(group).circuit
     elif rotation == "haar":
@@ -568,7 +569,7 @@ def test_mixture_channel_matches_dense_channel(name, keep, depth, seed):
     assert np.allclose(rho(got), logical_depolarize(rho(state), pairs), atol=1e-12)
 
 
-# --- rank test (cleaning lemma) against the dense family suite ---
+# --- rank test (cleaning lemma) against the dense family oracle ---
 
 _RANK_CODES = {
     "five_qubit": five_qubit_code(),
@@ -578,13 +579,11 @@ _RANK_CODES = {
 }
 
 
-def _both_paths(code, region, distance=None):
-    """(default call, same call with the logical-basis family given explicitly)."""
+def _both_paths(code, region):
+    """(rank test verdict, dense oracle report on the logical-basis family)."""
     group = code.group
-    family = _logical_basis_family(group, logical_pairs(group))
-    fast = marginal_invariance_suite(code, region=region, distance=distance)
-    dense = marginal_invariance_suite(code, family=family, region=region, distance=distance)
-    return fast, dense
+    clean = _region_is_correctable(group, logical_pairs(group), sorted(region))
+    return clean, marginal_invariance_dense(code, region)
 
 
 @settings(max_examples=60, deadline=None)
@@ -594,9 +593,10 @@ def test_rank_path_matches_dense_family_below_distance(name, data):
     d = code_parameters(code.group).d
     size = data.draw(st.integers(1, d - 1))
     region = data.draw(st.lists(st.integers(0, code.n - 1), min_size=size, max_size=size, unique=True))
-    fast, dense = _both_paths(code, region)
-    assert fast == dense
-    assert fast["passed"] and fast["max_deviation"] == 0.0
+    clean, dense = _both_paths(code, region)
+    assert clean
+    assert dense["passed"] and dense["max_deviation"] == 0.0
+    assert marginal_invariance_suite(code, region) == dense
 
 
 @settings(max_examples=25, deadline=None)
@@ -606,34 +606,27 @@ def test_rank_path_matches_dense_family_at_or_above_distance(name, data):
     d = code_parameters(code.group).d
     size = data.draw(st.integers(d, d + 1))
     region = data.draw(st.lists(st.integers(0, code.n - 1), min_size=size, max_size=size, unique=True))
-    fast, dense = _both_paths(code, region, distance=size + 1)
-    assert fast == dense
-    clean = _region_is_correctable(code.group, logical_pairs(code.group), sorted(region))
-    assert fast["passed"] or not clean
+    clean, dense = _both_paths(code, region)
+    assert clean == dense["passed"]
+    assert (dense["max_deviation"] == 0.0) == clean
 
 
 @pytest.mark.parametrize("name", sorted(_RANK_CODES))
-def test_logical_supports_take_the_dense_fallback(name):
-    """Each Xbar/Zbar support holds a logical: the rank test says so, the dense path reports the failure."""
+def test_logical_supports_fail_both_paths(name):
+    """Each Xbar/Zbar support holds a logical: the rank test says so, the dense oracle measures it."""
     code = _RANK_CODES[name]
     pairs = logical_pairs(code.group)
     for op in [p.xbar for p in pairs] + [p.zbar for p in pairs]:
-        region = op.support
-        assert not _region_is_correctable(code.group, pairs, region)
-        fast, dense = _both_paths(code, region, distance=len(region) + 1)
-        assert fast == dense
-        assert not fast["passed"] and fast["max_deviation"] > 0.1
+        clean, dense = _both_paths(code, op.support)
+        assert not clean
+        assert not dense["passed"] and dense["max_deviation"] > 0.1
 
 
 def test_rank_path_passes_a_large_region_without_a_logical():
-    """A 3-qubit toric3 region off every logical path is decided by rank alone, like the dense path."""
-    code = _RANK_CODES["toric3"]
-    pairs = logical_pairs(code.group)
-    region = (0, 1, 9)
-    assert _region_is_correctable(code.group, pairs, region)
-    fast, dense = _both_paths(code, region, distance=4)
-    assert fast == dense
-    assert fast["passed"] and fast["max_deviation"] == 0.0
+    """A 3-qubit toric3 region off every logical path passes the rank test and the dense oracle."""
+    clean, dense = _both_paths(_RANK_CODES["toric3"], (0, 1, 9))
+    assert clean
+    assert dense["passed"] and dense["max_deviation"] == 0.0
 
 
 def test_sub_distance_regions_need_no_dense_marginal(monkeypatch):

@@ -225,12 +225,12 @@ def test_compose_and_embed():
     with pytest.raises(ValueError):
         compose(a, random_low_depth(4, 1, seed=2))
 
-    shifted = embed(a, 5, {0: 2, 1: 3, 2: 4})
-    assert shifted.m == 5
+    widened = embed(a, 5)
+    assert widened.m == 5
     u_small = circuit_unitary(a)
-    u_big = circuit_unitary(shifted)
-    # wires 0,1 of the big system are untouched
-    assert np.allclose(u_big, np.kron(np.eye(4), u_small), atol=1e-10)
+    u_big = circuit_unitary(widened)
+    # wires 3, 4 of the big system are untouched
+    assert np.allclose(u_big, np.kron(u_small, np.eye(4)), atol=1e-10)
 
 
 def test_random_low_depth_shapes_and_determinism():

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import stablab
+import stablab.channels
 import stablab.cli
 import stablab.suites
 from stablab.circuits import dump_circuit, random_low_depth
@@ -242,6 +243,16 @@ def test_bounds_suite_failure_exits_1(runner, monkeypatch):
     assert result.exit_code == 1
     assert "FAILED" in result.stderr
     assert "bounds-regime" in result.stderr
+
+
+def test_rank_test_rejecting_a_region_below_distance_exits_3(runner, monkeypatch):
+    """A logical below the distance contradicts the distance search: an internal error, not a failed check."""
+    monkeypatch.setattr(stablab.channels, "_region_is_correctable", lambda group, pairs, region: False)
+    result = invoke(runner, ["bounds", "suite", "--check", "local-indistinguishability"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Internal error: AssertionError: region (0,) holds a logical")
 
 
 def test_bounds_suite_needs_all_xor_checks(runner):

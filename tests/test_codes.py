@@ -17,13 +17,12 @@ from stablab.codes import (
     hypergraph_product,
     load_code,
     punctured_toric_code,
-    repetition_check_matrix,
     surface_code,
     toric_code,
 )
 from stablab.paulis import logical_pairs
 
-from oracles import gf2_rank_naive
+from oracles import gf2_rank_naive, ring_check_matrix
 
 # frozen from the rank + weight-ascending enumeration oracles (see ledger)
 EXPECTED_PARAMETERS = {
@@ -176,7 +175,7 @@ def test_surface_codes_from_repetition_product():
 
 def test_hypergraph_product_periodic_reproduces_toric_parameters():
     for length in (2, 3):
-        h = repetition_check_matrix(length, periodic=True)
+        h = ring_check_matrix(length)
         product = hypergraph_product(h, h)
         toric = toric_code(length)
         p1 = code_parameters(product)

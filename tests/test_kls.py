@@ -136,7 +136,7 @@ def test_agsp_code_state_has_unit_fidelity():
     # encode |0bar> with a circuit built from the projector route: instead
     # use the identity on a group-sized code; simplest exact case is k = n
     trivial = StabilizerGroup([], n=3)
-    report = agsp_projector_check(identity_circuit(3), trivial, 3, distance=2)
+    report = agsp_projector_check(identity_circuit(3), trivial, 3)
     assert abs(report["f_squared"] - 1.0) < 1e-12
     assert code.group.n == 5
 

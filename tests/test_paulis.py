@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablab import gf2, paulis
-from stablab.codes import BUILTIN_CODES, build_code, hypergraph_product, repetition_check_matrix, toric_code
+from stablab.codes import BUILTIN_CODES, build_code, hypergraph_product, toric_code
 from stablab.paulis import (
     PauliOperator,
     StabilizerGroup,
@@ -31,6 +31,7 @@ from oracles import (
     pauli_matrix,
     projector_from_strings,
     random_pauli,
+    ring_check_matrix,
 )
 
 
@@ -319,7 +320,7 @@ def test_best_distance_five_qubit():
 _DISTANCE_GROUPS = {name: lambda name=name: build_code(name).group for name in sorted(BUILTIN_CODES)}
 _DISTANCE_GROUPS["toric4"] = lambda: toric_code(4).group
 _DISTANCE_GROUPS["hgp_ring4_ring2"] = lambda: hypergraph_product(
-    repetition_check_matrix(4, periodic=True), repetition_check_matrix(2, periodic=True)
+    ring_check_matrix(4), ring_check_matrix(2)
 ).group
 _DISTANCE_GROUPS["shor9"] = lambda: StabilizerGroup(
     [from_letters(c) for c in ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ")]

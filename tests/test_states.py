@@ -7,6 +7,8 @@ from oracles import (
     basis_vector,
     chp_conjugate,
     circuit_unitary_naive,
+    conjugate,
+    conjugate_pauli_mixture,
     conjugated_rows_per_step,
     dephase_group_sum,
     expand_gate,
@@ -183,7 +185,7 @@ def test_partial_trace_matches_naive():
         rho = rho_from_vector(psi)
         size = int(rng.integers(1, m))
         keep = sorted(rng.choice(m, size=size, replace=False).tolist())
-        fast = partial_trace(rho, keep, m)
+        fast = partial_trace(rho, keep)
         slow = partial_trace_naive(rho, keep, m)
         assert np.allclose(fast, slow, atol=1e-12)
         assert np.isclose(np.trace(fast).real, 1.0, atol=1e-12)
@@ -193,8 +195,8 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(5)
     a, b = random_state(1, rng), random_state(2, rng)
     rho = rho_from_vector(np.kron(a, b))
-    assert np.allclose(partial_trace(rho, [0], 3), rho_from_vector(a), atol=1e-12)
-    assert np.allclose(partial_trace(rho, [1, 2], 3), rho_from_vector(b), atol=1e-12)
+    assert np.allclose(partial_trace(rho, [0]), rho_from_vector(a), atol=1e-12)
+    assert np.allclose(partial_trace(rho, [1, 2]), rho_from_vector(b), atol=1e-12)
 
 
 def test_entropy_fidelity_trace_distance():
@@ -469,7 +471,7 @@ def test_mixture_marginal_matches_dense_partial_trace():
         size = int(rng.integers(1, 4))
         region = sorted(rng.choice(m, size=size, replace=False).tolist())
         fast = mixture.marginal(region)
-        slow = partial_trace(dense_rho, region, m)
+        slow = partial_trace(dense_rho, region)
         assert np.allclose(fast, slow, atol=1e-10), (seed, region)
 
 
@@ -490,7 +492,7 @@ def test_conjugate_pauli_matches_dense():
     mixture = zero_mixture(3).apply_circuit(circ)
     dense = apply_circuit_vec(zero_vector(3), circ)
     p = from_letters("XYI")
-    conj = mixture.conjugate_pauli(p)
+    conj = conjugate_pauli_mixture(mixture, p)
     dense_conj = apply_pauli_vec(dense, p)
     overlap = abs(np.vdot(conj.dense_vector(), dense_conj))
     assert np.isclose(overlap, 1.0, atol=1e-10)
@@ -678,7 +680,7 @@ def test_composed_gate_tables_match_the_per_step_loop_and_the_chp_rules(data):
     m = data.draw(st.integers(2, 8))
     state = StabilizerMixture(m, zero_mixture(m).rows[: data.draw(st.integers(1, m))])
     state = state.apply_circuit(random_low_depth(m, 2, family="clifford", seed=data.draw(st.integers(0, 2**16))))
-    state = state.conjugate_pauli(data.draw(_paulis(m)))  # random row signs
+    state = conjugate_pauli_mixture(state, data.draw(_paulis(m)))  # random row signs
     gate = data.draw(_gate_slots(m))
     got = state.apply_gate(gate).rows
     assert got == conjugated_rows_per_step(state.rows, m, gate)
@@ -745,7 +747,7 @@ def test_dispatch_agrees_on_mixture_vector_and_rho(state, data):
     for form in forms:
         assert states.num_qubits(form) == state.m
         assert states.expectation(form, p) == pytest.approx(state.expectation(p), abs=1e-12)
-        assert _same_rho(states.conjugate(form, p), state.conjugate_pauli(p))
+        assert _same_rho(conjugate(form, p), conjugate_pauli_mixture(state, p))
         assert np.allclose(states.marginal(form, region), state.marginal(region), atol=1e-12)
         assert np.allclose(states.density_matrix(form), rho, atol=1e-12)
         assert states.entropy(form) == pytest.approx(0.0, abs=1e-9)
@@ -769,7 +771,7 @@ def test_dispatch_agrees_on_mixed_mixture_and_rho(state, data):
     for form in (state, rho):
         assert states.num_qubits(form) == state.m
         assert states.expectation(form, p) == pytest.approx(state.expectation(p), abs=1e-12)
-        assert _same_rho(states.conjugate(form, p), state.conjugate_pauli(p))
+        assert _same_rho(conjugate(form, p), conjugate_pauli_mixture(state, p))
         assert states.entropy(form) == pytest.approx(state.m - state.rank, abs=1e-9)
     assert isinstance(states.entropy(state), float)
 
@@ -796,6 +798,21 @@ def test_apply_circuit_dispatch_agrees_across_backends(state, family, seed):
         assert psi.ndim == 1 and np.abs(rho_from_vector(psi) - want).max() <= 1e-12
     with pytest.raises(ValueError, match="circuit acts on"):
         states.apply_circuit(state, random_low_depth(state.m + 1, 1, seed=seed))
+
+
+@pytest.mark.parametrize(
+    "apply, circuit",
+    [
+        (zero_mixture(3).apply_circuit, LayeredCircuit(4, ((Gate(qubits=(0, 3), name="CZ"),),))),
+        (zero_mixture(3).apply_circuit, LayeredCircuit(5, ((Gate(qubits=(4,), name="H"),),))),
+        (lambda circuit: apply_circuit_vec(zero_vector(3), circuit), random_low_depth(5, 1, seed=0)),
+    ],
+    ids=["mixture-cz-past-the-last-wire", "mixture-h-past-the-last-wire", "vector-five-wire-circuit"],
+)
+def test_circuit_kernels_reject_another_width(apply, circuit):
+    """The tableau and the dense kernel check the circuit's width themselves."""
+    with pytest.raises(ValueError, match=f"circuit acts on {circuit.m} wires, state has 3"):
+        apply(circuit)
 
 
 @settings(max_examples=40, deadline=None)

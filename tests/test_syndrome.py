@@ -19,7 +19,6 @@ from stablab.states import (
     zero_mixture,
 )
 from stablab.syndrome import (
-    Coloring,
     build_syndrome_circuit,
     coherent_extension,
     decohere,
@@ -31,6 +30,7 @@ from oracles import (
     basis_vector,
     circuit_unitary_naive,
     coherent_extension_by_sectors,
+    conjugate_pauli_mixture,
     signed_commuting_groups,
     mixture_rho,
     pauli_matrix,
@@ -192,14 +192,6 @@ def test_negative_sign_check_gets_z_layer():
     assert np.allclose(out1, basis_vector(2, (1, 0)), atol=1e-12)
 
 
-def test_coloring_validation():
-    group = five_qubit_code().group
-    with pytest.raises(ValueError, match="improper coloring"):
-        build_syndrome_circuit(group, Coloring(colors=(0, 0, 1, 2)))
-    with pytest.raises(ValueError, match="length"):
-        build_syndrome_circuit(group, Coloring(colors=(0, 1)))
-
-
 def test_decohere_code_state_single_branch():
     group = five_qubit_code().group
     dec = decohere(group_mixture(group), group)
@@ -213,7 +205,7 @@ def test_decohere_single_error_single_branch():
     code = toric_code(2)
     group = code.group
     err = single(group.n, 0, "X")
-    state = group_mixture(group).conjugate_pauli(err)
+    state = conjugate_pauli_mixture(group_mixture(group), err)
     dec = decohere(state, group)
     assert len(dec.branches) == 1
     bits, p, branch = dec.branches[0]
@@ -341,8 +333,8 @@ def _gentle_by_branches(phi, group, region):
     """(fidelity, bound) with Theta summed over the decohered branches, densely."""
     n, N = group.n, len(group.generators)
     branches = [(bits, p, _dense_rho(b, n)) for bits, p, b in decohere(phi, group).branches]
-    theta_r = partial_trace(theta_by_branches(branches, n, N), region, n + N)
-    psi_r = partial_trace(_dense_rho(coherent_extension(phi, group), n + N), region, n + N)
+    theta_r = partial_trace(theta_by_branches(branches, n, N), region)
+    psi_r = partial_trace(_dense_rho(coherent_extension(phi, group), n + N), region)
     rho = _dense_rho(phi, n)
     eps = [(1 - np.trace(pauli_matrix(g.letters(), g.sign) @ rho).real) / 2 for g in group.generators]
     return fidelity(psi_r, theta_r), 1.0 - sum(eps[q - n] for q in region if q >= n)
