@@ -1,4 +1,4 @@
-"""Layered circuits of one- and two-qubit gates, and their lightcones.
+"""Layered circuits of one- and two-qubit gates, their lightcones, and the Clifford engine.
 
 A circuit is a sequence of layers; each layer holds gates on pairwise
 disjoint wires, so depth equals the number of layers. Gates come in three
@@ -7,12 +7,21 @@ elementaries acting inside one gate slot, still a single gate for depth and
 lightcone purposes), or a dense unitary payload. Any wiring is allowed
 (all-to-all connectivity); fan-in/out of a gate is at most two wires.
 
-``NAMED_GATES`` is the one statement of what a named gate does. The dense
-simulator uses the matrices directly; the stabilizer tableau uses
-:func:`pauli_image_table`, each gate's action on the Pauli basis, derived
-from its matrix at first use. A word's action on its two wires is one
-table too, :func:`gate_image_table`, composed from its steps' tables, so
-the tableau pays one lookup per row per gate, however long the word.
+``NAMED_GATES`` holds each named gate's matrix, which the dense simulator
+applies. The stabilizer side conjugates Paulis in Stim's column layout
+(Gidney, arXiv 2103.02202): a list of N Paulis on m qubits is one x-column
+int and one z-column int per qubit plus one sign int, bit i belonging to
+Pauli i. Each named gate is a CHP column update (Aaronson-Gottesman,
+quant-ph/0406196) of a few int operations on its wires' columns, so a gate
+costs the same however many Paulis the columns hold, and a word applies its
+steps in turn. :func:`conjugate_columns` applies U P U^dagger (the
+Schrodinger picture, for a mixture's rows); :func:`heisenberg_columns`
+applies U^dagger P U through the reversed, daggered steps, which reads a
+check's expectation on U|0^m> without building the state. The tests check
+every rule against the Pauli image table derived from the gate's matrix.
+On a 2-vCPU host, a depth-3 ``random_low_depth`` circuit (27 twelve-step
+words) conjugates the 18 rows of |0^18> in about 0.15 ms, and reads the 18
+toric3 check energies of its output state in about 0.09 ms.
 
 Lightcones are exact gate-connectivity cones (not the 2^t upper bound): the
 cone of a region A is everything reachable by chains of overlapping gates
@@ -23,13 +32,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from . import gf2
 from .io import json_int, load_payload
-from .paulis import PauliOperator, dense_matrix, gather, scatter
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -153,88 +162,136 @@ def dagger_gate(gate: Gate) -> Gate:
     return Gate(qubits=gate.qubits, matrix=gate.matrix.conj().T)
 
 
-@cache
-def pauli_image_table(name: str) -> tuple[tuple[int, int], ...]:
-    """Conjugation table of a named Clifford: entry v is (image, sign).
+# --- the column engine ---
+#
+# A rule conjugates every Pauli held in the columns (layout in
+# pauli_columns) by one named gate on wires a (and b), P -> U P U^dagger, by
+# the CHP update (Aaronson-Gottesman, quant-ph/0406196) in the Hermitian sign
+# convention: it rewrites the gate's own columns in place and returns the new
+# sign int. A one-qubit rule ignores b.
 
-    v = x | z << k encodes a Hermitian Pauli on the gate's k local qubits
-    (local qubit j is bit j; qubits[0] is the most significant kron factor,
-    as in :func:`gate_matrix`), and U P_v U^dagger = sign * P_image. Built
-    from the gate's matrix at first use; raises ValueError if some image is
-    not a single signed Pauli.
+
+def pauli_columns(paulis, m: int) -> tuple[list[int], list[int], int]:
+    """The column layout of a list of Paulis on m qubits: (xs, zs, signs).
+
+    ``xs[q]`` / ``zs[q]`` carry bit i when Pauli i has an X / Z part on
+    qubit q (both bits: Y), and bit i of ``signs`` is set when Pauli i
+    carries sign -1.
     """
-    mat = NAMED_GATES[name]
-    k = mat.shape[0].bit_length() - 1
-    basis = [dense_matrix(PauliOperator(k, v & ((1 << k) - 1), v >> k)) for v in range(4**k)]
-    table = []
-    for p in basis:
-        image = mat @ p @ mat.conj().T
-        coeffs = [np.trace(q @ image).real / 2**k for q in basis]
-        w = int(np.argmax(np.abs(coeffs)))
-        sign = 1 if coeffs[w] > 0 else -1
-        if not np.allclose(image, sign * basis[w], atol=1e-9):
-            raise ValueError(f"{name} maps a Pauli to no single signed Pauli")
-        table.append((w, sign))
-    return tuple(table)
+    cols = gf2.transpose([p.vec for p in paulis], 2 * m)
+    return cols[:m], cols[m:], sum(1 << i for i, p in enumerate(paulis) if p.sign < 0)
 
 
-@cache
-def framed_image_table(name: str, locs: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
-    """:func:`pauli_image_table` of a step on positions ``locs`` of a k-wire gate frame.
+def _h(xs, zs, s, a, b):
+    x, z = xs[a], zs[a]
+    xs[a], zs[a] = z, x
+    return s ^ (x & z)
 
-    Entry v = x | z << k is a Hermitian Pauli on the frame; the step's
-    table acts on the bits of ``locs`` and leaves the others in place.
+
+def _s(xs, zs, s, a, b):
+    x, z = xs[a], zs[a]
+    zs[a] = z ^ x
+    return s ^ (x & z)
+
+
+def _sdg(xs, zs, s, a, b):
+    x, z = xs[a], zs[a]
+    zs[a] = z ^ x
+    return s ^ (x & ~z)
+
+
+def _x(xs, zs, s, a, b):
+    return s ^ zs[a]
+
+
+def _y(xs, zs, s, a, b):
+    return s ^ xs[a] ^ zs[a]
+
+
+def _z(xs, zs, s, a, b):
+    return s ^ xs[a]
+
+
+def _cx(xs, zs, s, a, b):
+    xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
+    xs[b] = xb ^ xa
+    zs[a] = za ^ zb
+    return s ^ (xa & zb & ~(xb ^ za))
+
+
+def _cz(xs, zs, s, a, b):
+    xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
+    zs[a] = za ^ xb
+    zs[b] = zb ^ xa
+    return s ^ (xa & xb & (za ^ zb))
+
+
+def _cy(xs, zs, s, a, b):
+    # SDG on b, CX, S on b, collapsed
+    xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
+    xs[b] = xb ^ xa
+    zs[a] = za ^ zb ^ xb
+    zs[b] = zb ^ xa
+    return s ^ (xa & (zb ^ xb) & (xb ^ za))
+
+
+def _swap(xs, zs, s, a, b):
+    xs[a], xs[b] = xs[b], xs[a]
+    zs[a], zs[b] = zs[b], zs[a]
+    return s
+
+
+_COLUMN_RULES = {
+    "H": _h,
+    "S": _s,
+    "SDG": _sdg,
+    "X": _x,
+    "Y": _y,
+    "Z": _z,
+    "CX": _cx,
+    "CZ": _cz,
+    "CY": _cy,
+    "SWAP": _swap,
+}
+_INVERSE_RULES = {name: _COLUMN_RULES[_DAGGER_NAME[name]] for name in _COLUMN_RULES}
+
+
+def _conjugate(xs: list[int], zs: list[int], signs: int, layers, rules, backwards: bool) -> int:
+    """Every step of the layers through ``rules``; a word's steps in reverse when ``backwards``."""
+    for layer in layers:
+        for gate in layer:
+            if gate.name is not None:
+                steps = ((gate.name, (0, -1)),)  # a named gate is a one-step word on all its wires
+            elif gate.word is not None:
+                steps = reversed(gate.word) if backwards else gate.word
+            else:
+                raise ValueError("dense gates have no tableau action; use the dense backend")
+            qs = gate.qubits
+            for name, locs in steps:
+                signs = rules[name](xs, zs, signs, qs[locs[0]], qs[locs[-1]])
+    return signs
+
+
+def conjugate_columns(xs: list[int], zs: list[int], signs: int, circuit: "LayeredCircuit") -> int:
+    """U P U^dagger for every Pauli P held in the columns of :func:`pauli_columns`, U the circuit.
+
+    The columns are rewritten in place and the new signs returned; each
+    gate costs a few int operations per step, however many Paulis the
+    columns hold. Raises ValueError at a dense gate.
     """
-    table = pauli_image_table(name)
-    bits = locs + tuple(k + p for p in locs)
-    clear = ~scatter((1 << len(bits)) - 1, bits)
-    framed = []
-    for v in range(4**k):
-        image, sign = table[gather(v, bits)]
-        framed.append((v & clear | scatter(image, bits), sign))
-    return tuple(framed)
+    return _conjugate(xs, zs, signs, circuit.layers, _COLUMN_RULES, False)
 
 
-class _ComposedTable(dict):
-    """Steps' framed tables chained on first access to an entry, then kept."""
+def heisenberg_columns(xs: list[int], zs: list[int], signs: int, circuit: "LayeredCircuit") -> int:
+    """U^dagger P U for every Pauli P held in the columns: the reversed, daggered steps.
 
-    def __init__(self, steps):
-        super().__init__()
-        self.steps = steps
-
-    def __missing__(self, v: int) -> tuple[int, int]:
-        image, sign = v, 1
-        for table in self.steps:
-            image, s = table[image]
-            sign *= s
-        self[v] = entry = (image, sign)
-        return entry
-
-
-def gate_image_table(gate: Gate) -> tuple[tuple[int, int], ...] | dict[int, tuple[int, int]]:
-    """Conjugation table of a named or word gate on its own wires: entry v is (image, sign).
-
-    v = x | z << k encodes a Hermitian Pauli on the gate's k wires (local
-    qubit j is ``gate.qubits[j]``), and U P_v U^dagger = sign * P_image. A
-    named gate is a one-step word; a one-step word returns its cached
-    :func:`framed_image_table`. A longer word returns a fresh lazy table
-    that chains the steps' framed tables for an entry at its first lookup,
-    so a caller that reads a few entries pays for those alone. Raises
-    ValueError for a dense gate.
+    Same layout and contract as :func:`conjugate_columns`. On U|0^m>, the
+    expectation of P is <0^m| U^dagger P U |0^m>, read off the image.
     """
-    k = len(gate.qubits)
-    if gate.name is not None:
-        steps = ((gate.name, tuple(range(k))),)
-    elif gate.word is not None:
-        steps = gate.word
-    else:
-        raise ValueError("dense gates have no tableau action; use the dense backend")
-    if len(steps) == 1:
-        return framed_image_table(steps[0][0], tuple(steps[0][1]), k)
-    return _ComposedTable(tuple(framed_image_table(name, tuple(locs), k) for name, locs in steps))
+    return _conjugate(xs, zs, signs, reversed(circuit.layers), _INVERSE_RULES, True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayeredCircuit:
     """Layers of disjoint gates on m wires; code_qubits marks the data wires."""
 
@@ -323,6 +380,12 @@ _WORD_ALPHABET: tuple[WordStep, ...] = (
 _WORD_STEPS = np.fromiter(_WORD_ALPHABET, dtype=object, count=len(_WORD_ALPHABET))  # indexed by a whole draw
 
 
+@lru_cache(maxsize=1 << 12)
+def _wire_pair(a: int, b: int) -> tuple[int, int]:
+    """One tuple per ordered wire pair, shared by every drawn gate on it: kept circuits hold no copies."""
+    return (a, b)
+
+
 def random_low_depth(m: int, depth: int, family: str = "clifford", seed: int | None = None) -> LayeredCircuit:
     """Random circuit: each layer a uniformly random maximal matching.
 
@@ -339,7 +402,7 @@ def random_low_depth(m: int, depth: int, family: str = "clifford", seed: int | N
     layers = []
     for _ in range(depth):
         perm = rng.permutation(m).tolist()
-        pairs = list(zip(perm[0 : m - 1 : 2], perm[1::2]))
+        pairs = list(map(_wire_pair, perm[0 : m - 1 : 2], perm[1::2]))
         if family == "clifford":
             words = _WORD_STEPS[rng.integers(0, len(_WORD_ALPHABET), size=(m // 2, 12))].tolist()
             gates = [_trusted_gate(pair, word=tuple(word)) for pair, word in zip(pairs, words)]

@@ -14,15 +14,15 @@ is what a larger-scale run would trip over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bounds import BoundInputs, depth_lower_bounds
-from .circuits import Gate, LayeredCircuit, _trusted_gate, random_low_depth
+from .circuits import Gate, LayeredCircuit, _trusted_gate, heisenberg_columns, pauli_columns, random_low_depth
 from .codes import as_group
-from .hamiltonians import EnergyReport, build_code_hamiltonian, energy_report
+from .hamiltonians import EnergyReport
 from .paulis import StabilizerGroup
-from .states import zero_mixture
 
 STRATEGIES = ("pauli-products", "random-clifford", "coordinate-descent")
 
@@ -44,7 +44,7 @@ _SINGLE_STATES: tuple[tuple[str, int, tuple], ...] = (
 _PREP_WORDS = {(letter, sign): word for letter, sign, word in _SINGLE_STATES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierRecord:
     """Best energy found at one depth by one strategy, with its witness."""
 
@@ -202,7 +202,7 @@ def product_prep_circuit(assignment, n: int) -> LayeredCircuit:
     """Single-qubit preparation layer for a product assignment (depth 0 entangling)."""
     gates = _prep_gates(assignment)
     layers = (gates,) if gates else ()
-    return LayeredCircuit(n, layers, code_qubits=tuple(range(n)))
+    return LayeredCircuit(n, layers)
 
 
 def _prep_gates(assignment) -> tuple[Gate, ...]:
@@ -211,9 +211,42 @@ def _prep_gates(assignment) -> tuple[Gate, ...]:
     return tuple(_trusted_gate((q,), word=word) for q, word in enumerate(words) if word)
 
 
-def _energy_of_circuit(circuit: LayeredCircuit, group, ham) -> EnergyReport:
-    state = zero_mixture(group.n).apply_circuit(circuit)
-    return energy_report(state, ham)
+def _check_columns(group: StabilizerGroup) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The checks in the column layout, kept as tuples so that no caller edits them in place."""
+    xs, zs, signs = pauli_columns(group.generators, group.n)
+    return tuple(xs), tuple(zs), signs
+
+
+def _energy_of_circuit(circuit: LayeredCircuit, group: StabilizerGroup) -> EnergyReport:
+    """Check energies of U|0^n>, read in the Heisenberg picture.
+
+    <0^n| U^dagger C U |0^n> is the sign of the image U^dagger C U when it
+    has no X bit, and 0 otherwise; so each check costs one bit test and no
+    state is built.
+    """
+    xs, zs, signs = group.derived("check_columns", lambda: _check_columns(group))
+    xs, zs = list(xs), list(zs)
+    signs = heisenberg_columns(xs, zs, signs, circuit)
+    flipped = 0  # bit i: the image of check i has an X bit
+    for x in xs:
+        flipped |= x
+    return _outcome_report(len(group.generators), flipped, signs & ~flipped)
+
+
+# energy (1 - <C>)/2 of a check whose image U^dagger C U is +-Z-type, by its sign bit
+_Z_TYPE_ENERGY = (0.0, 1.0)
+
+
+@lru_cache(maxsize=1 << 10)
+def _outcome_report(n_checks: int, flipped: int, negative: int) -> EnergyReport:
+    """The report of checks that read 0 (bits of ``flipped``), -1 (``negative``) or +1.
+
+    Searches meet few such patterns (about a hundred in 300 toric3 rounds),
+    so the records they keep share one immutable report per pattern.
+    """
+    return EnergyReport.from_terms(
+        tuple(0.5 if flipped >> i & 1 else _Z_TYPE_ENERGY[negative >> i & 1] for i in range(n_checks))
+    )
 
 
 _BRICK_CHOICES = ("II", "CX", "XC", "CZ", "SWAP")
@@ -239,15 +272,15 @@ def _assemble_descent(prep, bricks, n: int, pairings) -> LayeredCircuit:
             if gate is not None:
                 gates.append(gate)
         layers.append(tuple(gates))
-    return LayeredCircuit(n, tuple(layers), code_qubits=tuple(range(n)))
+    return LayeredCircuit(n, tuple(layers))
 
 
-def _descent_once(group, ham, pairings, prep, bricks, spend) -> EnergyReport:
+def _descent_once(group, pairings, prep, bricks, spend) -> EnergyReport:
     n = group.n
 
     def energy() -> EnergyReport:
         circuit = _assemble_descent(prep, bricks, n, pairings)
-        return _energy_of_circuit(circuit, group, ham)
+        return _energy_of_circuit(circuit, group)
 
     spend(1)
     current = energy()
@@ -286,7 +319,7 @@ def _descent_once(group, ham, pairings, prep, bricks, spend) -> EnergyReport:
     return current
 
 
-def _coordinate_descent(group, ham, t: int, budget: int, seed: int):
+def _coordinate_descent(group, t: int, budget: int, seed: int):
     """Budget-capped sweeps; warm start at |0^n>, then seeded random restarts."""
     n = group.n
     pairings = []
@@ -318,7 +351,7 @@ def _coordinate_descent(group, ham, t: int, budget: int, seed: int):
                 [str(rng.choice(_BRICK_CHOICES)) for _ in pairing]
                 for pairing in pairings
             ]
-        rep = _descent_once(group, ham, pairings, prep, bricks, spend)
+        rep = _descent_once(group, pairings, prep, bricks, spend)
         if best_rep is None or rep.total < best_rep.total - 1e-12:
             best_rep = rep
             best_state = ([pick for pick in prep], [list(layer) for layer in bricks])
@@ -340,8 +373,11 @@ def frontier_search(
     does not grow with depth); random-clifford draws budget circuits per
     depth with per-trial seeds derived from (seed, t, trial) and records
     the winning trial's seed, so the record reproduces from (strategy, t,
-    seed); coordinate-descent runs a budget-capped sweep from a seeded
-    random start. Single-qubit layers do not count toward t.
+    seed); coordinate-descent sweeps from |0^n> (every prep |0>, every
+    brick the identity) and spends what is left of the budget on restarts
+    from seeded random preps and bricks. Single-qubit layers do not count
+    toward t. Every energy is read from the circuit in the Heisenberg
+    picture, no state is built.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; options: {STRATEGIES}")
@@ -350,13 +386,12 @@ def frontier_search(
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     group = as_group(code_or_group)
-    ham = build_code_hamiltonian(group)
     records: list[FrontierRecord] = []
 
     if strategy == "pauli-products":
         best, assignment = product_state_minimum(group)
         circuit = product_prep_circuit(assignment, group.n)
-        rep = _energy_of_circuit(circuit, group, ham)
+        rep = _energy_of_circuit(circuit, group)
         assert abs(rep.total - best) < 1e-9
         for t in range(t_max + 1):
             records.append(FrontierRecord(t, strategy, seed, rep, circuit))
@@ -368,7 +403,7 @@ def frontier_search(
             for trial in range(budget):
                 trial_seed = seed + 104729 * t + 7919 * trial
                 circuit = random_low_depth(group.n, t, family="clifford", seed=trial_seed)
-                rep = _energy_of_circuit(circuit, group, ham)
+                rep = _energy_of_circuit(circuit, group)
                 key = (rep.total, trial_seed)
                 if best_rep is None or key < (best_rep.total, best_seed):
                     best_rep, best_seed, best_circuit = rep, trial_seed, circuit
@@ -376,7 +411,7 @@ def frontier_search(
         return records
 
     for t in range(t_max + 1):
-        rep, circuit = _coordinate_descent(group, ham, t, budget, seed)
+        rep, circuit = _coordinate_descent(group, t, budget, seed)
         records.append(FrontierRecord(t, strategy, seed, rep, circuit))
     return records
 

@@ -69,37 +69,50 @@ def build_code_hamiltonian(group: StabilizerGroup, normalization: str = "sum") -
     return CodeHamiltonian(group=group, normalization=normalization)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyReport:
     per_term: tuple[float, ...]
     total: float
     mean: float
 
+    @classmethod
+    def from_terms(cls, per_term: tuple[float, ...]) -> "EnergyReport":
+        """The report of per-term energies: their total and mean (0.0 without terms)."""
+        total = float(sum(per_term))
+        return cls(per_term=per_term, total=total, mean=total / len(per_term) if per_term else 0.0)
 
-def _embedded_checks(state, ham: CodeHamiltonian, code_qubits) -> list[PauliOperator]:
+
+def _code_checks(state, ham: CodeHamiltonian, hint: str) -> tuple[PauliOperator, ...]:
+    """The checks, for a state on the code's own wires; else ValueError ending in ``hint``."""
     m = num_qubits(state)
+    if m != ham.n:
+        raise ValueError(f"state has {m} qubits but the code needs {ham.n}{hint}")
+    return ham.group.generators
+
+
+def _embedded_checks(state, ham: CodeHamiltonian, code_qubits) -> tuple[PauliOperator, ...]:
     if code_qubits is None:
-        if m != ham.n:
-            raise ValueError(
-                f"state has {m} qubits but the code needs {ham.n}; pass code_qubits"
-            )
-        return list(ham.group.generators)
+        return _code_checks(state, ham, "; pass code_qubits")
+    m = num_qubits(state)
     code_qubits = tuple(code_qubits)
     if len(code_qubits) != ham.n:
         raise ValueError(f"code_qubits must list {ham.n} wires, got {len(code_qubits)}")
-    return [embed_pauli(g, m, code_qubits) for g in ham.group.generators]
+    return tuple(embed_pauli(g, m, code_qubits) for g in ham.group.generators)
 
 
 def energy_report(state, ham: CodeHamiltonian, code_qubits=None) -> EnergyReport:
-    """Per-term energies eps_i = (1 - <C_i>)/2 plus their total and mean."""
+    """Per-term energies eps_i = (1 - <C_i>)/2 plus their total and mean.
+
+    ``code_qubits`` lists the wires that carry the code's qubits, in order,
+    when the state is wider than the code.
+    """
     checks = _embedded_checks(state, ham, code_qubits)
-    per_term = tuple(0.5 - 0.5 * expectation(state, c) for c in checks)
-    total = float(sum(per_term))
-    return EnergyReport(per_term=per_term, total=total, mean=total / len(per_term) if per_term else 0.0)
+    return EnergyReport.from_terms(tuple(0.5 - 0.5 * expectation(state, c) for c in checks))
 
 
 def energy_value(state, ham: CodeHamiltonian) -> float:
-    """tr(H rho) in the Hamiltonian's own normalization."""
+    """tr(H rho) in the Hamiltonian's own normalization, for a state on the code's own wires."""
+    _code_checks(state, ham, "")  # first, so that the error names no code_qubits
     report = energy_report(state, ham)
     return report.mean if ham.normalization == "mean" else report.total
 
@@ -181,7 +194,7 @@ def amplified_energy(state, amp: AmplifiedHamiltonian) -> float:
     density matrix). Raises ValueError when the n_terms^p tuples would
     exceed MAX_AMPLIFIED_TUPLES, or p its bit length.
     """
-    checks = _embedded_checks(state, amp.base, None)
+    checks = _code_checks(state, amp.base, "")
     n_terms = len(checks)
     if amp.p > MAX_AMPLIFIED_TUPLES.bit_length() or n_terms**amp.p > MAX_AMPLIFIED_TUPLES:
         raise ValueError(f"{n_terms}^{amp.p} check tuples exceed the cap of {MAX_AMPLIFIED_TUPLES}")

@@ -13,13 +13,13 @@ independent commuting signed Pauli rows on m qubits define
 which is pure exactly when r = m and has entropy m - r bits. Clifford
 conjugation, measurement, dephasing and expectations stay in the symplectic
 representation; a marginal folds r' generators onto the identity with
-:func:`project_rows` instead of summing 2^r' group members. A named or
-word gate acts on the rows through one ``circuits.gate_image_table``: its
-action on the Pauli group of its own wires, composed from the steps'
-``pauli_image_table``s, which are derived from the gate matrices, so the
-tableau and the dense simulator read the same definition of each gate. A
-row costs one gather, one lookup and one scatter per gate, however long
-the word.
+:func:`project_rows` instead of summing 2^r' group members. A Clifford
+circuit acts on the rows in Stim's column layout: the rows are transposed
+once into one x and one z column int per qubit plus a sign int
+(``circuits.pauli_columns``), every gate rewrites only its own wires'
+columns with the CHP rules (``circuits.conjugate_columns``), and the
+columns are transposed back once. A row the circuit leaves unchanged, bits
+and sign, keeps its object.
 
 Every dense operator acts through one leading-axis kernel: ``apply_gate_vec``
 and ``apply_pauli_vec`` act on the first axis of a ``(2^m, ...)`` array, so
@@ -42,7 +42,7 @@ import os
 import numpy as np
 
 from . import gf2
-from .circuits import Gate, LayeredCircuit, gate_image_table, gate_matrix
+from .circuits import Gate, LayeredCircuit, conjugate_columns, gate_matrix, pauli_columns
 from .paulis import (
     PauliOperator,
     check_region,
@@ -51,7 +51,6 @@ from .paulis import (
     gather,
     multiply,
     outside_mask,
-    scatter,
     symplectic_product,
 )
 
@@ -319,44 +318,31 @@ class StabilizerMixture:
 
     # --- Clifford conjugation ---
 
-    def _conjugated_rows(self, gate: Gate) -> tuple[PauliOperator, ...]:
-        """U row U^dagger for every row: one table lookup per row per gate.
-
-        On the gate's wires w_0..w_{k-1} each row's local Pauli is gathered
-        from bits w_j (x) and m + w_j (z) of ``row.vec``, looked up once in
-        the gate's :func:`gate_image_table` (a word's steps composed) and its
-        image scattered back; a row with no bits there is skipped. Rows the
-        gate leaves unchanged are returned as the same objects.
-        """
-        table = gate_image_table(gate)
-        m = self.m
-        wires = gate.qubits
-        bits = wires + tuple(m + w for w in wires)
-        mask = scatter((1 << len(bits)) - 1, bits)
-        clear, low = ~mask, (1 << m) - 1
-        out = []
-        for row in self.rows:
-            vec = row.vec
-            if vec & mask:
-                image, sign = table[gather(vec, bits)]
-                new = vec & clear | scatter(image, bits)
-                if new != vec or sign != 1:
-                    row = PauliOperator(m, new & low, new >> m, row.sign * sign)
-            out.append(row)
-        return tuple(out)
-
     def apply_gate(self, gate: Gate) -> "StabilizerMixture":
-        return _trusted(self.m, self._conjugated_rows(gate))
+        """U rho U^dagger for one gate: a one-gate :meth:`apply_circuit`."""
+        return self.apply_circuit(LayeredCircuit(self.m, ((gate,),)))
 
     def apply_circuit(self, circuit: LayeredCircuit) -> "StabilizerMixture":
-        """Every gate in turn; raises ValueError when the circuit's width is not the state's."""
+        """U rho U^dagger for a Clifford circuit U, the rows conjugated as columns.
+
+        Returns this mixture for a circuit without gates. Raises ValueError
+        when the circuit's width is not the state's, or at a dense gate.
+        """
         if circuit.m != self.m:
             raise ValueError(f"circuit acts on {circuit.m} wires, state has {self.m}")
-        state = self
-        for layer in circuit.layers:
-            for gate in layer:
-                state = state.apply_gate(gate)
-        return state
+        if not any(circuit.layers):
+            return self
+        m, rows = self.m, self.rows
+        xs, zs, signs = pauli_columns(rows, m)
+        signs = conjugate_columns(xs, zs, signs, circuit)
+        low = (1 << m) - 1
+        out = []
+        for i, (row, vec) in enumerate(zip(rows, gf2.transpose(xs + zs, len(rows)))):
+            sign = -1 if signs >> i & 1 else 1
+            if vec != row.vec or sign != row.sign:
+                row = PauliOperator(m, vec & low, vec >> m, sign)
+            out.append(row)
+        return _trusted(m, tuple(out))
 
     # --- measurement ---
 

@@ -3,19 +3,11 @@ import sys
 import pytest
 
 from stablab import paulis
-from stablab.circuits import NAMED_GATES, pauli_image_table
 
 
 @pytest.fixture
 def no_dense_operators(monkeypatch):
-    """Make paulis.dense_matrix raise at every name it is bound to.
-
-    Each named gate's conjugation table is derived once per process from
-    Pauli matrices; it is built here first, so that the check sees the
-    per-call paths whatever test ran before.
-    """
-    for name in NAMED_GATES:
-        pauli_image_table(name)
+    """Make paulis.dense_matrix raise at every name it is bound to."""
     real = paulis.dense_matrix
 
     def refuse(p):

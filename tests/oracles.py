@@ -1,23 +1,25 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is written to be obviously correct rather than fast, and
-deliberately avoids the package's own kernels: GF(2) elimination works on
-Python int lists, Pauli matrices are built by literal np.kron chains, and
-circuits are simulated by materializing full unitaries. Tests compare the
-package's optimized paths against these. Seven oracles are earlier
-versions of a package path and reuse its kernels: the per-step tableau
-loop (oracle for the composed gate tables), the per-gate word draws of
-random Clifford circuits (oracle for one draw per layer), the marginal of
-a vector via its full density matrix (oracle for the pure-state partial
-trace), the distance searches that walked the candidates once per search
-and once per logical pair (oracle for the one shared walk), the product
-search bounded by settled energy alone (oracle for the conflict-matching
-bound), the entropy audit taken one syndrome branch at a time (oracle
-for the one-state construction of Theta), which reuses the package's
-decoherence, mixture channel and rotation, branch by branch, and the
-dense invariance checks on the logical-basis family, at the end of this
-file (oracle for the cleaning-lemma rank test), which reuse the package's
-marginals and channel.
+deliberately avoids the package's own kernels: GF(2) elimination works
+on Python int lists, Pauli matrices are built by literal np.kron chains,
+and circuits are simulated by materializing full unitaries. Tests
+compare the package's optimized paths against these. Eight oracles are
+earlier versions of a package path and reuse its kernels: each named
+gate's Pauli image table derived from its matrix, with the per-step
+tableau loop that looks rows up in it (oracles for the column engine's
+CHP rules), the per-gate word draws of random Clifford circuits (oracle
+for one draw per layer), the marginal of a vector via its full density
+matrix (oracle for the pure-state partial trace), the distance searches
+that walked the candidates once per search and once per logical pair
+(oracle for the one shared walk), the product search bounded by settled
+energy alone (oracle for the conflict-matching bound), the entropy audit
+taken one syndrome branch at a time (oracle for the one-state
+construction of Theta), which reuses the package's decoherence, mixture
+channel and rotation, branch by branch, and the dense invariance checks
+on the logical-basis family, at the end of this file (oracle for the
+cleaning-lemma rank test), which reuse the package's marginals and
+channel.
 
 A few helpers that several test modules share sit here too: seeded random
 Paulis, the hypothesis strategy for signed commuting groups, computational
@@ -28,6 +30,7 @@ sector (through the package's ``project_all``).
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 import numpy as np
 from hypothesis import strategies as st
@@ -199,6 +202,34 @@ def coherent_extension_by_sectors(phi: np.ndarray, group) -> np.ndarray:
     return out
 
 
+@cache
+def pauli_image_table(name: str) -> tuple[tuple[int, int], ...]:
+    """Conjugation table of a named Clifford: entry v is (image, sign).
+
+    v = x | z << k encodes a Hermitian Pauli on the gate's k local qubits
+    (local qubit j is bit j; qubits[0] is the most significant kron factor,
+    as in ``circuits.gate_matrix``), and U P_v U^dagger = sign * P_image.
+    Built from the gate's matrix at first use; raises ValueError if some
+    image is not a single signed Pauli.
+    """
+    from stablab.circuits import NAMED_GATES
+    from stablab.paulis import PauliOperator, dense_matrix
+
+    mat = NAMED_GATES[name]
+    k = mat.shape[0].bit_length() - 1
+    basis = [dense_matrix(PauliOperator(k, v & ((1 << k) - 1), v >> k)) for v in range(4**k)]
+    table = []
+    for p in basis:
+        image = mat @ p @ mat.conj().T
+        coeffs = [np.trace(q @ image).real / 2**k for q in basis]
+        w = int(np.argmax(np.abs(coeffs)))
+        sign = 1 if coeffs[w] > 0 else -1
+        if not np.allclose(image, sign * basis[w], atol=1e-9):
+            raise ValueError(f"{name} maps a Pauli to no single signed Pauli")
+        table.append((w, sign))
+    return tuple(table)
+
+
 def pauli_image_table_kron(mat: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Conjugation table of a k-qubit Clifford matrix: entry v is (image, sign).
 
@@ -354,12 +385,11 @@ def chp_conjugate(x: int, z: int, sign: int, name: str, wires: tuple[int, ...]) 
 def conjugated_rows_per_step(rows, m: int, gate) -> tuple:
     """U row U^dagger for each row, one named step of the gate at a time.
 
-    The tableau loop before word tables were composed: each step gathers a
-    row's local Pauli on the step's wires, looks it up in the step's
-    ``pauli_image_table`` and scatters the image back. Rows the gate leaves
-    unchanged are returned as the same objects.
+    The row-by-row tableau loop: each step gathers a row's local Pauli on
+    the step's wires, looks it up in the step's :func:`pauli_image_table`
+    and scatters the image back. Rows the gate leaves unchanged are
+    returned as the same objects.
     """
-    from stablab.circuits import pauli_image_table
     from stablab.paulis import PauliOperator, gather, scatter
 
     if gate.name is not None:

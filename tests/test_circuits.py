@@ -1,23 +1,21 @@
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stablab
 from oracles import (
     circuit_unitary_naive,
     expand_gate,
     gate_fields_after_validation,
+    pauli_image_table,
     pauli_image_table_kron,
     pauli_letters,
     pauli_matrix,
     random_clifford_circuit_per_gate,
 )
+from stablab import gf2
 from stablab.circuits import (
     NAMED_GATES,
     Gate,
@@ -25,14 +23,15 @@ from stablab.circuits import (
     circuit_from_dict,
     circuit_to_dict,
     compose,
+    conjugate_columns,
     dagger_gate,
     dump_circuit,
     embed,
     gate_matrix,
+    heisenberg_columns,
     identity_circuit,
     lightcone,
     load_circuit,
-    pauli_image_table,
     random_low_depth,
     reverse_circuit,
 )
@@ -89,17 +88,34 @@ def test_pauli_image_table_rejects_a_non_clifford(monkeypatch):
         pauli_image_table("T")
 
 
-def test_pauli_image_tables_are_built_at_first_use():
-    # composed word tables live for one conjugation call only; the framed
-    # step tables they chain are the only ones cached besides the named ones
-    src = str(Path(stablab.__file__).resolve().parents[1])
-    code = (
-        "import stablab.cli, stablab.circuits as c; "
-        "print(c.pauli_image_table.cache_info().currsize, c.framed_image_table.cache_info().currsize)"
-    )
-    env = {"PYTHONPATH": src, "PATH": ""}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "0 0"
+@pytest.mark.parametrize("name", sorted(NAMED_GATES))
+@pytest.mark.parametrize("engine", [conjugate_columns, heisenberg_columns])
+def test_column_rules_match_the_pauli_image_tables(name, engine):
+    """All 4^k local Paulis go through the gate at once, Pauli v = x | z << k
+    at bit v of the columns, first all with sign +1 and then all with -1;
+    heisenberg_columns must give the table of the adjoint."""
+    mat = NAMED_GATES[name]
+    k = mat.shape[0].bit_length() - 1
+    if engine is conjugate_columns:
+        want = pauli_image_table(name)
+        assert want == pauli_image_table_kron(mat)
+    else:
+        want = pauli_image_table_kron(mat.conj().T)
+    circuit = LayeredCircuit(k, ((Gate(qubits=tuple(range(k)), name=name),),))
+    for start in (0, (1 << 4**k) - 1):
+        cols = gf2.transpose(range(4**k), 2 * k)
+        xs, zs = cols[:k], cols[k:]
+        signs = engine(xs, zs, start, circuit)
+        images = gf2.transpose(xs + zs, 4**k)
+        flips = signs ^ start
+        assert [(images[v], -1 if flips >> v & 1 else 1) for v in range(4**k)] == list(want)
+
+
+def test_column_engines_reject_a_dense_gate():
+    circuit = LayeredCircuit(2, ((Gate(qubits=(0, 1), name="CX"),), (Gate(qubits=(0,), matrix=np.eye(2)),)))
+    for engine in (conjugate_columns, heisenberg_columns):
+        with pytest.raises(ValueError, match="dense gates"):
+            engine([1, 0], [0, 1], 0, circuit)
 
 
 def test_word_gate_matrix_matches_step_by_step_product():

@@ -1,6 +1,10 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     gate_fields_after_validation,
@@ -8,13 +12,14 @@ from oracles import (
     random_pauli,
     signed_commuting_groups,
 )
-from stablab.circuits import random_low_depth
+from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, compose, random_low_depth
 from stablab.codes import BUILTIN_CODES, build_code
 from stablab.frontier import (
     _BRICK_CHOICES,
     _SINGLE_STATES,
     FrontierRecord,
     _assemble_descent,
+    _energy_of_circuit,
     frontier_search,
     merge_frontiers,
     product_prep_circuit,
@@ -23,7 +28,7 @@ from stablab.frontier import (
 )
 from stablab.hamiltonians import build_code_hamiltonian, energy_report
 from stablab.paulis import PauliOperator, StabilizerGroup
-from stablab.states import zero_mixture
+from stablab.states import apply_circuit_vec, pauli_expectation_vec, zero_mixture, zero_vector
 
 
 def brute_force_product_minimum(group):
@@ -232,3 +237,78 @@ def test_record_row_columns():
     row = rec.row()
     assert list(row) == ["t", "strategy", "seed", "total_energy", "mean_energy"]
     assert isinstance(rec, FrontierRecord)
+
+
+def _search_circuits(n: int, seed: int) -> list[LayeredCircuit]:
+    """What the searches score: random Clifford words, and prep words with bricks."""
+    rng = np.random.default_rng(seed)
+    circuits = [random_low_depth(n, t, family="clifford", seed=seed + t) for t in range(4)]
+    for t in range(3):
+        pairings = [[(a, a + 1) for a in range(layer % 2, n - 1, 2)] for layer in range(t)]
+        prep = [_SINGLE_STATES[i][:2] for i in rng.integers(0, 6, size=n)]
+        bricks = [[_BRICK_CHOICES[i] for i in rng.integers(0, 5, size=len(p))] for p in pairings]
+        circuits.append(_assemble_descent(prep, bricks, n, pairings))
+    return circuits
+
+
+@st.composite
+def _named_gate_circuits(draw, n: int):
+    """One named gate per layer, every named gate allowed, on distinct wires."""
+    names = sorted(name for name, mat in NAMED_GATES.items() if mat.shape[0] == 2 or n >= 2)
+    layers = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(names))
+        arity = NAMED_GATES[name].shape[0].bit_length() - 1
+        layers.append((Gate(qubits=tuple(draw(st.permutations(range(n)))[:arity]), name=name),))
+    return LayeredCircuit(n, tuple(layers))
+
+
+def _assert_same_report(got, want):
+    assert (got.per_term, got.total, got.mean) == (want.per_term, want.total, want.mean)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_heisenberg_energies_match_the_mixture_reports_on_builtins(name):
+    group = build_code(name).group
+    ham = build_code_hamiltonian(group)
+    for seed in range(3):
+        for circuit in _search_circuits(group.n, seed):
+            got = _energy_of_circuit(circuit, group)
+            _assert_same_report(got, energy_report(zero_mixture(group.n).apply_circuit(circuit), ham))
+            if group.n <= 12:
+                psi = apply_circuit_vec(zero_vector(group.n), circuit)
+                dense = [0.5 - 0.5 * pauli_expectation_vec(psi, c) for c in group.generators]
+                assert np.allclose(got.per_term, dense, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_commuting_groups(max_n=12), st.integers(0, 2**16), st.data())
+def test_heisenberg_energies_match_mixture_and_dense_energies(group, seed, data):
+    n = group.n
+    ham = build_code_hamiltonian(group)
+    named = data.draw(_named_gate_circuits(n))
+    circuits = [named] + [compose(c, named) for c in _search_circuits(n, seed)[::3]]
+    for circuit in circuits:
+        got = _energy_of_circuit(circuit, group)
+        _assert_same_report(got, energy_report(zero_mixture(n).apply_circuit(circuit), ham))
+        psi = apply_circuit_vec(zero_vector(n), circuit)
+        dense = [0.5 - 0.5 * pauli_expectation_vec(psi, c) for c in group.generators]
+        assert np.allclose(got.per_term, dense, rtol=0, atol=1e-10)
+
+
+def test_random_clifford_records_retain_little_memory():
+    """A caller that keeps many searches keeps their records: one toric3
+    random-clifford search (t <= 3, budget 16) must hold under 16 KB."""
+    code = build_code("toric3")
+    frontier_search(code, 3, "random-clifford", budget=16, seed=1)  # per-group and per-wire-pair data
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = frontier_search(code, 3, "random-clifford", budget=16, seed=1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4
+    assert retained < 16 * 1024

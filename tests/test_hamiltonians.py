@@ -164,6 +164,22 @@ def test_energy_report_with_code_qubits_embedding():
         energy_report(state, ham, code_qubits=[0, 1])
 
 
+def test_width_errors_name_code_qubits_only_where_it_can_be_passed():
+    code = five_qubit_code()
+    mean = build_code_hamiltonian(code.group, "mean")
+    state = zero_mixture(6)
+    for call in (
+        lambda: amplified_energy(state, amplify(mean, 2)),
+        lambda: energy_value(state, mean),
+        lambda: amplification_gap_check(state, mean, 2, 1),
+    ):
+        with pytest.raises(ValueError, match="state has 6 qubits but the code needs 5") as err:
+            call()
+        assert "code_qubits" not in str(err.value)
+    with pytest.raises(ValueError, match="code needs 5; pass code_qubits"):
+        energy_report(state, mean)
+
+
 def test_project_eigenspace_code_state():
     code = five_qubit_code()
     ham = build_code_hamiltonian(code.group)

@@ -25,13 +25,10 @@ from oracles import (
 from stablab import states
 from stablab.bounds import trace_distance_to_code
 from stablab.circuits import (
-    _WORD_ALPHABET,
     NAMED_GATES,
     Gate,
     LayeredCircuit,
-    gate_image_table,
     gate_matrix,
-    pauli_image_table,
     random_low_depth,
 )
 from stablab.codes import build_code, five_qubit_code
@@ -662,46 +659,52 @@ def test_marginal_validates_the_region_on_both_backends():
 
 @st.composite
 def _gate_slots(draw, m):
-    """A named gate or a word of 0-40 alphabet steps on a 1- or 2-wire slot of m wires."""
-    arity = draw(st.integers(1, 2))
+    """A named gate, or a word of 0-12 steps over every named gate (two-qubit
+    steps in both orientations), on a 1- or 2-wire slot of m wires."""
+    arity = draw(st.integers(1, min(2, m)))
     wires = tuple(draw(st.permutations(range(m)))[:arity])
     if draw(st.booleans()):
         name = draw(st.sampled_from(_ONE_QUBIT if arity == 1 else _TWO_QUBIT))
         return Gate(qubits=wires, name=name)
-    alphabet = [step for step in _WORD_ALPHABET if max(step[1]) < arity]
-    return Gate(qubits=wires, word=tuple(draw(st.lists(st.sampled_from(alphabet), max_size=40))))
+    alphabet = [(name, (p,)) for name in _ONE_QUBIT for p in range(arity)]
+    if arity == 2:
+        alphabet += [(name, locs) for name in _TWO_QUBIT for locs in ((0, 1), (1, 0))]
+    return Gate(qubits=wires, word=tuple(draw(st.lists(st.sampled_from(alphabet), max_size=12))))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_composed_gate_tables_match_the_per_step_loop_and_the_chp_rules(data):
-    """One lookup in gate_image_table per row gives the rows, signs included,
-    and the kept row objects of walking every step over every row."""
-    m = data.draw(st.integers(2, 8))
-    state = StabilizerMixture(m, zero_mixture(m).rows[: data.draw(st.integers(1, m))])
+def test_circuits_on_mixtures_match_the_per_step_loop_and_dense_conjugation(data):
+    """Column-engine rows against the row-by-row table loop and the CHP rules
+    (signs included, unchanged rows kept as objects), and each row image
+    U g U^dagger against the dense circuit: U g v = (U g U^dagger) U v on a
+    random vector v."""
+    m = data.draw(st.integers(1, 12))
+    state = StabilizerMixture(m, zero_mixture(m).rows[: data.draw(st.integers(0, m))])
     state = state.apply_circuit(random_low_depth(m, 2, family="clifford", seed=data.draw(st.integers(0, 2**16))))
     state = conjugate_pauli_mixture(state, data.draw(_paulis(m)))  # random row signs
-    gate = data.draw(_gate_slots(m))
-    got = state.apply_gate(gate).rows
-    assert got == conjugated_rows_per_step(state.rows, m, gate)
-    assert all((new is old) == (new == old) for new, old in zip(got, state.rows))
-    steps = [(gate.name, (0, 1)[: len(gate.qubits)])] if gate.name else gate.word
-    for row, new in zip(state.rows, got):
+    gates = data.draw(st.lists(_gate_slots(m), max_size=6))
+    circuit = LayeredCircuit(m, tuple((gate,) for gate in gates))
+    got = state.apply_circuit(circuit)
+    if not gates:
+        assert got is state
+    assert state.apply_circuit(LayeredCircuit(m, ((), ()))) is state  # layers without gates
+    want = state.rows
+    for gate in gates:
+        want = conjugated_rows_per_step(want, m, gate)
+    assert got.rows == want
+    assert all((new is old) == (new == old) for new, old in zip(got.rows, state.rows))
+    for row, new in zip(state.rows, got.rows):
         x, z, sign = row.x, row.z, row.sign
-        for name, locs in steps:
-            x, z, sign = chp_conjugate(x, z, sign, name, tuple(gate.qubits[p] for p in locs))
+        for gate in gates:
+            steps = [(gate.name, (0, 1)[: len(gate.qubits)])] if gate.name else gate.word
+            for name, locs in steps:
+                x, z, sign = chp_conjugate(x, z, sign, name, tuple(gate.qubits[p] for p in locs))
         assert (new.x, new.z, new.sign) == (x, z, sign)
-
-
-def test_every_named_gate_is_its_own_composed_table():
-    for name, mat in NAMED_GATES.items():
-        k = mat.shape[0].bit_length() - 1
-        locs = tuple(range(k))
-        assert gate_image_table(Gate(qubits=locs, name=name)) == pauli_image_table(name)
-        composed = gate_image_table(Gate(qubits=locs, word=((name, locs), ("X", (0,)), ("X", (0,)))))
-        assert [composed[v] for v in range(4**k)] == list(pauli_image_table(name))
-    with pytest.raises(ValueError, match="dense gates"):
-        gate_image_table(Gate(qubits=(0,), matrix=np.eye(2)))
+    v = random_state(m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    uv = apply_circuit_vec(v, circuit)
+    for row, new in zip(state.rows, got.rows):
+        assert np.abs(apply_pauli_vec(uv, new) - apply_circuit_vec(apply_pauli_vec(v, row), circuit)).max() <= 1e-10
 
 
 @settings(max_examples=80, deadline=None)
