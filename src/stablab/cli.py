@@ -464,7 +464,7 @@ def amplify_check(builtin, file_path, p, t, n_states, seed, out):
 @main.command("sparsify")
 @_with_code_options
 @click.option("--delta", default=0.25, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option(
     "--samples", default=None, type=click.IntRange(min=1), help="override the lemma sample count"
 )

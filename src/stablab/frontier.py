@@ -19,7 +19,17 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import BoundInputs, depth_lower_bounds
-from .circuits import Gate, LayeredCircuit, _trusted_gate, heisenberg_columns, pauli_columns, random_low_depth
+from .circuits import (
+    DrawnLayer,
+    Gate,
+    LayeredCircuit,
+    _trusted_gate,
+    circuit_of_draws,
+    draw_clifford_words,
+    heisenberg_columns,
+    heisenberg_draws,
+    pauli_columns,
+)
 from .codes import as_group
 from .hamiltonians import EnergyReport
 from .paulis import StabilizerGroup
@@ -217,16 +227,18 @@ def _check_columns(group: StabilizerGroup) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(xs), tuple(zs), signs
 
 
-def _energy_of_circuit(circuit: LayeredCircuit, group: StabilizerGroup) -> EnergyReport:
+def _energy_of_circuit(circuit: LayeredCircuit | tuple[DrawnLayer, ...], group: StabilizerGroup) -> EnergyReport:
     """Check energies of U|0^n>, read in the Heisenberg picture.
 
     <0^n| U^dagger C U |0^n> is the sign of the image U^dagger C U when it
     has no X bit, and 0 otherwise; so each check costs one bit test and no
-    state is built.
+    state is built. U is a ``LayeredCircuit`` or the draws of
+    :func:`draw_clifford_words`, which are read without building a circuit.
     """
     xs, zs, signs = group.derived("check_columns", lambda: _check_columns(group))
     xs, zs = list(xs), list(zs)
-    signs = heisenberg_columns(xs, zs, signs, circuit)
+    readout = heisenberg_columns if isinstance(circuit, LayeredCircuit) else heisenberg_draws
+    signs = readout(xs, zs, signs, circuit)
     flipped = 0  # bit i: the image of check i has an X bit
     for x in xs:
         flipped |= x
@@ -370,14 +382,21 @@ def frontier_search(
     """Minimize total check energy per depth t in [0, t_max].
 
     pauli-products ignores the budget (the family is exhausted once and
-    does not grow with depth); random-clifford draws budget circuits per
-    depth with per-trial seeds derived from (seed, t, trial) and records
-    the winning trial's seed, so the record reproduces from (strategy, t,
-    seed); coordinate-descent sweeps from |0^n> (every prep |0>, every
-    brick the identity) and spends what is left of the budget on restarts
-    from seeded random preps and bricks. Single-qubit layers do not count
-    toward t. Every energy is read from the circuit in the Heisenberg
-    picture, no state is built.
+    does not grow with depth). random-clifford scores budget trials per
+    depth, with per-trial seeds derived from (seed, t, trial), straight
+    from their random draws (``draw_clifford_words`` read by
+    ``heisenberg_draws``), and builds the circuit of the winning trial
+    alone; the record keeps that trial's seed, so it reproduces from
+    (strategy, t, seed) as ``random_low_depth(n, t, seed=seed)``. On a
+    2-vCPU host the median toric3 search (budget 16, t <= 3, 200 seeds)
+    fell from about 5.5 to 3.4 ms when trials stopped being built, and the
+    benchmark's ``frontier`` workload from 421 to 622 searches a second
+    (``BENCH_pr17.json``).
+    coordinate-descent sweeps from |0^n> (every prep |0>, every brick the
+    identity) and spends what is left of the budget on restarts from
+    seeded random preps and bricks. Single-qubit layers do not count
+    toward t. Every energy is read in the Heisenberg picture, no state is
+    built.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; options: {STRATEGIES}")
@@ -399,15 +418,16 @@ def frontier_search(
 
     if strategy == "random-clifford":
         for t in range(t_max + 1):
-            best_rep, best_seed, best_circuit = None, None, None
+            best_rep, best_seed, best_draws = None, None, None
             for trial in range(budget):
                 trial_seed = seed + 104729 * t + 7919 * trial
-                circuit = random_low_depth(group.n, t, family="clifford", seed=trial_seed)
-                rep = _energy_of_circuit(circuit, group)
+                draws = draw_clifford_words(group.n, t, trial_seed)
+                rep = _energy_of_circuit(draws, group)
                 key = (rep.total, trial_seed)
                 if best_rep is None or key < (best_rep.total, best_seed):
-                    best_rep, best_seed, best_circuit = rep, trial_seed, circuit
-            records.append(FrontierRecord(t, strategy, best_seed, best_rep, best_circuit))
+                    best_rep, best_seed, best_draws = rep, trial_seed, draws
+            circuit = circuit_of_draws(group.n, best_draws)
+            records.append(FrontierRecord(t, strategy, best_seed, best_rep, circuit))
         return records
 
     for t in range(t_max + 1):

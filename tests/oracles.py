@@ -438,6 +438,30 @@ def random_clifford_circuit_per_gate(m: int, depth: int, seed: int):
     return LayeredCircuit(m=m, layers=tuple(layers))
 
 
+def random_clifford_search_per_trial(group, t_max: int, budget: int, seed: int) -> list:
+    """(t, trial seed, report, circuit) per depth: the random-clifford search that builds every trial.
+
+    The loop ``frontier_search`` ran before it scored trials from their
+    draws: each trial's circuit from ``random_low_depth`` at the trial seed
+    (seed, t, trial), read by ``_energy_of_circuit``, the best kept by
+    (total, trial seed).
+    """
+    from stablab.circuits import random_low_depth
+    from stablab.frontier import _energy_of_circuit
+
+    best_per_depth = []
+    for t in range(t_max + 1):
+        best = None
+        for trial in range(budget):
+            trial_seed = seed + 104729 * t + 7919 * trial
+            circuit = random_low_depth(group.n, t, family="clifford", seed=trial_seed)
+            rep = _energy_of_circuit(circuit, group)
+            if best is None or (rep.total, trial_seed) < (best[2].total, best[1]):
+                best = (t, trial_seed, rep, circuit)
+        best_per_depth.append(best)
+    return best_per_depth
+
+
 def gate_fields_after_validation(gate) -> tuple[tuple, tuple]:
     """(fields of gate, fields of the gate rebuilt by the validating constructor).
 

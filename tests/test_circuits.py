@@ -17,6 +17,7 @@ from oracles import (
 )
 from stablab import gf2
 from stablab.circuits import (
+    _WORD_ALPHABET,
     NAMED_GATES,
     Gate,
     LayeredCircuit,
@@ -25,10 +26,12 @@ from stablab.circuits import (
     compose,
     conjugate_columns,
     dagger_gate,
+    draw_clifford_words,
     dump_circuit,
     embed,
     gate_matrix,
     heisenberg_columns,
+    heisenberg_draws,
     identity_circuit,
     lightcone,
     load_circuit,
@@ -109,6 +112,35 @@ def test_column_rules_match_the_pauli_image_tables(name, engine):
         images = gf2.transpose(xs + zs, 4**k)
         flips = signs ^ start
         assert [(images[v], -1 if flips >> v & 1 else 1) for v in range(4**k)] == list(want)
+
+
+@pytest.mark.parametrize("index", range(len(_WORD_ALPHABET)))
+def test_draw_readout_steps_match_the_adjoint_pauli_image_tables(index):
+    """One drawn step on wires (0, 1), with the 16 local Paulis at once as in
+    the test above: the readout must give the table of the step's adjoint."""
+    mat = gate_matrix(Gate(qubits=(0, 1), word=(_WORD_ALPHABET[index],)))
+    want = pauli_image_table_kron(mat.conj().T)
+    draws = (([(0, 1)], [[index]]),)
+    for start in (0, (1 << 16) - 1):
+        cols = gf2.transpose(range(16), 4)
+        xs, zs = cols[:2], cols[2:]
+        signs = heisenberg_draws(xs, zs, start, draws)
+        images = gf2.transpose(xs + zs, 16)
+        flips = signs ^ start
+        assert [(images[v], -1 if flips >> v & 1 else 1) for v in range(16)] == list(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4), st.integers(0, 2**64), st.data())
+def test_draw_readout_matches_heisenberg_columns_on_the_built_circuit(m, depth, seed, data):
+    cols = st.integers(0, 2**40 - 1)
+    xs = data.draw(st.lists(cols, min_size=m, max_size=m))
+    zs = data.draw(st.lists(cols, min_size=m, max_size=m))
+    signs = data.draw(cols)
+    want_xs, want_zs = list(xs), list(zs)
+    want = heisenberg_columns(want_xs, want_zs, signs, random_low_depth(m, depth, seed=seed))
+    assert heisenberg_draws(xs, zs, signs, draw_clifford_words(m, depth, seed)) == want
+    assert (xs, zs) == (want_xs, want_zs)
 
 
 def test_column_engines_reject_a_dense_gate():
@@ -268,6 +300,8 @@ def test_random_low_depth_shapes_and_determinism():
     for family in ("clifford", "haar"):
         with pytest.raises(ValueError, match="nonnegative"):
             random_low_depth(4, -1, family=family, seed=0)
+        with pytest.raises(ValueError, match="one wire"):
+            random_low_depth(0, 1, family=family, seed=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,6 +319,13 @@ def test_random_low_depth_matches_the_per_gate_draws(m, depth, seed):
             trusted, checked = gate_fields_after_validation(gate)
             assert trusted == checked
             assert all(type(q) is int for q in gate.qubits)
+
+
+@given(st.integers(1, 20), st.one_of(st.none(), st.integers()))
+def test_depth_zero_is_the_empty_circuit_for_any_seed(m, seed):
+    assert draw_clifford_words(m, 0, seed) == ()
+    circ = random_low_depth(m, 0, seed=seed)
+    assert (circ.m, circ.layers, circ.code_qubits) == (m, (), None)
 
 
 def test_clifford_words_are_single_gates_per_slot():

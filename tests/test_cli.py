@@ -386,6 +386,7 @@ def _reject_constant(name):
         (["amplify", "check", "--builtin", "five_qubit", "--n-states", "0"], {}),
         (["sparsify", "--builtin", "five_qubit", "--samples", "0"], {}),
         (["sparsify", "--builtin", "five_qubit", "--delta", "0"], {}),
+        (["sparsify", "--builtin", "five_qubit", "--seed", "-1"], {}),
         (["sparsify", "--builtin", "five_qubit"], {"STABLAB_DENSE_LIMIT": "abc"}),
         *(
             (_bounds_eval(**bad), {})
@@ -426,6 +427,13 @@ def test_invalid_input_exits_2_with_one_line_error(runner, args, env, tmp_path):
     assert "Traceback" not in result.output
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1, result.stderr
+
+
+@pytest.mark.parametrize("command", [["frontier"], ["amplify", "check"], ["sparsify"]])
+def test_negative_seed_error_names_the_option(runner, command):
+    result = invoke(runner, [*command, "--builtin", "five_qubit", "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "'--seed'" in result.stderr
 
 
 def test_internal_error_exits_3_without_traceback(runner, monkeypatch):

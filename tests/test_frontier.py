@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from oracles import (
     gate_fields_after_validation,
     product_state_minimum_settled_only,
+    random_clifford_search_per_trial,
     random_pauli,
     signed_commuting_groups,
 )
-from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, compose, random_low_depth
+from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, circuit_to_dict, compose, random_low_depth
 from stablab.codes import BUILTIN_CODES, build_code
 from stablab.frontier import (
     _BRICK_CHOICES,
@@ -157,6 +158,19 @@ def test_random_clifford_records_reproduce():
         rebuilt = random_low_depth(5, rec.t, family="clifford", seed=rec.seed)
         state = zero_mixture(5).apply_circuit(rebuilt)
         assert energy_report(state, ham).total == pytest.approx(rec.best_energy.total)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "toric3", "surface13"])
+def test_random_clifford_records_match_the_per_trial_search(name):
+    """Trials scored from their draws keep the winners the built circuits
+    would: the same seeds, per-term energies and witness circuits."""
+    group = build_code(name).group
+    for seed in range(10):
+        records = frontier_search(group, 3, "random-clifford", budget=16, seed=seed)
+        want = random_clifford_search_per_trial(group, 3, 16, seed)
+        assert [(r.t, r.seed, r.best_energy.per_term, circuit_to_dict(r.best_circuit)) for r in records] == [
+            (t, trial_seed, rep.per_term, circuit_to_dict(circuit)) for t, trial_seed, rep, circuit in want
+        ]
 
 
 def test_random_clifford_is_deterministic():
