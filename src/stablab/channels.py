@@ -15,13 +15,18 @@ E(rho) is the uniform mixture over the commutant subgroup. Recording the
 syndrome classically is the same kind of channel (dephasing each register
 wire by Z), so the encoded state Theta of the entropy audit is one state on
 n + N wires, a mixture whenever its input is.
+
+A region below the distance carries none of that logical information. The
+invariance suite decides so by the cleaning-lemma rank test on the region's
+own 2|R| single-qubit columns (``paulis.qubit_columns``, one table per
+code), with no state or matrix built.
 """
 
 from __future__ import annotations
 
 from . import gf2
 from .codes import as_group, code_parameters
-from .paulis import PauliOperator, StabilizerGroup, embed_pauli, logical_pairs, outside_mask
+from .paulis import PauliOperator, StabilizerGroup, check_region, embed_pauli, logical_pairs, qubit_columns
 from .states import apply_circuit, dephase, entropy, marginal, num_qubits
 from .circuits import LayeredCircuit, reverse_circuit
 from .syndrome import coherent_extension
@@ -88,22 +93,20 @@ def entropy_audit(phi, group: StabilizerGroup, w: LayeredCircuit) -> dict:
 # --- invariance suite ---
 
 
-def _region_is_correctable(group: StabilizerGroup, pairs, region) -> bool:
+def _region_is_correctable(group: StabilizerGroup, region) -> bool:
     """Cleaning-lemma test: True when no nontrivial logical is supported on the region.
 
-    Counts the independent products supported inside the region, first of
-    the independent generators, then of the generators plus every Xbar and
-    Zbar. The counts agree exactly when every member of <stabilizers,
-    logicals> supported on the region is a stabilizer (Bravyi-Terhal,
-    arXiv 0810.1983).
+    A Pauli P on region R is a nontrivial logical exactly when its check
+    bits are zero and its logical bits are not (:func:`qubit_columns`). So
+    R holds none exactly when the 2|R| single-qubit columns of R have as
+    many dependencies with their logical bits as without them: every
+    combination that commutes with all checks then commutes with every
+    logical too, so it is a stabilizer (Bravyi-Terhal, arXiv 0810.1983).
+    Raises ValueError unless the region is distinct wires of the code.
     """
-    outside = outside_mask(group.n, region)
-    reducer = gf2.Reducer(g.vec & outside for g in group.independent_generators)
-    stabilizer_count = len(reducer.dependencies)
-    for pair in pairs:
-        reducer.add(pair.xbar.vec & outside)
-        reducer.add(pair.zbar.vec & outside)
-    return len(reducer.dependencies) == stabilizer_count
+    table = qubit_columns(group)
+    cols = [c for q in check_region(group.n, region) for c in (table.x[q], table.z[q])]
+    return len(gf2.dependencies(cols)) == len(gf2.dependencies([c & table.check_mask for c in cols]))
 
 
 def marginal_invariance_suite(code, region) -> dict:
@@ -132,14 +135,11 @@ def marginal_invariance_suite(code, region) -> dict:
     if len(region) >= distance:
         raise ValueError(f"region size {len(region)} not below distance {distance}")
 
-    pairs = logical_pairs(group)
-    assert _region_is_correctable(group, pairs, region), (
-        f"region {region} holds a logical below distance {distance}"
-    )
+    assert _region_is_correctable(group, region), f"region {region} holds a logical below distance {distance}"
     return {
         "region": list(region),
         "distance": int(distance),
-        "n_states": 2 << len(pairs),
+        "n_states": 2 << group.n_logical,
         "code_states_share_marginal": True,
         "logical_conjugation_invariant": True,
         "channel_preserves_marginal": True,

@@ -39,7 +39,7 @@ from itertools import product
 import numpy as np
 
 from . import gf2
-from .paulis import PauliOperator, StabilizerGroup, dense_matrix, embed_pauli, single
+from .paulis import PauliOperator, StabilizerGroup, dense_matrix, embed_pauli, qubit_columns
 from .states import expectation, num_qubits, project_all, require_dense
 
 
@@ -132,11 +132,8 @@ def attainable_syndromes(group: StabilizerGroup) -> np.ndarray:
     n_checks = len(group.generators)
     if n_checks > 64:
         raise ValueError(f"syndromes of {n_checks} checks do not fit in 64 bits")
-    reducer = gf2.Reducer(
-        sum(bit << i for i, bit in enumerate(group.syndrome_of(single(group.n, q, letter))))
-        for q in range(group.n)
-        for letter in ("X", "Z")
-    )
+    table = qubit_columns(group)
+    reducer = gf2.Reducer(col & table.check_mask for q in range(group.n) for col in (table.x[q], table.z[q]))
     if reducer.rank > MAX_SYNDROME_RANK:
         raise ValueError(f"syndrome enumeration needs 2^{reducer.rank} > 2^{MAX_SYNDROME_RANK} sectors")
     syndromes = np.zeros(1, dtype=np.uint64)

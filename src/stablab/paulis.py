@@ -106,11 +106,6 @@ def from_letters(text: str, n: int | None = None) -> PauliOperator:
     return PauliOperator(len(body), x, z, sign)
 
 
-def single(n: int, q: int, letter: str, sign: int = 1) -> PauliOperator:
-    xb, zb = _LETTER_TO_BITS[letter]
-    return PauliOperator(n, xb << q, zb << q, sign)
-
-
 def _parity(v: int) -> int:
     return v.bit_count() & 1
 
@@ -236,8 +231,8 @@ class StabilizerGroup:
     allowed); rank bookkeeping uses the GF(2) row space. Instances are
     immutable: nothing changes ``n`` or ``generators`` after construction.
     That makes it safe to compute derived data once, lazily at first use,
-    and keep it on the instance (see :meth:`derived`); ``logical_pairs`` and
-    ``codes.code_parameters`` are cached this way.
+    and keep it on the instance (see :meth:`derived`); ``logical_pairs``,
+    ``qubit_columns`` and ``codes.code_parameters`` are cached this way.
     """
 
     def __init__(self, generators: tuple[PauliOperator, ...] | list[PauliOperator], n: int | None = None):
@@ -312,10 +307,11 @@ def logical_pairs(group: StabilizerGroup) -> tuple[LogicalPair, ...]:
     """Symplectic Gram-Schmidt pairing of the centralizer modulo the group.
 
     Deterministic for a fixed generator order. Each representative is
-    replaced by the minimum-weight element of its coset modulo the
-    stabilizer group (exact enumeration when the group span is small, greedy
-    descent otherwise); this preserves all pairings. Computed once per
-    group; later calls return the same tuple.
+    replaced by the minimum (weight, int) element of its coset modulo the
+    stabilizer group (:func:`_min_weight_coset_rep`: exhaustive, in numpy
+    blocks, while the group span has at most 2^22 elements, greedy descent
+    otherwise); this preserves all pairings. Computed once per group; later
+    calls return the same tuple.
     """
     return group.derived("logical_pairs", lambda: _logical_pairs(group))
 
@@ -360,27 +356,63 @@ def _logical_pairs(group: StabilizerGroup) -> tuple[LogicalPair, ...]:
 
 # largest group span the coset search walks exhaustively
 _COSET_SPAN_LIMIT = 1 << 22
+# rows listed at once, as one numpy block, by the exhaustive coset walk
+_COSET_BLOCK_ROWS = 12
+
+
+def _words(u: int, n_words: int) -> np.ndarray:
+    """u as n_words little-endian uint64 words."""
+    return np.frombuffer(u.to_bytes(8 * n_words, "little"), dtype="<u8")
 
 
 def _min_weight_coset_rep(v: int, group: StabilizerGroup) -> int:
-    """Minimum-weight element of v * (group span), by Gray-code walk."""
+    """Minimum (weight, int) element of v * (group span).
+
+    Exhaustive while the span has at most ``_COSET_SPAN_LIMIT`` elements:
+    the first ``_COSET_BLOCK_ROWS`` rows span a block, listed once by
+    XOR-doubling as arrays of 64-bit x and z words, and a Gray-code walk over
+    the other rows shifts the whole block by one row per step. Weights are
+    ``np.bitwise_count`` of x | z; the few entries of least weight are
+    rebuilt as ints and compared as ints, so any n works. No span outlives
+    the call. Greedy descent over the rows for larger groups.
+    """
     # leading bit descending: the greedy fallback's order
     rows = [row for _, row in sorted(group._reducer.rows, reverse=True)]
-    r = len(rows)
-    mask = (1 << group.n) - 1
+    n = group.n
+    mask = (1 << n) - 1
+    if (1 << len(rows)) <= _COSET_SPAN_LIMIT:
+        block, outer = rows[:_COSET_BLOCK_ROWS], rows[_COSET_BLOCK_ROWS:]
+        n_words = (n + 63) // 64
+        xs = np.zeros((1, n_words), dtype=np.uint64)
+        zs = xs
+        for row in block:
+            xs = np.concatenate([xs, xs ^ _words(row & mask, n_words)])
+            zs = np.concatenate([zs, zs ^ _words(row >> n, n_words)])
+
+        def entry(i: int) -> int:
+            out = 0
+            for j, row in enumerate(block):
+                if (i >> j) & 1:
+                    out ^= row
+            return out
+
+        best, best_w = v, n + 1  # heavier than any Pauli on n qubits
+        cur = v
+        for counter in range(1 << len(outer)):
+            if counter:
+                cur ^= outer[(counter & -counter).bit_length() - 1]
+            shifted = (xs ^ _words(cur & mask, n_words)) | (zs ^ _words(cur >> n, n_words))
+            weights = np.bitwise_count(shifted).sum(axis=1)
+            w = int(weights.min())
+            if w <= best_w:
+                least = min(cur ^ entry(int(i)) for i in np.flatnonzero(weights == w))
+                if w < best_w or least < best:
+                    best, best_w = least, w
+        return best
 
     def wt(u: int) -> int:
-        return ((u & mask) | (u >> group.n)).bit_count()
+        return ((u & mask) | (u >> n)).bit_count()
 
-    if (1 << r) <= _COSET_SPAN_LIMIT:
-        best, best_w = v, wt(v)
-        cur = v
-        for counter in range(1, 1 << r):
-            cur ^= rows[(counter & -counter).bit_length() - 1]
-            w = wt(cur)
-            if w < best_w or (w == best_w and cur < best):
-                best, best_w = cur, w
-        return best
     # greedy descent fallback for very large groups
     best, best_w = v, wt(v)
     improved = True
@@ -394,37 +426,67 @@ def _min_weight_coset_rep(v: int, group: StabilizerGroup) -> int:
     return best
 
 
-def _weight_ascending_candidates(n: int, cap: int):
-    """(x, z) bit ints of all Paulis with 1 <= weight <= cap, weight-ascending.
+@dataclass(frozen=True, slots=True)
+class QubitColumns:
+    """One anticommutation column per single-qubit Pauli of a code.
 
-    Deterministic order: weight, then support combination (lexicographic),
-    then letters (X < Y < Z at each position).
+    Bit i of ``x[q]`` (``z[q]``) is set when check i anticommutes with X_q
+    (Z_q); above the N checks, bits N + 2j and N + 2j + 1 are set when it
+    anticommutes with Xbar_j and Zbar_j of :func:`logical_pairs`. A Pauli's
+    column is the XOR of its letters' columns, Y being X ^ Z, and
+    ``check_mask`` keeps the check bits: the Pauli is a nontrivial logical
+    exactly when those are 0 and its column is not.
     """
-    for w in range(1, cap + 1):
-        for supp in itertools.combinations(range(n), w):
-            for letters in itertools.product("XYZ", repeat=w):
-                x = z = 0
-                for q, ch in zip(supp, letters):
-                    xb, zb = _LETTER_TO_BITS[ch]
-                    x |= xb << q
-                    z |= zb << q
-                yield x, z, w
+
+    x: tuple[int, ...]
+    z: tuple[int, ...]
+    check_mask: int
+
+
+def qubit_columns(group: StabilizerGroup) -> QubitColumns:
+    """The group's :class:`QubitColumns`, computed once per group at first use."""
+    return group.derived("qubit_columns", lambda: _qubit_columns(group))
+
+
+def _qubit_columns(group: StabilizerGroup) -> QubitColumns:
+    ops = list(group.generators)
+    for pair in logical_pairs(group):
+        ops += [pair.xbar, pair.zbar]
+    # X_q anticommutes with the operators holding Z on q, Z_q with those holding X
+    return QubitColumns(
+        x=tuple(gf2.transpose([op.z for op in ops], group.n)),
+        z=tuple(gf2.transpose([op.x for op in ops], group.n)),
+        check_mask=(1 << len(group.generators)) - 1,
+    )
 
 
 def _logicals_by_weight(group: StabilizerGroup, cap: int):
     """Paulis commuting with every generator but outside the group, weight <= cap.
 
-    Yields (x, z, w) in the order of :func:`_weight_ascending_candidates`.
+    Yields (x, z, w, logical) weight-ascending in a fixed order: weight, then
+    support combination (lexicographic), then letters (X < Y < Z at each
+    position, the last qubit's letter changing fastest). Each candidate is
+    the XOR of its letters' :func:`qubit_columns`; x and z are built only for
+    the logicals, and ``logical`` is the column's logical bits (bit 2j:
+    anticommutes with Xbar_j, bit 2j + 1: with Zbar_j).
     """
-    gens = [(g.x, g.z) for g in group.generators]
-    n = group.n
-    for x, z, w in _weight_ascending_candidates(n, cap):
-        for gx, gz in gens:
-            if _parity(x & gz) ^ _parity(z & gx):
-                break
-        else:
-            if not group._reducer.contains(x | (z << n)):
-                yield x, z, w
+    table = qubit_columns(group)
+    check_mask = table.check_mask
+    n_checks = check_mask.bit_length()
+    letters = [(table.x[q], table.x[q] ^ table.z[q], table.z[q]) for q in range(group.n)]
+    for w in range(1, cap + 1):
+        for supp in itertools.combinations(range(group.n), w):
+            cols = [0]
+            for q in supp:
+                cols = [c ^ o for c in cols for o in letters[q]]
+            for i, c in enumerate(cols):
+                if c and not c & check_mask:
+                    x = z = 0
+                    for q in reversed(supp):
+                        i, letter = divmod(i, 3)
+                        x |= (letter < 2) << q
+                        z |= (letter > 0) << q
+                    yield x, z, w, c >> n_checks
 
 
 def min_weight_logical(group: StabilizerGroup, cap: int = 4) -> PauliOperator | None:
@@ -435,7 +497,7 @@ def min_weight_logical(group: StabilizerGroup, cap: int = 4) -> PauliOperator | 
     """
     if group.n_logical == 0:
         return None
-    for x, z, _ in _logicals_by_weight(group, cap):
+    for x, z, _, _ in _logicals_by_weight(group, cap):
         return PauliOperator(group.n, x, z, 1)
     return None
 
@@ -470,12 +532,9 @@ def best_distance(group: StabilizerGroup) -> BestDistanceReport | None:
     """
     pairs = logical_pairs(group)
     hits: dict[int, tuple[int, int, int]] = {}
-    for x, z, w in _logicals_by_weight(group, BEST_DISTANCE_CAP):
-        for idx, pair in enumerate(pairs):
-            if idx in hits:
-                continue
-            xb, zb = pair.xbar, pair.zbar
-            if (_parity(x & xb.z) ^ _parity(z & xb.x)) or (_parity(x & zb.z) ^ _parity(z & zb.x)):
+    for x, z, w, logical in _logicals_by_weight(group, BEST_DISTANCE_CAP):
+        for idx in range(len(pairs)):
+            if idx not in hits and (logical >> 2 * idx) & 3:
                 hits[idx] = (w, x, z)
         if len(hits) == len(pairs):
             break

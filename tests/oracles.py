@@ -4,7 +4,7 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works
 on Python int lists, Pauli matrices are built by literal np.kron chains,
 and circuits are simulated by materializing full unitaries. Tests
-compare the package's optimized paths against these. Eight oracles are
+compare the package's optimized paths against these. Ten oracles are
 earlier versions of a package path and reuse its kernels: each named
 gate's Pauli image table derived from its matrix, with the per-step
 tableau loop that looks rows up in it (oracles for the column engine's
@@ -12,7 +12,10 @@ CHP rules), the per-gate word draws of random Clifford circuits (oracle
 for one draw per layer), the marginal of a vector via its full density
 matrix (oracle for the pure-state partial trace), the distance searches
 that walked the candidates once per search and once per logical pair
-(oracle for the one shared walk), the product search bounded by settled
+(oracle for the one shared walk), the coset walk one Python int per
+element (oracle for the block walk), the cleaning-lemma rank test on the
+group's vectors masked to the region (oracle for the test on the code's
+single-qubit columns), the product search bounded by settled
 energy alone (oracle for the conflict-matching bound), the entropy audit
 taken one syndrome branch at a time (oracle for the one-state
 construction of Theta), which reuses the package's decoherence, mixture
@@ -22,7 +25,8 @@ cleaning-lemma rank test), which reuse the package's marginals and
 channel.
 
 A few helpers that several test modules share sit here too: seeded random
-Paulis, the hypothesis strategy for signed commuting groups, computational
+Paulis, single-qubit Paulis, the distance walk's candidate order, the
+hypothesis strategy for signed commuting groups, computational
 basis vectors, the trace distance, and the projection onto a syndrome
 sector (through the package's ``project_all``).
 """
@@ -55,6 +59,29 @@ def pauli_matrix(letters: str, sign: int = 1) -> np.ndarray:
 def pauli_letters(x: int, z: int, n: int) -> str:
     """Letter string of the Hermitian Pauli with x / z bit q on qubit q."""
     return "".join("IXZY"[((x >> q) & 1) | ((z >> q) & 1) << 1] for q in range(n))
+
+
+def single(n: int, q: int, letter: str, sign: int = 1):
+    """sign * letter on qubit q of n."""
+    from stablab.paulis import PauliOperator
+
+    return PauliOperator(n, int(letter in "XY") << q, int(letter in "YZ") << q, sign)
+
+
+def weight_ascending_candidates(n: int, cap: int):
+    """(x, z, w) of all Paulis with 1 <= weight <= cap, weight-ascending.
+
+    The order the package's distance walk keeps: weight, then support
+    combination (lexicographic), then letters (X < Y < Z at each position).
+    """
+    for w in range(1, cap + 1):
+        for supp in itertools.combinations(range(n), w):
+            for letters in itertools.product("XYZ", repeat=w):
+                x = z = 0
+                for q, ch in zip(supp, letters):
+                    x |= int(ch in "XY") << q
+                    z |= int(ch in "YZ") << q
+                yield x, z, w
 
 
 def gf2_rank_naive(rows: list[list[int]]) -> int:
@@ -474,6 +501,28 @@ def gate_fields_after_validation(gate) -> tuple[tuple, tuple]:
     return tuple(getattr(gate, f) for f in Gate.__slots__), tuple(getattr(again, f) for f in Gate.__slots__)
 
 
+def min_weight_coset_rep_gray(v: int, group) -> int:
+    """Minimum (weight, int) element of v * (group span), one Python int per step.
+
+    The coset walk of ``logical_pairs`` before it ran in numpy blocks: a
+    Gray-code walk over all 2^rank elements. Oracle for the block walk.
+    """
+    rows = [row for _, row in sorted(group._reducer.rows, reverse=True)]
+    mask = (1 << group.n) - 1
+
+    def wt(u: int) -> int:
+        return ((u & mask) | (u >> group.n)).bit_count()
+
+    best, best_w = v, wt(v)
+    cur = v
+    for counter in range(1, 1 << len(rows)):
+        cur ^= rows[(counter & -counter).bit_length() - 1]
+        w = wt(cur)
+        if w < best_w or (w == best_w and cur < best):
+            best, best_w = cur, w
+    return best
+
+
 def min_weight_logical_by_candidates(group, cap: int = 4):
     """Lightest logical, by a weight-ascending walk that tests each candidate.
 
@@ -481,13 +530,13 @@ def min_weight_logical_by_candidates(group, cap: int = 4):
     shared one walk: every candidate of weight <= cap that commutes with all
     generators and lies outside the group.
     """
-    from stablab.paulis import PauliOperator, _parity, _weight_ascending_candidates
+    from stablab.paulis import PauliOperator, _parity
 
     if group.n_logical == 0:
         return None
     gens = [(g.x, g.z) for g in group.generators]
     n = group.n
-    for x, z, _ in _weight_ascending_candidates(n, cap):
+    for x, z, _ in weight_ascending_candidates(n, cap):
         ok = True
         for gx, gz in gens:
             if _parity(x & gz) ^ _parity(z & gx):
@@ -507,7 +556,7 @@ def best_distance_per_pair(group, cap: int = 6):
     largest such weight wins, the lowest index on ties. None when no pair
     has a hit under the cap.
     """
-    from stablab.paulis import PauliOperator, _parity, _weight_ascending_candidates, logical_pairs
+    from stablab.paulis import PauliOperator, _parity, logical_pairs
 
     gens = [(g.x, g.z) for g in group.generators]
     n = group.n
@@ -515,7 +564,7 @@ def best_distance_per_pair(group, cap: int = 6):
     for idx, pair in enumerate(logical_pairs(group)):
         xb, zb = pair.xbar, pair.zbar
         found = None
-        for x, z, w in _weight_ascending_candidates(n, cap):
+        for x, z, w in weight_ascending_candidates(n, cap):
             commuting = True
             for gx, gz in gens:
                 if _parity(x & gz) ^ _parity(z & gx):
@@ -714,7 +763,7 @@ def entropy_audit_by_branches(phi, group, w) -> dict:
     with weight p_s. S(Theta) = H(p) + sum_s p_s S(mu_s).
     """
     from stablab.circuits import reverse_circuit
-    from stablab.paulis import PauliOperator, logical_pairs, single
+    from stablab.paulis import PauliOperator, logical_pairs
     from stablab.states import StabilizerMixture, apply_circuit_rho, partial_trace
 
     n, n_checks = group.n, len(group.generators)
@@ -793,14 +842,33 @@ def logical_basis_family(group, pairs) -> list:
 
 def nonzero_syndrome_error(group):
     """The first single-qubit X, Z or Y with a nonzero syndrome, or None."""
-    from stablab.paulis import single
-
     for q in range(group.n):
         for letter in ("X", "Z", "Y"):
             err = single(group.n, q, letter)
             if any(group.syndrome_of(err)):
                 return err
     return None
+
+
+def region_is_correctable_by_span_rank(group, region) -> bool:
+    """The cleaning-lemma test on the group's own vectors, masked to the region.
+
+    The rank test before it read the code's single-qubit columns: counts the
+    independent products supported inside the region, first of the
+    independent generators, then of the generators plus every Xbar and Zbar;
+    the counts agree exactly when the region holds no nontrivial logical.
+    Oracle for ``channels._region_is_correctable``.
+    """
+    from stablab import gf2
+    from stablab.paulis import logical_pairs, outside_mask
+
+    outside = outside_mask(group.n, region)
+    reducer = gf2.Reducer(g.vec & outside for g in group.independent_generators)
+    stabilizer_count = len(reducer.dependencies)
+    for pair in logical_pairs(group):
+        reducer.add(pair.xbar.vec & outside)
+        reducer.add(pair.zbar.vec & outside)
+    return len(reducer.dependencies) == stabilizer_count
 
 
 def marginal_invariance_dense(code, region, family=None) -> dict:
@@ -859,6 +927,15 @@ def marginal_invariance_dense(code, region, family=None) -> dict:
         and report["channel_preserves_marginal"]
     )
     return report
+
+
+# [7,4,3] Hamming check matrix: its hypergraph product with itself is [[58,16,3]]
+HAMMING = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+
+
+def sublattice_punctures(length: int, spacing: int) -> list[tuple[int, int]]:
+    """The plaquettes of an L x L torus on the s-spaced sublattice: [[2L^2, L^2/s^2 + 1, 3]] for s = 3."""
+    return [(r, c) for r in range(0, length, spacing) for c in range(0, length, spacing)]
 
 
 def ring_check_matrix(length: int) -> np.ndarray:

@@ -6,12 +6,16 @@ each test also enforces its wall-clock budget.
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 from stablab.bounds import trace_distance_to_code
-from stablab.codes import build_code
+from stablab.channels import _region_is_correctable
+from stablab.codes import build_code, punctured_toric_code
 from stablab.paulis import PauliOperator, multiply
 from stablab.states import group_mixture, zero_mixture
 from stablab.suites import SUITES
+
+from oracles import sublattice_punctures
 
 
 def _run(name: str, budget_s: float):
@@ -27,6 +31,25 @@ def _run(name: str, budget_s: float):
 
 def test_acceptance_local_indistinguishability():
     _run("local-indistinguishability", 30.0)
+
+
+def test_acceptance_rank_test_on_every_pair_of_the_162_qubit_punctured_toric_code():
+    """All 13,041 two-qubit regions of [[162,10,3]] hold no logical, decided in under 2 s."""
+    group = punctured_toric_code(9, sublattice_punctures(9, 3)).group
+    assert (group.n, group.n_logical) == (162, 10)
+    start = time.perf_counter()
+    regions = list(combinations(range(group.n), 2))
+    correctable = sum(_region_is_correctable(group, region) for region in regions)
+    elapsed = time.perf_counter() - start
+    passed = correctable == len(regions) == 13041
+    print(f"ACCEPTANCE rank-test-162: {'PASS' if passed else 'FAIL'} ({elapsed:.2f}s, budget 2s)")
+    assert passed, (correctable, len(regions))
+    assert elapsed < 2.0
+
+
+def test_building_a_code_derives_nothing():
+    """Per-code data waits for its first use, so building a code costs only the group."""
+    assert build_code("toric3").group._derived == {}
 
 
 def test_acceptance_syndrome_circuit():

@@ -16,7 +16,6 @@ from stablab.bounds import (
 from stablab.circuits import compose, embed, random_low_depth
 from stablab.codes import build_code
 from stablab.paulis import (
-    single,
     LogicalPair,
     StabilizerGroup,
     best_distance,
@@ -34,7 +33,7 @@ from stablab.states import (
 )
 from stablab.syndrome import build_syndrome_circuit
 
-from oracles import conjugate_pauli_mixture, pauli_matrix, projector_from_strings, trace_distance
+from oracles import conjugate_pauli_mixture, pauli_matrix, projector_from_strings, single, trace_distance
 
 
 def test_inputs_validate_ranges():

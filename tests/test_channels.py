@@ -15,9 +15,18 @@ from stablab.channels import (
     marginal_invariance_suite,
 )
 from stablab.circuits import Gate, LayeredCircuit, identity_circuit, random_low_depth
-from stablab.codes import as_group, code_parameters, five_qubit_code, hypergraph_product, surface_code, toric_code
+from stablab.codes import (
+    BUILTIN_CODES,
+    as_group,
+    build_code,
+    code_parameters,
+    five_qubit_code,
+    hypergraph_product,
+    surface_code,
+    toric_code,
+)
 from stablab.hamiltonians import build_code_hamiltonian
-from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs, single
+from stablab.paulis import PauliOperator, StabilizerGroup, from_letters, logical_pairs
 from stablab.states import (
     StabilizerMixture,
     apply_pauli_vec,
@@ -31,6 +40,7 @@ from stablab.states import (
 )
 from stablab.syndrome import build_syndrome_circuit, decohere
 from oracles import (
+    HAMMING,
     basis_vector,
     conjugate_pauli_mixture,
     depolarized_branches,
@@ -39,6 +49,9 @@ from oracles import (
     marginal_invariance_dense,
     mixture_rho,
     project_eigenspace,
+    region_is_correctable_by_span_rank,
+    signed_commuting_groups,
+    single,
     theta_by_branches,
     von_neumann_entropy_naive,
 )
@@ -582,7 +595,7 @@ _RANK_CODES = {
 def _both_paths(code, region):
     """(rank test verdict, dense oracle report on the logical-basis family)."""
     group = code.group
-    clean = _region_is_correctable(group, logical_pairs(group), sorted(region))
+    clean = _region_is_correctable(group, sorted(region))
     return clean, marginal_invariance_dense(code, region)
 
 
@@ -654,10 +667,32 @@ def test_region_must_be_distinct_qubits_of_the_code():
     for region in ((0, 0), (5,), (-1,)):
         with pytest.raises(ValueError, match="distinct wires"):
             marginal_invariance_suite(five_qubit_code(), region=region)
+        with pytest.raises(ValueError, match="distinct wires"):
+            _region_is_correctable(five_qubit_code().group, region)
 
 
-# [7,4,3] Hamming check matrix: its hypergraph product with itself is [[58,16,3]]
-HAMMING = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+_BUILTIN_GROUPS = {name: build_code(name).group for name in BUILTIN_CODES}
+
+
+def _region_of_any_size(data, n):
+    size = data.draw(st.integers(0, n))
+    return data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_commuting_groups(), st.data())
+def test_column_rank_test_matches_the_span_rank_oracle_on_signed_groups(group, data):
+    region = _region_of_any_size(data, group.n)
+    assert _region_is_correctable(group, region) == region_is_correctable_by_span_rank(group, region)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_BUILTIN_GROUPS)), st.data())
+def test_column_rank_test_matches_the_span_rank_oracle_on_the_builtins(name, data):
+    """Regions of every size: below the distance, where both accept, and at or above it, where logicals fit."""
+    group = _BUILTIN_GROUPS[name]
+    region = _region_of_any_size(data, group.n)
+    assert _region_is_correctable(group, region) == region_is_correctable_by_span_rank(group, region)
 
 
 def test_rank_path_decides_every_pair_on_the_k16_hypergraph_product():
@@ -667,9 +702,9 @@ def test_rank_path_decides_every_pair_on_the_k16_hypergraph_product():
     assert (group.n, len(pairs), code_parameters(group).d) == (58, 16, 3)
     start = time.perf_counter()
     for region in combinations(range(group.n), 2):
-        # checked first: a region the rank test missed would start the dense
-        # fallback, which builds 2^17 family states
-        assert _region_is_correctable(group, pairs, region), region
+        # checked first: a region the rank test rejected would fail the
+        # suite's internal assert instead of this test's
+        assert _region_is_correctable(group, region), region
         report = marginal_invariance_suite(code, region=region)
         assert report["passed"] and report["max_deviation"] == 0.0
         assert report["n_states"] == 2**17
@@ -680,5 +715,5 @@ def test_rank_path_decides_every_pair_on_the_k16_hypergraph_product():
     logical = from_letters("XXX" + "I" * 55)
     assert not any(group.syndrome_of(logical))
     assert group_mixture(group).expectation(logical) == 0.0  # commutes, so not a member
-    assert not _region_is_correctable(group, pairs, (0, 1, 2))
-    assert _region_is_correctable(group, pairs, (0, 1, 3))
+    assert not _region_is_correctable(group, (0, 1, 2))
+    assert _region_is_correctable(group, (0, 1, 3))

@@ -247,7 +247,7 @@ def test_bounds_suite_failure_exits_1(runner, monkeypatch):
 
 def test_rank_test_rejecting_a_region_below_distance_exits_3(runner, monkeypatch):
     """A logical below the distance contradicts the distance search: an internal error, not a failed check."""
-    monkeypatch.setattr(stablab.channels, "_region_is_correctable", lambda group, pairs, region: False)
+    monkeypatch.setattr(stablab.channels, "_region_is_correctable", lambda group, region: False)
     result = invoke(runner, ["bounds", "suite", "--check", "local-indistinguishability"])
     assert result.exit_code == 3
     assert result.stdout == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import conjugate_pauli_mixture, gf2_rank_naive, pauli_matrix, project_eigenspace
+from oracles import conjugate_pauli_mixture, gf2_rank_naive, pauli_matrix, project_eigenspace, single
 from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab import hamiltonians
@@ -28,7 +28,7 @@ from stablab.hamiltonians import (
     sparsify,
     spectral_deviation,
 )
-from stablab.paulis import StabilizerGroup, from_letters, single
+from stablab.paulis import StabilizerGroup, from_letters
 from stablab import suites
 from stablab.suites import SUITES
 from stablab.states import (

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablab import gf2, paulis
@@ -23,15 +23,19 @@ from stablab.paulis import (
     multiply,
     symplectic_product,
 )
-from stablab.states import group_mixture
+from stablab.circuits import random_low_depth
+from stablab.states import group_mixture, zero_mixture
 
 from oracles import (
     best_distance_per_pair,
+    min_weight_coset_rep_gray,
     min_weight_logical_by_candidates,
     pauli_matrix,
     projector_from_strings,
     random_pauli,
     ring_check_matrix,
+    signed_commuting_groups,
+    weight_ascending_candidates,
 )
 
 
@@ -250,6 +254,31 @@ def test_logical_pairs_five_qubit():
         assert op.weight == oracle_min
 
 
+# (n, rank) of the coset-walk groups: the block alone (rank <= 12), the
+# block and an outer Gray walk (13..16; 14 on 70 qubits, two 64-bit words
+# per half), and the largest span walked exhaustively (2^22)
+_COSET_SHAPES = [(6, 4), (16, 12), (18, 13), (20, 15), (20, 16), (70, 14), (24, 22)]
+
+
+@pytest.mark.parametrize("n, rank", _COSET_SHAPES)
+def test_coset_walk_matches_the_gray_walk(n, rank):
+    """The block walk gives the Gray walk's minimum (weight, int) on random stabilizer groups."""
+    rows = zero_mixture(n).apply_circuit(random_low_depth(n, 3, family="clifford", seed=n + rank)).rows
+    group = StabilizerGroup(rows[:rank])
+    assert group.rank == rank
+    rng = np.random.default_rng(rank)
+    for _ in range(1 if rank > 16 else 5):
+        v = int.from_bytes(rng.bytes(n // 4 + 1), "little") % (1 << 2 * n)
+        assert paulis._min_weight_coset_rep(v, group) == min_weight_coset_rep_gray(v, group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_commuting_groups(), st.integers(0, 2**12 - 1))
+def test_coset_walk_matches_the_gray_walk_on_signed_groups(group, v):
+    v &= (1 << 2 * group.n) - 1
+    assert paulis._min_weight_coset_rep(v, group) == min_weight_coset_rep_gray(v, group)
+
+
 def test_logical_pairs_commutation_matrix_random_css_like():
     # two encoded qubits: [[4, 2, 2]] style group
     group = StabilizerGroup([from_letters("XXXX"), from_letters("ZZZZ")])
@@ -301,7 +330,7 @@ def test_code_projector_sandwich_against_dense_projector():
 
 def test_light_errors_are_detected_five_qubit():
     group = five_qubit_group()
-    for x, z, _ in paulis._weight_ascending_candidates(5, 2):
+    for x, z, _ in weight_ascending_candidates(5, 2):
         assert any(group.syndrome_of(PauliOperator(5, x, z, 1)))
 
 

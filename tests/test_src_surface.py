@@ -54,8 +54,8 @@ def test_src_defines_no_test_only_function_or_class():
     assert unused_public_names() == []
 
 
-# the empty group needs its qubit count; a signed single-qubit Pauli
-ALLOWED_PARAMETERS = {"paulis.StabilizerGroup.__init__(n)", "paulis.single(sign)"}
+# the empty group needs its qubit count
+ALLOWED_PARAMETERS = {"paulis.StabilizerGroup.__init__(n)"}
 
 
 def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], list[str]]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stablab.codes import build_code, five_qubit_code, surface_code, toric_code
 from stablab.hamiltonians import build_code_hamiltonian, energy_report
-from stablab.paulis import StabilizerGroup, from_letters, single
+from stablab.paulis import StabilizerGroup, from_letters
 from stablab.states import (
     StabilizerMixture,
     apply_circuit_vec,
@@ -35,6 +35,7 @@ from oracles import (
     mixture_rho,
     pauli_matrix,
     projector_from_strings,
+    single,
     theta_by_branches,
 )
 
