@@ -9,6 +9,13 @@ single-qubit preparation layers are free the way circuit lower bounds
 count them. A consistency hook cross-checks every record against the
 closed-form depth bounds; at desk scale those are vacuous, but the hook
 is what a larger-scale run would trip over.
+
+Coordinate descent scores each move by what it changes: it keeps the
+checks' image under its brick layers and each qubit's prep image, and
+builds only each depth's winning circuit. On a 2-vCPU host the median
+toric3 search (t <= 3, 200 seeds) takes about 0.33 ms at budget 16 and
+3.4 ms at budget 150, where rebuilding and reading the whole circuit per
+evaluation took 1.3 and 14.3 ms.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .circuits import (
     DrawnLayer,
     Gate,
     LayeredCircuit,
+    _INVERSE_RULES,
     _trusted_gate,
     circuit_of_draws,
     draw_clifford_words,
@@ -222,9 +230,13 @@ def _prep_gates(assignment) -> tuple[Gate, ...]:
 
 
 def _check_columns(group: StabilizerGroup) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The checks in the column layout, kept as tuples so that no caller edits them in place."""
-    xs, zs, signs = pauli_columns(group.generators, group.n)
-    return tuple(xs), tuple(zs), signs
+    """The checks in the column layout, packed once per group, as tuples so that no caller edits them."""
+
+    def pack():
+        xs, zs, signs = pauli_columns(group.generators, group.n)
+        return tuple(xs), tuple(zs), signs
+
+    return group.derived("check_columns", pack)
 
 
 def _energy_of_circuit(circuit: LayeredCircuit | tuple[DrawnLayer, ...], group: StabilizerGroup) -> EnergyReport:
@@ -235,7 +247,7 @@ def _energy_of_circuit(circuit: LayeredCircuit | tuple[DrawnLayer, ...], group: 
     state is built. U is a ``LayeredCircuit`` or the draws of
     :func:`draw_clifford_words`, which are read without building a circuit.
     """
-    xs, zs, signs = group.derived("check_columns", lambda: _check_columns(group))
+    xs, zs, signs = _check_columns(group)
     xs, zs = list(xs), list(zs)
     readout = heisenberg_columns if isinstance(circuit, LayeredCircuit) else heisenberg_draws
     signs = readout(xs, zs, signs, circuit)
@@ -262,14 +274,15 @@ def _outcome_report(n_checks: int, flipped: int, negative: int) -> EnergyReport:
 
 
 _BRICK_CHOICES = ("II", "CX", "XC", "CZ", "SWAP")
+# each brick but the identity as (named gate, wires reversed)
+_BRICK_GATES = {"CX": ("CX", False), "XC": ("CX", True), "CZ": ("CZ", False), "SWAP": ("SWAP", False)}
 
 
 def _brick_gate(choice: str, a: int, b: int) -> Gate | None:
     if choice == "II":
         return None
-    if choice == "XC":
-        return _trusted_gate((b, a), name="CX")
-    return _trusted_gate((a, b), name=choice)
+    name, reverse = _BRICK_GATES[choice]
+    return _trusted_gate((b, a) if reverse else (a, b), name=name)
 
 
 def _assemble_descent(prep, bricks, n: int, pairings) -> LayeredCircuit:
@@ -287,47 +300,117 @@ def _assemble_descent(prep, bricks, n: int, pairings) -> LayeredCircuit:
     return LayeredCircuit(n, tuple(layers))
 
 
+def _prep_image(x: int, z: int, signs: int, word) -> tuple[int, int, int]:
+    """U^dagger P U for a single-qubit word U and every Pauli P held in one qubit's columns.
+
+    Returns the image's x and z columns and signs, by the same daggered
+    CHP steps as :func:`heisenberg_columns`; a word flips sign bits that
+    depend on this qubit's columns alone.
+    """
+    xs, zs = [x], [z]
+    for name, _ in reversed(word):
+        signs = _INVERSE_RULES[name](xs, zs, signs, 0, 0)
+    return xs[0], zs[0], signs
+
+
+def _brick_image(check_columns, pairings, bricks) -> tuple[list[int], list[int], int]:
+    """The check columns' image under the brick layers alone, in the Heisenberg picture."""
+    xs, zs, signs = check_columns
+    xs, zs = list(xs), list(zs)
+    for pairs, choices in zip(reversed(pairings), reversed(bricks)):
+        for (a, b), choice in zip(pairs, choices):
+            if choice != "II":
+                name, reverse = _BRICK_GATES[choice]
+                signs = _INVERSE_RULES[name](xs, zs, signs, *((b, a) if reverse else (a, b)))
+    return xs, zs, signs
+
+
 def _descent_once(group, pairings, prep, bricks, spend) -> EnergyReport:
-    n = group.n
+    """Sweep prep picks, then bricks, until a sweep improves nothing or the budget runs out.
 
-    def energy() -> EnergyReport:
-        circuit = _assemble_descent(prep, bricks, n, pairings)
-        return _energy_of_circuit(circuit, group)
+    ``prep`` and ``bricks`` are edited in place to the picks kept. The
+    prep layer is applied first, so in the Heisenberg picture it acts last
+    and qubit by qubit on the checks' image under the bricks. The sweep
+    keeps that brick image, recomputed only when a brick is tried, and per
+    qubit the x column and sign flips of its prep image: a prep move
+    recomputes one qubit's entry, a brick move the entries of the qubits
+    whose brick columns changed, and the energy reads the OR of the x
+    columns and the XOR of the flips. The sweep returns when ``spend``
+    first refuses, since from then on every pick would be kept.
+    """
+    n, n_checks = group.n, len(group.generators)
+    check_columns = _check_columns(group)
 
-    spend(1)
-    current = energy()
+    def entry(image, q) -> tuple[int, int]:
+        x, _, flips = _prep_image(image[0][q], image[1][q], 0, _PREP_WORDS[prep[q]])
+        return x, flips
+
+    def read(image, entries) -> EnergyReport:
+        flipped, signs = 0, image[2]
+        for x, flips in entries:
+            flipped |= x
+            signs ^= flips
+        return _outcome_report(n_checks, flipped, signs & ~flipped)
+
+    spend()
+    image = _brick_image(check_columns, pairings, bricks)
+    entries = [entry(image, q) for q in range(n)]
+    current = read(image, entries)
     improved = True
-    while improved and spend(0):
+    while improved:
         improved = False
         for q in range(n):
             keep = prep[q]
-            best_pick, best_rep = keep, current
-            for letter, sign, _ in _SINGLE_STATES:
-                if (letter, sign) == keep or not spend(1):
+            rest, rest_signs = 0, image[2]
+            for p, (x, flips) in enumerate(entries):
+                if p != q:
+                    rest |= x
+                    rest_signs ^= flips
+            best, best_rep, out = None, current, False
+            for letter, sign, word in _SINGLE_STATES:
+                if (letter, sign) == keep:
                     continue
-                prep[q] = (letter, sign)
-                rep = energy()
+                if not spend():
+                    out = True
+                    break
+                x, _, flips = _prep_image(image[0][q], image[1][q], 0, word)
+                flipped = rest | x
+                rep = _outcome_report(n_checks, flipped, (rest_signs ^ flips) & ~flipped)
                 if rep.total < best_rep.total - 1e-12:
-                    best_pick, best_rep = (letter, sign), rep
-            prep[q] = best_pick
-            if best_rep.total < current.total - 1e-12:
+                    best, best_rep = ((letter, sign), (x, flips)), rep
+            if best is not None:
+                prep[q], entries[q] = best
                 current = best_rep
                 improved = True
-        for layer_idx, layer_choices in enumerate(bricks):
+            if out:
+                return current
+        for layer_choices in bricks:
             for slot_idx in range(len(layer_choices)):
                 keep = layer_choices[slot_idx]
-                best_pick, best_rep = keep, current
+                best, best_rep, out = None, current, False
                 for choice in _BRICK_CHOICES:
-                    if choice == keep or not spend(1):
+                    if choice == keep:
                         continue
+                    if not spend():
+                        out = True
+                        break
                     layer_choices[slot_idx] = choice
-                    rep = energy()
+                    tried = _brick_image(check_columns, pairings, bricks)
+                    tried_entries = [
+                        old if tried[0][q] == image[0][q] and tried[1][q] == image[1][q] else entry(tried, q)
+                        for q, old in enumerate(entries)
+                    ]
+                    rep = read(tried, tried_entries)
                     if rep.total < best_rep.total - 1e-12:
-                        best_pick, best_rep = choice, rep
-                layer_choices[slot_idx] = best_pick
-                if best_rep.total < current.total - 1e-12:
+                        best, best_rep = (choice, tried, tried_entries), rep
+                if best is None:
+                    layer_choices[slot_idx] = keep
+                else:
+                    layer_choices[slot_idx], image, entries = best
                     current = best_rep
                     improved = True
+                if out:
+                    return current
     return current
 
 
@@ -340,11 +423,12 @@ def _coordinate_descent(group, t: int, budget: int, seed: int):
         pairings.append([(a, a + 1) for a in range(start, n - 1, 2)])
     evals = 0
 
-    def spend(cost: int) -> bool:
+    def spend() -> bool:
+        """Count one energy evaluation, or refuse once the budget is spent."""
         nonlocal evals
-        if evals + cost > budget:
+        if evals == budget:
             return False
-        evals += cost
+        evals += 1
         return True
 
     best_rep, best_state = None, None
@@ -396,7 +480,12 @@ def frontier_search(
     identity) and spends what is left of the budget on restarts from
     seeded random preps and bricks. Single-qubit layers do not count
     toward t. Every energy is read in the Heisenberg picture, no state is
-    built.
+    built. A prep move recomputes one qubit's prep image and a brick move
+    the image under the bricks, and only each depth's winner becomes a
+    circuit: the median toric3 search (t <= 3, 200 seeds, 2-vCPU host)
+    fell from about 1.3 to 0.33 ms at budget 16 and from 14.3 to 3.4 ms
+    at budget 150, and the benchmark's ``frontier`` median op from 0.72
+    to 0.22 ms (``BENCH_pr20.json``).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; options: {STRATEGIES}")

@@ -4,7 +4,7 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works
 on Python int lists, Pauli matrices are built by literal np.kron chains,
 and circuits are simulated by materializing full unitaries. Tests
-compare the package's optimized paths against these. Ten oracles are
+compare the package's optimized paths against these. Eleven oracles are
 earlier versions of a package path and reuse its kernels: each named
 gate's Pauli image table derived from its matrix, with the per-step
 tableau loop that looks rows up in it (oracles for the column engine's
@@ -15,7 +15,9 @@ that walked the candidates once per search and once per logical pair
 (oracle for the one shared walk), the coset walk one Python int per
 element (oracle for the block walk), the cleaning-lemma rank test on the
 group's vectors masked to the region (oracle for the test on the code's
-single-qubit columns), the product search bounded by settled
+single-qubit columns), the coordinate-descent search that rebuilt and
+read its whole circuit per evaluation (oracle for the kept brick image
+and per-qubit prep images), the product search bounded by settled
 energy alone (oracle for the conflict-matching bound), the entropy audit
 taken one syndrome branch at a time (oracle for the one-state
 construction of Theta), which reuses the package's decoherence, mixture
@@ -136,12 +138,18 @@ def gf2_solve_naive(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     return x
 
 
+def _random_bits(n: int, rng: np.random.Generator) -> int:
+    """A uniform n-bit int: one int64 draw up to 62 bits, bytes past that."""
+    if n <= 62:
+        return int(rng.integers(0, 1 << n))
+    return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+
+
 def random_pauli(n: int, rng: np.random.Generator, allow_sign: bool = True):
     """Uniform x and z bits on n qubits; a uniform sign unless allow_sign is off."""
     from stablab.paulis import PauliOperator
 
-    x = int(rng.integers(0, 1 << n))
-    z = int(rng.integers(0, 1 << n))
+    x, z = _random_bits(n, rng), _random_bits(n, rng)
     sign = int(rng.choice((1, -1))) if allow_sign else 1
     return PauliOperator(n, x, z, sign)
 
@@ -487,6 +495,85 @@ def random_clifford_search_per_trial(group, t_max: int, budget: int, seed: int) 
                 best = (t, trial_seed, rep, circuit)
         best_per_depth.append(best)
     return best_per_depth
+
+
+def coordinate_descent_by_rebuild(group, t: int, budget: int, seed: int):
+    """(report, circuit) of the coordinate-descent search at depth t, rebuilding every evaluation.
+
+    The sweep ``frontier_search`` ran before it kept the brick image and
+    per-qubit prep images: each evaluation assembles the whole circuit
+    with ``_assemble_descent`` and reads it with ``_energy_of_circuit``,
+    and the sweep walks on after the budget runs out, keeping every pick.
+    """
+    from stablab.frontier import _BRICK_CHOICES, _SINGLE_STATES, _assemble_descent, _energy_of_circuit
+
+    n = group.n
+    pairings = [[(a, a + 1) for a in range(layer_idx % 2, n - 1, 2)] for layer_idx in range(t)]
+    evals = 0
+
+    def spend(cost: int) -> bool:
+        nonlocal evals
+        if evals + cost > budget:
+            return False
+        evals += cost
+        return True
+
+    def descent_once(prep, bricks):
+        def energy():
+            return _energy_of_circuit(_assemble_descent(prep, bricks, n, pairings), group)
+
+        spend(1)
+        current = energy()
+        improved = True
+        while improved and spend(0):
+            improved = False
+            for q in range(n):
+                keep = prep[q]
+                best_pick, best_rep = keep, current
+                for letter, sign, _ in _SINGLE_STATES:
+                    if (letter, sign) == keep or not spend(1):
+                        continue
+                    prep[q] = (letter, sign)
+                    rep = energy()
+                    if rep.total < best_rep.total - 1e-12:
+                        best_pick, best_rep = (letter, sign), rep
+                prep[q] = best_pick
+                if best_rep.total < current.total - 1e-12:
+                    current = best_rep
+                    improved = True
+            for layer_choices in bricks:
+                for slot_idx in range(len(layer_choices)):
+                    keep = layer_choices[slot_idx]
+                    best_pick, best_rep = keep, current
+                    for choice in _BRICK_CHOICES:
+                        if choice == keep or not spend(1):
+                            continue
+                        layer_choices[slot_idx] = choice
+                        rep = energy()
+                        if rep.total < best_rep.total - 1e-12:
+                            best_pick, best_rep = choice, rep
+                    layer_choices[slot_idx] = best_pick
+                    if best_rep.total < current.total - 1e-12:
+                        current = best_rep
+                        improved = True
+        return current
+
+    best_rep, best_state = None, None
+    restart = 0
+    while evals < budget:
+        if restart == 0:
+            prep = [("Z", 1)] * n
+            bricks = [["II"] * len(pairing) for pairing in pairings]
+        else:
+            rng = np.random.default_rng(seed + 7919 * restart)
+            prep = [_SINGLE_STATES[i][:2] for i in rng.integers(0, 6, size=n)]
+            bricks = [[str(rng.choice(_BRICK_CHOICES)) for _ in pairing] for pairing in pairings]
+        rep = descent_once(prep, bricks)
+        if best_rep is None or rep.total < best_rep.total - 1e-12:
+            best_rep = rep
+            best_state = (list(prep), [list(layer) for layer in bricks])
+        restart += 1
+    return best_rep, _assemble_descent(best_state[0], best_state[1], n, pairings)
 
 
 def gate_fields_after_validation(gate) -> tuple[tuple, tuple]:

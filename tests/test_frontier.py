@@ -7,13 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    coordinate_descent_by_rebuild,
     gate_fields_after_validation,
+    pauli_image_table_kron,
     product_state_minimum_settled_only,
     random_clifford_search_per_trial,
     random_pauli,
     signed_commuting_groups,
 )
-from stablab.circuits import NAMED_GATES, Gate, LayeredCircuit, circuit_to_dict, compose, random_low_depth
+import stablab.frontier
+from stablab import gf2
+from stablab.circuits import (
+    NAMED_GATES,
+    Gate,
+    LayeredCircuit,
+    circuit_to_dict,
+    compose,
+    gate_matrix,
+    random_low_depth,
+)
 from stablab.codes import BUILTIN_CODES, build_code
 from stablab.frontier import (
     _BRICK_CHOICES,
@@ -21,6 +33,7 @@ from stablab.frontier import (
     FrontierRecord,
     _assemble_descent,
     _energy_of_circuit,
+    _prep_image,
     frontier_search,
     merge_frontiers,
     product_prep_circuit,
@@ -189,6 +202,73 @@ def test_coordinate_descent_improves_and_reruns():
     assert [r.best_energy.total for r in a] == [r.best_energy.total for r in b]
     # descent at depth 0 sweeps the prep layer; it must reach the product optimum
     assert a[0].best_energy.total <= 2.0 + 1e-9
+
+
+def _assert_descent_matches_the_rebuild_oracle(group, t_max: int, budget: int, seed: int):
+    records = frontier_search(group, t_max, "coordinate-descent", budget=budget, seed=seed)
+    for rec in records:
+        want_rep, want_circuit = coordinate_descent_by_rebuild(group, rec.t, budget, seed)
+        assert rec.seed == seed
+        assert rec.best_energy.per_term == want_rep.per_term, (rec.t, budget, seed)
+        assert circuit_to_dict(rec.best_circuit) == circuit_to_dict(want_circuit), (rec.t, budget, seed)
+    assert [rec.t for rec in records] == list(range(t_max + 1))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_coordinate_descent_matches_the_rebuild_oracle(name):
+    """Budget 1 stops the search at its first evaluation, 2 inside the first
+    qubit's prep moves, 6 after them, 16 and 17 inside later qubits' moves,
+    and 150 inside a brick slot (toric3 at t = 3) or a restart."""
+    group = build_code(name).group
+    for budget in (1, 2, 6, 16, 17, 150):
+        for seed in range(10):
+            _assert_descent_matches_the_rebuild_oracle(group, 3, budget, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_commuting_groups(max_n=8), st.integers(0, 3), st.integers(1, 60), st.integers(0, 2**16))
+def test_coordinate_descent_matches_the_rebuild_oracle_on_random_groups(group, t_max, budget, seed):
+    _assert_descent_matches_the_rebuild_oracle(group, t_max, budget, seed)
+
+
+def test_coordinate_descent_builds_only_each_depths_winner(monkeypatch):
+    """Evaluations read the kept brick and prep images: no circuit is
+    assembled or read per evaluation, only one witness per depth, and each
+    depth reads exactly ``budget`` energies."""
+    calls = {"_assemble_descent": 0, "_energy_of_circuit": 0, "_outcome_report": 0}
+
+    def counted(name):
+        inner = getattr(stablab.frontier, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stablab.frontier, name, counted(name))
+    for t_max, budget in ((0, 1), (3, 16), (3, 150)):
+        calls.update(dict.fromkeys(calls, 0))
+        frontier_search(build_code("toric3"), t_max, "coordinate-descent", budget=budget, seed=4)
+        assert calls == {
+            "_assemble_descent": t_max + 1,
+            "_energy_of_circuit": 0,
+            "_outcome_report": (t_max + 1) * budget,
+        }
+
+
+@pytest.mark.parametrize("letter, sign, word", _SINGLE_STATES)
+def test_prep_images_match_the_adjoint_pauli_image_tables(letter, sign, word):
+    """The four local Paulis through one prep word at once, v = x | z << 1
+    at bit v of the columns, with signs all + and then all -: the image
+    must be the table of the word's adjoint."""
+    want = pauli_image_table_kron(gate_matrix(Gate(qubits=(0,), word=word)).conj().T)
+    for start in (0, 0b1111):
+        x, z, signs = _prep_image(*gf2.transpose(range(4), 2), start, word)
+        images = gf2.transpose([x, z], 4)
+        flips = signs ^ start
+        assert [(images[v], -1 if flips >> v & 1 else 1) for v in range(4)] == list(want)
 
 
 def test_merged_records_monotone():

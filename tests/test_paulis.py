@@ -79,6 +79,22 @@ def test_dense_matrix_matches_oracle():
         assert np.allclose(paulis.dense_matrix(p), dense(p))
 
 
+def test_random_pauli_draws_past_62_qubits():
+    """Up to 62 qubits the draws are one int64 each as before; on 72 the
+    high bits are reached and a product's bits are the XOR of its factors'."""
+    for n in (1, 62):
+        rng, again = np.random.default_rng(5), np.random.default_rng(5)
+        p = random_pauli(n, rng)
+        assert (p.x, p.z) == (int(again.integers(0, 1 << n)), int(again.integers(0, 1 << n)))
+    rng = np.random.default_rng(6)
+    draws = [random_pauli(72, rng) for _ in range(20)]
+    assert all(0 <= p.x < 1 << 72 and 0 <= p.z < 1 << 72 for p in draws)
+    assert any(p.x >> 62 for p in draws) and any(p.z >> 62 for p in draws)
+    assert {p.sign for p in draws} == {1, -1}
+    product = multiply(draws[0], draws[1])
+    assert (product.x, product.z) == (draws[0].x ^ draws[1].x, draws[0].z ^ draws[1].z)
+
+
 def test_commutes_agrees_with_dense_commutator():
     rng = np.random.default_rng(1)
     for _ in range(1000):
