@@ -27,12 +27,7 @@ in turn. :func:`heisenberg_draws` reads the draws without building: per
 slot it applies the daggered alphabet steps with the column rules written
 out, leaving the columns and signs that :func:`heisenberg_columns` leaves
 on the built circuit. The frontier search scores its trials that way and
-builds each depth's winner alone. On a 2-vCPU host (best of seven passes
-over 50 seeds), a depth-3 circuit on 18 wires (27 twelve-step words) takes
-about 36 us to draw and 33 us to build; the built circuit conjugates the
-18 rows of |0^18> in about 0.11 ms and reads the 18 toric3 check energies
-of its output state in about 65-75 us, which its draws give in about
-45-50 us.
+builds each depth's winner alone.
 
 Lightcones are exact gate-connectivity cones (not the 2^t upper bound): the
 cone of a region A is everything reachable by chains of overlapping gates

@@ -1,26 +1,23 @@
 """Empirical energy-vs-depth frontier for code Hamiltonians.
 
 How low can the check energy go at a given circuit depth? Three seeded
-search strategies probe that frontier at desk scale: an exhaustive sweep
-of Pauli-basis product states (true depth-0 optimum over that family, by
-branch and bound), random shallow Clifford circuits, and coordinate
-descent over a brickwork template. Depth here means entangling depth:
-single-qubit preparation layers are free the way circuit lower bounds
-count them. A consistency hook cross-checks every record against the
-closed-form depth bounds; at desk scale those are vacuous, but the hook
-is what a larger-scale run would trip over.
+search strategies probe that frontier at desk scale: a sweep of
+Pauli-basis product states (the depth-0 optimum over that family, by
+branch and bound within a node budget), random shallow Clifford circuits,
+and coordinate descent over a brickwork template. Depth here means
+entangling depth: single-qubit preparation layers are free the way
+circuit lower bounds count them. A consistency hook cross-checks every
+record against the closed-form depth bounds; at desk scale those are
+vacuous, but the hook is what a larger-scale run would trip over.
 
 Coordinate descent scores each move by what it changes: it keeps the
 checks' image under its brick layers and each qubit's prep image, and
-builds only each depth's winning circuit. On a 2-vCPU host the median
-toric3 search (t <= 3, 200 seeds) takes about 0.33 ms at budget 16 and
-3.4 ms at budget 150, where rebuilding and reading the whole circuit per
-evaluation took 1.3 and 14.3 ms.
+builds only each depth's winning circuit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -64,49 +61,71 @@ _PREP_WORDS = {(letter, sign): word for letter, sign, word in _SINGLE_STATES}
 
 @dataclass(frozen=True, slots=True)
 class FrontierRecord:
-    """Best energy found at one depth by one strategy, with its witness."""
+    """Best energy found at one depth by one strategy, with its witness.
+
+    ``product_bound`` marks a pauli-products record whose search ran out of
+    nodes, so its energy only bounds the product minimum from above; only
+    such a record's row says so.
+    """
 
     t: int
     strategy: str
     seed: int
     best_energy: EnergyReport
     best_circuit: LayeredCircuit
+    product_bound: bool = False
 
     def row(self) -> dict:
-        return {
+        row = {
             "t": self.t,
             "strategy": self.strategy,
             "seed": self.seed,
             "total_energy": self.best_energy.total,
             "mean_energy": self.best_energy.mean,
         }
+        if self.product_bound:
+            row["product_minimum"] = "upper bound"
+        return row
 
 
-def _check_tables(group: StabilizerGroup):
-    """Per check: sign, {qubit: letter}; per qubit: list of check indices."""
-    letters = []
-    touching: list[list[int]] = [[] for _ in range(group.n)]
-    for idx, check in enumerate(group.generators):
-        table = {q: check.letter(q) for q in sorted(check.support)}
-        letters.append((check.sign, table))
-        for q in table:
-            touching[q].append(idx)
-    return letters, touching
+def _product_tables(group: StabilizerGroup):
+    """The product search's per-code tables, derived once per group as tuples.
+
+    Per check its sign and its (qubit, letter) support in qubit order; per
+    qubit the (check, letter) pairs that touch it in check order; and the
+    sorted conflict pairs i < j of checks that want different letters on a
+    shared qubit.
+    """
+
+    def build():
+        signs = tuple(check.sign for check in group.generators)
+        supports = tuple(
+            tuple((q, check.letter(q)) for q in sorted(check.support)) for check in group.generators
+        )
+        touching: list[list[tuple[int, str]]] = [[] for _ in range(group.n)]
+        for idx, support in enumerate(supports):
+            for q, letter in support:
+                touching[q].append((idx, letter))
+        conflicts = {
+            (i, j)
+            for pairs in touching
+            for a, (i, letter_i) in enumerate(pairs)
+            for j, letter_j in pairs[a + 1 :]
+            if letter_i != letter_j
+        }
+        return signs, supports, tuple(map(tuple, touching)), tuple(sorted(conflicts))
+
+    return group.derived("product_tables", build)
 
 
-def _conflict_pairs(checks, touching) -> list[tuple[int, int]]:
-    """Sorted pairs i < j of checks that want different letters on a shared qubit."""
-    pairs = set()
-    for q, idxs in enumerate(touching):
-        for a, i in enumerate(idxs):
-            for j in idxs[a + 1 :]:
-                if checks[i][1][q] != checks[j][1][q]:
-                    pairs.add((i, j))
-    return sorted(pairs)
+# Nodes the product search may visit before it returns its incumbent as an
+# upper bound. The five built-ins settle within 43 nodes, and the
+# [[144,12,12]] bivariate-bicycle code within about 25,000.
+PRODUCT_SEARCH_NODES = 100_000
 
 
-def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], ...]]:
-    """Exact minimum total energy over Pauli-basis product states.
+def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], ...], bool]:
+    """(energy, assignment, exact): the minimum total energy over Pauli-basis product states.
 
     Branch and bound over per-qubit assignments from the six single-qubit
     stabilizer states, qubit 0 first; uniform assignments seed the
@@ -122,22 +141,24 @@ def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], 
     reaches the incumbent. The bound is admissible and the visiting order
     is fixed, so a pruned subtree holds no leaf that would have replaced
     the incumbent: the returned (energy, assignment) is the one the
-    settled-energy bound alone finds.
+    settled-energy bound alone finds when both searches finish.
+
+    The depth-first walk keeps its own stack, so no code is too wide for
+    it. When it has visited PRODUCT_SEARCH_NODES nodes it stops, and the
+    incumbent is returned with ``exact`` False: an upper bound on the
+    minimum. Otherwise ``exact`` is True.
     """
     group = as_group(code_or_group)
     n = group.n
-    if n > 20:
-        raise ValueError("exhaustive product search capped at 20 qubits")
-    checks, touching = _check_tables(group)
-    n_checks = len(checks)
-    if n_checks == 0:
-        return 0.0, tuple(("Z", 1) for _ in range(n))
+    signs, supports, touching, conflicts = _product_tables(group)
+    if not signs:
+        return 0.0, tuple(("Z", 1) for _ in range(n)), True
 
     def assignment_energy(assign: list[tuple[str, int]]) -> float:
         total = 0.0
-        for sign, table in checks:
+        for sign, support in zip(signs, supports):
             value = sign
-            for q, letter in table.items():
+            for q, letter in support:
                 pick_letter, pick_sign = assign[q]
                 if pick_letter != letter:
                     value = 0
@@ -156,11 +177,10 @@ def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], 
             best_assign = list(uniform)
 
     # per-check bookkeeping: remaining unassigned support, running value
-    remaining = [len(table) for _, table in checks]
-    value = [sign for sign, _ in checks]
+    remaining = [len(support) for support in supports]
+    value = list(signs)
     assign: list[tuple[str, int] | None] = [None] * n
     settled = 0.0
-    conflicts = _conflict_pairs(checks, touching)
 
     def matching_bound() -> float:
         bound = settled
@@ -171,49 +191,59 @@ def product_state_minimum(code_or_group) -> tuple[float, tuple[tuple[str, int], 
                 bound += 0.5
         return bound
 
-    def descend(q: int):
-        nonlocal settled, best_energy, best_assign
-        if q == n:
-            if settled < best_energy - 1e-12:
+    # per level: the index of the state being tried, its energy change, and
+    # the (check, old value) entries that undo it
+    choice = [0] * n
+    deltas = [0.0] * n
+    undo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    nodes = 0
+    q = 0
+    entering = True
+    while q >= 0:
+        if entering:
+            if nodes == PRODUCT_SEARCH_NODES:
+                return best_energy, tuple(best_assign), False
+            nodes += 1
+            if q == n and settled < best_energy - 1e-12:
                 best_energy = settled
-                best_assign = [pick for pick in assign]  # all assigned here
-            return
-        if matching_bound() >= best_energy - 1e-12:
-            return
-        for letter, sign, _ in _SINGLE_STATES:
-            assign[q] = (letter, sign)
-            delta = 0.0
-            touched = []
-            for idx in touching[q]:
-                if value[idx] == 0:
-                    # already dead; support countdown still tracked
-                    remaining[idx] -= 1
-                    touched.append((idx, 0, False))
-                    continue
-                want = checks[idx][1][q]
-                old = value[idx]
-                if letter != want:
-                    value[idx] = 0
-                    delta += 0.5
-                    remaining[idx] -= 1
-                    touched.append((idx, old, True))
-                else:
-                    value[idx] = old * sign
-                    remaining[idx] -= 1
-                    touched.append((idx, old, True))
-                    if remaining[idx] == 0:
-                        delta += 0.5 * (1 - value[idx])
-            settled += delta
-            descend(q + 1)
-            settled -= delta
-            for idx, old, restore in touched:
+                best_assign = list(assign)  # all assigned here
+            if q == n or matching_bound() >= best_energy - 1e-12:
+                q -= 1
+                entering = False
+                continue
+            choice[q] = 0
+        else:
+            settled -= deltas[q]
+            for idx, old in undo[q]:
                 remaining[idx] += 1
-                if restore:
-                    value[idx] = old
-        assign[q] = None
-
-    descend(0)
-    return best_energy, tuple(best_assign)
+                value[idx] = old
+            choice[q] += 1
+            if choice[q] == len(_SINGLE_STATES):
+                assign[q] = None
+                q -= 1
+                continue
+        letter, sign, _ = _SINGLE_STATES[choice[q]]
+        assign[q] = (letter, sign)
+        delta = 0.0
+        touched = undo[q] = []
+        for idx, want in touching[q]:
+            old = value[idx]
+            remaining[idx] -= 1
+            touched.append((idx, old))
+            if old == 0:  # already dead; the support countdown is still tracked
+                continue
+            if letter != want:
+                value[idx] = 0
+                delta += 0.5
+            else:
+                value[idx] = old * sign
+                if remaining[idx] == 0:
+                    delta += 0.5 * (1 - value[idx])
+        deltas[q] = delta
+        settled += delta
+        q += 1
+        entering = True
+    return best_energy, tuple(best_assign), True
 
 
 def product_prep_circuit(assignment, n: int) -> LayeredCircuit:
@@ -465,27 +495,21 @@ def frontier_search(
 ) -> list[FrontierRecord]:
     """Minimize total check energy per depth t in [0, t_max].
 
-    pauli-products ignores the budget (the family is exhausted once and
-    does not grow with depth). random-clifford scores budget trials per
+    pauli-products ignores the budget (the family is searched once and
+    does not grow with depth; past its node budget the records say that
+    their energy is an upper bound). random-clifford scores budget trials per
     depth, with per-trial seeds derived from (seed, t, trial), straight
     from their random draws (``draw_clifford_words`` read by
     ``heisenberg_draws``), and builds the circuit of the winning trial
     alone; the record keeps that trial's seed, so it reproduces from
-    (strategy, t, seed) as ``random_low_depth(n, t, seed=seed)``. On a
-    2-vCPU host the median toric3 search (budget 16, t <= 3, 200 seeds)
-    fell from about 5.5 to 3.4 ms when trials stopped being built, and the
-    benchmark's ``frontier`` workload from 421 to 622 searches a second
-    (``BENCH_pr17.json``).
+    (strategy, t, seed) as ``random_low_depth(n, t, seed=seed)``.
     coordinate-descent sweeps from |0^n> (every prep |0>, every brick the
     identity) and spends what is left of the budget on restarts from
     seeded random preps and bricks. Single-qubit layers do not count
     toward t. Every energy is read in the Heisenberg picture, no state is
     built. A prep move recomputes one qubit's prep image and a brick move
     the image under the bricks, and only each depth's winner becomes a
-    circuit: the median toric3 search (t <= 3, 200 seeds, 2-vCPU host)
-    fell from about 1.3 to 0.33 ms at budget 16 and from 14.3 to 3.4 ms
-    at budget 150, and the benchmark's ``frontier`` median op from 0.72
-    to 0.22 ms (``BENCH_pr20.json``).
+    circuit.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; options: {STRATEGIES}")
@@ -497,12 +521,12 @@ def frontier_search(
     records: list[FrontierRecord] = []
 
     if strategy == "pauli-products":
-        best, assignment = product_state_minimum(group)
+        best, assignment, exact = product_state_minimum(group)
         circuit = product_prep_circuit(assignment, group.n)
         rep = _energy_of_circuit(circuit, group)
         assert abs(rep.total - best) < 1e-9
         for t in range(t_max + 1):
-            records.append(FrontierRecord(t, strategy, seed, rep, circuit))
+            records.append(FrontierRecord(t, strategy, seed, rep, circuit, product_bound=not exact))
         return records
 
     if strategy == "random-clifford":
@@ -543,9 +567,7 @@ def merge_frontiers(*record_lists) -> list[FrontierRecord]:
         ):
             best = candidates[0]
         if best is not None:
-            merged.append(
-                FrontierRecord(t, best.strategy, best.seed, best.best_energy, best.best_circuit)
-            )
+            merged.append(replace(best, t=t))
     return merged
 
 

@@ -275,7 +275,12 @@ def sparsifier_sample_count(n: int, delta: float, ell: int) -> int:
 
 
 def sparsify(amp: AmplifiedHamiltonian, k_samples: int, seed: int | None = None) -> SparsifiedHamiltonian:
-    """k_samples i.i.d. p-tuples of check indices; at most MAX_SPARSIFIER_SAMPLES."""
+    """k_samples i.i.d. p-tuples of check indices; at most MAX_SPARSIFIER_SAMPLES.
+
+    There are at most N^p distinct tuples, so the samples, in draw order,
+    refer to one shared int tuple per distinct drawn row. Rows are grouped
+    by their bytes, which no N^p can overflow.
+    """
     if k_samples < 1:
         raise ValueError("need at least one sample")
     if k_samples > MAX_SPARSIFIER_SAMPLES:
@@ -283,7 +288,10 @@ def sparsify(amp: AmplifiedHamiltonian, k_samples: int, seed: int | None = None)
     rng = np.random.default_rng(seed)
     n_terms = amp.base.n_terms
     draws = rng.integers(0, n_terms, size=(k_samples, amp.p))
-    indices = tuple(tuple(int(i) for i in row) for row in draws)
+    row_bytes = draws.view(np.dtype((np.void, draws.itemsize * amp.p))).reshape(-1)
+    _, first, which = np.unique(row_bytes, return_index=True, return_inverse=True)
+    shared = tuple(map(tuple, draws[first].tolist()))
+    indices = tuple(map(shared.__getitem__, which.tolist()))
     return SparsifiedHamiltonian(amplified=amp, sampled_indices=indices, seed=seed)
 
 
@@ -293,11 +301,13 @@ def sparsifier_deviation(sparse: SparsifiedHamiltonian) -> float:
     Both operators are diagonal in the joint check eigenbasis, with value
     mean_j prod_{i in tuple_j} [s_i = 0] and (1 - |s|/N)^p on sector s, and
     every attainable sector is nonempty. Memory stays O(2^rank): one pass
-    per distinct tuple mask.
+    per distinct tuple mask, after one counting pass over the samples.
     """
     amp = sparse.amplified
     syndromes = attainable_syndromes(amp.base.group)
-    masks = Counter(sum(1 << i for i in set(indices)) for indices in sparse.sampled_indices)
+    masks: Counter[int] = Counter()
+    for indices, count in Counter(sparse.sampled_indices).items():
+        masks[sum(1 << i for i in set(indices))] += count
     hits = np.zeros(len(syndromes), dtype=np.int64)
     for mask, count in masks.items():
         hits += count * ((syndromes & np.uint64(mask)) == 0)

@@ -88,10 +88,14 @@ def load_payload(path, parse):
 
 
 def frontier_csv(records) -> str:
+    """FRONTIER_COLUMNS, plus a product_minimum column when a record bounds the product minimum."""
+    rows = [rec.row() for rec in records]
+    columns = FRONTIER_COLUMNS
+    if any("product_minimum" in row for row in rows):
+        columns += ("product_minimum",)
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(FRONTIER_COLUMNS)
-    for rec in records:
-        row = rec.row()
-        writer.writerow([row[col] for col in FRONTIER_COLUMNS])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row.get(col, "") for col in columns])
     return buffer.getvalue()

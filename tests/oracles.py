@@ -4,7 +4,7 @@ Everything here is written to be obviously correct rather than fast, and
 deliberately avoids the package's own kernels: GF(2) elimination works
 on Python int lists, Pauli matrices are built by literal np.kron chains,
 and circuits are simulated by materializing full unitaries. Tests
-compare the package's optimized paths against these. Eleven oracles are
+compare the package's optimized paths against these. Several oracles are
 earlier versions of a package path and reuse its kernels: each named
 gate's Pauli image table derived from its matrix, with the per-step
 tableau loop that looks rows up in it (oracles for the column engine's
@@ -18,7 +18,10 @@ group's vectors masked to the region (oracle for the test on the code's
 single-qubit columns), the coordinate-descent search that rebuilt and
 read its whole circuit per evaluation (oracle for the kept brick image
 and per-qubit prep images), the product search bounded by settled
-energy alone (oracle for the conflict-matching bound), the entropy audit
+energy alone (oracle for the conflict-matching bound and the derived
+tables), the sparsifier draw with a fresh tuple per sample and its
+deviation counted per sample (oracles for the shared tuples and the count
+per distinct tuple), the entropy audit
 taken one syndrome branch at a time (oracle for the one-state
 construction of Theta), which reuses the package's decoherence, mixture
 channel and rotation, branch by branch, and the dense invariance checks
@@ -36,6 +39,7 @@ sector (through the package's ``project_all``).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -670,24 +674,30 @@ def best_distance_per_pair(group, cap: int = 6):
 
 
 def product_state_minimum_settled_only(code_or_group):
-    """(energy, assignment) of the Pauli-basis product search bounded by settled energy alone.
+    """(energy, assignment, exact) of the Pauli-basis product search bounded by settled energy alone.
 
     The search ``product_state_minimum`` ran before it bounded nodes with a
-    conflict matching: the same depth-first order over the six
-    single-qubit stabilizer states per qubit, pruning only when the energy
-    of checks already settled reaches the incumbent.
+    conflict matching and walked its own stack: the same recursive
+    depth-first order over the six single-qubit stabilizer states per
+    qubit, pruning only when the energy of checks already settled reaches
+    the incumbent, with per-call check tables. It stops after the same
+    node budget, returning its incumbent with ``exact`` False.
     """
     from stablab.codes import as_group
-    from stablab.frontier import _SINGLE_STATES, _check_tables
+    from stablab.frontier import _SINGLE_STATES, PRODUCT_SEARCH_NODES
 
     group = as_group(code_or_group)
     n = group.n
-    if n > 20:
-        raise ValueError("exhaustive product search capped at 20 qubits")
-    checks, touching = _check_tables(group)
+    checks = []
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for idx, check in enumerate(group.generators):
+        table = {q: check.letter(q) for q in sorted(check.support)}
+        checks.append((check.sign, table))
+        for q in table:
+            touching[q].append(idx)
     n_checks = len(checks)
     if n_checks == 0:
-        return 0.0, tuple(("Z", 1) for _ in range(n))
+        return 0.0, tuple(("Z", 1) for _ in range(n)), True
 
     def assignment_energy(assign: list[tuple[str, int]]) -> float:
         total = 0.0
@@ -716,9 +726,16 @@ def product_state_minimum_settled_only(code_or_group):
     value = [sign for sign, _ in checks]
     assign: list[tuple[str, int] | None] = [None] * n
     settled = 0.0
+    nodes = 0
+
+    class OutOfNodes(Exception):
+        pass
 
     def descend(q: int):
-        nonlocal settled, best_energy, best_assign
+        nonlocal settled, best_energy, best_assign, nodes
+        if nodes == PRODUCT_SEARCH_NODES:
+            raise OutOfNodes
+        nodes += 1
         if settled >= best_energy - 1e-12:
             return
         if q == n:
@@ -758,8 +775,35 @@ def product_state_minimum_settled_only(code_or_group):
                     value[idx] = old
         assign[q] = None
 
-    descend(0)
-    return best_energy, tuple(best_assign)
+    try:
+        descend(0)
+    except OutOfNodes:
+        return best_energy, tuple(best_assign), False
+    return best_energy, tuple(best_assign), True
+
+
+def sparsify_per_row(amp, k_samples: int, seed):
+    """What ``sparsify`` built before its samples shared one tuple per distinct row: a fresh int tuple per sample."""
+    from stablab.hamiltonians import SparsifiedHamiltonian
+
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, amp.base.n_terms, size=(k_samples, amp.p))
+    indices = tuple(tuple(int(i) for i in row) for row in draws)
+    return SparsifiedHamiltonian(amplified=amp, sampled_indices=indices, seed=seed)
+
+
+def sparsifier_deviation_per_sample(sparse) -> float:
+    """``sparsifier_deviation`` as it counted check masks: one set and one shift-sum per sample."""
+    from stablab.hamiltonians import attainable_syndromes
+
+    amp = sparse.amplified
+    syndromes = attainable_syndromes(amp.base.group)
+    masks = Counter(sum(1 << i for i in set(indices)) for indices in sparse.sampled_indices)
+    hits = np.zeros(len(syndromes), dtype=np.int64)
+    for mask, count in masks.items():
+        hits += count * ((syndromes & np.uint64(mask)) == 0)
+    target = (1.0 - np.bitwise_count(syndromes) / amp.base.n_terms) ** amp.p
+    return float(np.max(np.abs(hits / sparse.k_samples - target)))
 
 
 def vector_marginal_via_rho(psi: np.ndarray, region) -> np.ndarray:

@@ -14,7 +14,7 @@ import stablab.cli
 import stablab.suites
 from stablab.circuits import dump_circuit, random_low_depth
 from stablab.cli import main
-from stablab.codes import build_code
+from stablab.codes import build_code, dump_code, surface_code, toric_code
 from stablab.hamiltonians import (
     amplify,
     build_code_hamiltonian,
@@ -340,6 +340,36 @@ def test_frontier_csv_header(runner):
     lines = result.output.strip().split("\n")
     assert lines[0] == ",".join(FRONTIER_COLUMNS)
     assert lines[1].startswith("0,pauli-products,")
+
+
+@pytest.mark.parametrize("code", [toric_code(4), toric_code(6), surface_code(4)], ids=lambda c: c.name)
+def test_frontier_runs_on_codes_past_twenty_qubits(runner, tmp_path, code):
+    path = tmp_path / f"{code.name}.json"
+    dump_code(code, path)
+    result = invoke(runner, ["frontier", "--file", str(path), "--t-max", "1", "--budget", "2"])
+    assert result.exit_code == 0, result.output
+    records = json.loads(result.output)["records"]
+    assert [rec["t"] for rec in records] == [0, 1]
+    assert all("product_minimum" not in rec for rec in records)
+
+
+def test_frontier_labels_a_product_minimum_that_ran_out_of_nodes(runner, tmp_path):
+    # three disjoint five_qubit codes: the product search cannot settle them within its budget
+    checks = [
+        "I" * (5 * c) + str(g) + "I" * (5 * (2 - c))
+        for c in range(3)
+        for g in build_code("five_qubit").group.generators
+    ]
+    path = tmp_path / "five_x3.json"
+    path.write_text(json.dumps({"checks": checks}))
+    args = ["frontier", "--file", str(path), "--t-max", "1", "--strategy", "pauli-products"]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert [rec["product_minimum"] for rec in json.loads(result.output)["records"]] == ["upper bound"] * 2
+    result = invoke(runner, args + ["--format", "csv"])
+    lines = result.output.strip().split("\n")
+    assert lines[0] == ",".join(FRONTIER_COLUMNS + ("product_minimum",))
+    assert all(line.endswith(",upper bound") for line in lines[1:])
 
 
 def _bounds_eval(**override):

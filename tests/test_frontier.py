@@ -26,7 +26,7 @@ from stablab.circuits import (
     gate_matrix,
     random_low_depth,
 )
-from stablab.codes import BUILTIN_CODES, build_code
+from stablab.codes import BUILTIN_CODES, build_code, toric_code
 from stablab.frontier import (
     _BRICK_CHOICES,
     _SINGLE_STATES,
@@ -70,7 +70,8 @@ def brute_force_product_minimum(group):
 
 def test_product_minimum_matches_brute_force_five_qubit():
     group = build_code("five_qubit").group
-    best, assignment = product_state_minimum(group)
+    best, assignment, exact = product_state_minimum(group)
+    assert exact
     assert best == pytest.approx(brute_force_product_minimum(group))
     # the witness reproduces the reported energy through the state pipeline
     circuit = product_prep_circuit(assignment, 5)
@@ -81,7 +82,8 @@ def test_product_minimum_matches_brute_force_five_qubit():
 
 def test_product_minimum_matches_brute_force_toric_two():
     group = build_code("toric2").group
-    best, _ = product_state_minimum(group)
+    best, _, exact = product_state_minimum(group)
+    assert exact
     assert best == pytest.approx(brute_force_product_minimum(group))
     assert best == pytest.approx(2.0)
 
@@ -98,7 +100,8 @@ def test_product_minimum_random_small_groups():
             except ValueError:
                 group = None
         signs.update(check.sign for check in group.generators)
-        best, _ = product_state_minimum(group)
+        best, _, exact = product_state_minimum(group)
+        assert exact
         assert best == pytest.approx(brute_force_product_minimum(group)), trial
     assert signs == {1, -1}
 
@@ -117,7 +120,8 @@ def test_product_minimum_matches_settled_only_search_on_random_groups(group):
 
 def test_product_minimum_toric_three_is_frozen():
     group = build_code("toric3").group
-    best, assignment = product_state_minimum(group)
+    best, assignment, exact = product_state_minimum(group)
+    assert exact
     assert best == pytest.approx(4.5)
     # the all-|0> assignment achieves it
     assert assignment == tuple(("Z", 1) for _ in range(18))
@@ -125,14 +129,75 @@ def test_product_minimum_toric_three_is_frozen():
 
 def test_product_minimum_trivial_group_reaches_zero():
     group = StabilizerGroup([], n=4)
-    best, assignment = product_state_minimum(group)
+    best, assignment, exact = product_state_minimum(group)
+    assert exact
     assert best == 0.0
     assert len(assignment) == 4
 
 
-def test_product_minimum_cap():
-    with pytest.raises(ValueError):
-        product_state_minimum(StabilizerGroup([], n=21))
+def _disjoint_copies(group: StabilizerGroup, copies: int) -> StabilizerGroup:
+    n = group.n
+    return StabilizerGroup(
+        [
+            PauliOperator(n * copies, g.x << (n * c), g.z << (n * c), g.sign)
+            for c in range(copies)
+            for g in group.generators
+        ],
+        n=n * copies,
+    )
+
+
+@pytest.mark.parametrize("length", [4, 5])
+def test_product_minimum_settles_past_twenty_qubits(length):
+    # no qubit cap: the uniform |0> incumbent meets the conflict-matching bound at the root
+    group = toric_code(length).group
+    assert product_state_minimum(group) == (length * length / 2, tuple(("Z", 1) for _ in range(group.n)), True)
+    assert product_state_minimum(StabilizerGroup([], n=21)) == (0.0, tuple(("Z", 1) for _ in range(21)), True)
+
+
+def test_product_minimum_planted_instance_runs_out_of_nodes():
+    # three disjoint five_qubit codes: energies add, so the minimum is 3 * 1.5,
+    # but the search cannot settle it within the node budget
+    group = _disjoint_copies(build_code("five_qubit").group, 3)
+    best, assignment, exact = product_state_minimum(group)
+    assert not exact
+    assert best >= 4.5
+    rep = _energy_of_circuit(product_prep_circuit(assignment, group.n), group)
+    assert rep.total == best
+    assert not product_state_minimum_settled_only(group)[2]
+    records = frontier_search(group, 1, "pauli-products")
+    assert [rec.product_bound for rec in records] == [True, True]
+    assert records[0].row()["product_minimum"] == "upper bound"
+    merged = merge_frontiers(records)
+    assert [rec.product_bound for rec in merged] == [True, True]
+
+
+def test_product_minimum_stops_at_the_node_budget(monkeypatch):
+    group = build_code("five_qubit").group  # settles in 43 nodes
+    monkeypatch.setattr(stablab.frontier, "PRODUCT_SEARCH_NODES", 43)
+    assert product_state_minimum(group)[::2] == (1.5, True)
+    monkeypatch.setattr(stablab.frontier, "PRODUCT_SEARCH_NODES", 42)
+    best, _, exact = product_state_minimum(group)
+    assert not exact and best >= 1.5
+
+
+def test_product_minimum_settles_two_copies_within_the_budget():
+    # the settled-energy bound alone runs out of nodes here; the matching bound does not
+    group = _disjoint_copies(build_code("five_qubit").group, 2)
+    best, _, exact = product_state_minimum(group)
+    assert (best, exact) == (3.0, True)
+    oracle_best, _, oracle_exact = product_state_minimum_settled_only(group)
+    assert not oracle_exact and oracle_best >= best
+
+
+def test_product_tables_are_derived_once_as_tuples():
+    group = build_code("toric3").group
+    tables = stablab.frontier._product_tables(group)
+    assert stablab.frontier._product_tables(group) is tables
+    signs, supports, touching, conflicts = tables
+    assert all(type(part) is tuple for part in (signs, supports, touching, conflicts))
+    assert all(type(row) is tuple for part in (supports, touching) for row in part)
+    assert conflicts == tuple(sorted(conflicts))
 
 
 def test_pauli_products_strategy_records():

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import conjugate_pauli_mixture, gf2_rank_naive, pauli_matrix, project_eigenspace, single
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    conjugate_pauli_mixture,
+    gf2_rank_naive,
+    pauli_matrix,
+    project_eigenspace,
+    single,
+    sparsifier_deviation_per_sample,
+    sparsify_per_row,
+)
 from stablab.cli import main
 from stablab.circuits import random_low_depth
 from stablab import hamiltonians
@@ -478,6 +489,27 @@ def test_sparsifier_deviation_past_the_dense_cap(name, p):
         sparse = sparsify(amp, 40, seed=10 * p + seed)
         want = _deviation_oracle(syndromes, sparse.sampled_indices, len(group.generators), p)
         assert abs(sparsifier_deviation(sparse) - want) <= 1e-12, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["five_qubit", "surface5", "toric2", "toric3", "surface13", "asymmetric"]),
+    st.integers(1, 3),
+    st.integers(1, 3000),
+    st.integers(0, 2**64 - 1),
+)
+def test_sparsify_shares_one_tuple_per_distinct_row(name, p, k, seed):
+    group = _group(name)
+    amp = amplify(build_code_hamiltonian(group, "mean"), p)
+    sparse, frozen = sparsify(amp, k, seed=seed), sparsify_per_row(amp, k, seed)
+    samples = sparse.sampled_indices
+    assert samples == frozen.sampled_indices
+    assert type(samples) is tuple
+    assert all(type(t) is tuple and len(t) == p and all(type(i) is int for i in t) for t in samples)
+    assert len({id(t) for t in samples}) == len(set(samples))
+    assert sparsifier_deviation(sparse) == sparsifier_deviation_per_sample(frozen)
+    if group.n <= 5:
+        assert np.array_equal(dense_sparsified_g(sparse), dense_sparsified_g(frozen))
 
 
 def _random_vectors(n, rng):

@@ -164,3 +164,39 @@ def test_parameter_scan_follows_positions_keywords_classes_and_forwarding(tmp_pa
         "    return f(1, 2, d=4), C(n=1), C().m()\n"
     )
     assert unset_parameters(tmp_path) == ["mod.C.m(k)", "mod.f(c)", "mod.g(e)", "mod.h(y)"]
+
+
+# timing history (a committed benchmark file, a host's size) belongs in CHANGES.md
+TIMING_HISTORY = re.compile(r"BENCH_|vCPU")
+
+
+def docstrings_with_timing_history(root: Path = ROOT) -> list[str]:
+    """``module:line`` of each docstring in ``src/stablab`` that names a ``BENCH_`` file or a host."""
+    found = []
+    for path in sorted((root / "src" / "stablab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc and TIMING_HISTORY.search(doc):
+                    found.append(f"{path.stem}:{getattr(node, 'lineno', 1)}")
+    return found
+
+
+def test_src_docstrings_carry_no_timing_history():
+    assert docstrings_with_timing_history() == []
+
+
+def test_timing_history_scan_reads_module_class_and_function_docstrings(tmp_path):
+    package = tmp_path / "src" / "stablab"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""Took 3 ms on a 2-vCPU host."""\n'
+        "class C:\n"
+        '    """Clean."""\n'
+        "    def m(self):\n"
+        '        """See BENCH_pr1.json."""\n'
+        "def f():\n"
+        '    """A string that is not a docstring may name one."""\n'
+        "    return 'BENCH_pr1.json'\n"
+    )
+    assert docstrings_with_timing_history(tmp_path) == ["mod:1", "mod:4"]
