@@ -21,13 +21,17 @@ check's expectation on U|0^m> without building the state. The tests check
 every rule against the Pauli image table derived from the gate's matrix.
 
 A random Clifford-word circuit is drawn (:func:`draw_clifford_words`: per
-layer the wire pairs of a permutation and twelve alphabet indices per pair)
-and then built (:func:`circuit_of_draws`); ``random_low_depth`` is the two
-in turn. :func:`heisenberg_draws` reads the draws without building: per
-slot it applies the daggered alphabet steps with the column rules written
-out, leaving the columns and signs that :func:`heisenberg_columns` leaves
-on the built circuit. The frontier search scores its trials that way and
-builds each depth's winner alone.
+layer a permutation of the wires, paired in turn, and twelve alphabet
+indices per pair, as arrays) and then built (:func:`circuit_of_draws`);
+``random_low_depth`` is the two in turn. :func:`heisenberg_draw_batch`
+reads a block of draws without building them. A word acts on each Pauli's
+four bits on its two wires and may flip its sign, so in the Heisenberg
+picture it is a table over 16 patterns and a sign: the daggered alphabet
+steps' tables come from the same CHP rules, runs of four steps are
+composed once at first use, and a word is three runs. Per layer, every
+trial's patterns on every slot are gathered, looked up in their word's
+table and scattered back in one numpy pass. The frontier search scores a
+depth's trials that way and builds the winner alone.
 
 Lightcones are exact gate-connectivity cones (not the 2^t upper bound): the
 cone of a region A is everything reachable by chains of overlapping gates
@@ -384,10 +388,6 @@ _WORD_ALPHABET: tuple[WordStep, ...] = (
     ("CZ", (0, 1)),
 )
 
-# A layer of drawn words: the wire pairs of one permutation, then one row of
-# alphabet indices per pair; a draw is a tuple of such layers.
-DrawnLayer = tuple[list[tuple[int, int]], list[list[int]]]
-
 
 @lru_cache(maxsize=1 << 12)
 def _wire_pair(a: int, b: int) -> tuple[int, int]:
@@ -395,32 +395,38 @@ def _wire_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b)
 
 
-def draw_clifford_words(m: int, depth: int, seed: int | None) -> tuple[DrawnLayer, ...]:
+def draw_clifford_words(m: int, depth: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The random draws of a depth-``depth`` Clifford-word circuit on m wires.
 
-    Per layer: a permutation of the wires, paired (perm[2i], perm[2i + 1]),
-    then twelve ``_WORD_ALPHABET`` indices per pair, all in one call. Depth
-    0 draws nothing and creates no generator.
+    Returns ``(perms, words)``: row ``perms[layer]`` is a permutation of the
+    wires, paired (perm[2i], perm[2i + 1]) with the last wire idle when m is
+    odd, and ``words[layer]`` holds twelve ``_WORD_ALPHABET`` indices per
+    pair as uint8, drawn in one call per layer. Depth 0 draws nothing and
+    creates no generator.
     """
-    if depth == 0:
-        return ()
-    rng = np.random.default_rng(seed)
-    layers = []
-    for _ in range(depth):
-        perm = rng.permutation(m).tolist()
-        pairs = list(map(_wire_pair, perm[0 : m - 1 : 2], perm[1::2]))
-        layers.append((pairs, rng.integers(0, len(_WORD_ALPHABET), size=(m // 2, 12)).tolist()))
-    return tuple(layers)
+    perms = np.empty((depth, m), dtype=np.intp)
+    words = np.empty((depth, m // 2, 12), dtype=np.uint8)
+    if depth:
+        rng = np.random.default_rng(seed)
+        for layer in range(depth):
+            perms[layer] = rng.permutation(m)
+            # drawn at the default dtype, then narrowed: a dtype argument changes the stream
+            words[layer] = rng.integers(0, len(_WORD_ALPHABET), size=(m // 2, 12))
+    return perms, words
 
 
-def circuit_of_draws(m: int, draws: tuple[DrawnLayer, ...]) -> LayeredCircuit:
+def circuit_of_draws(m: int, draws: tuple[np.ndarray, np.ndarray]) -> LayeredCircuit:
     """The word circuit the draws describe; a permutation's pairs need no wire checks."""
     if m < 1:
         raise ValueError("need at least one wire")
     steps = _WORD_ALPHABET
+    perms, words = draws
     layers = tuple(
-        tuple(_trusted_gate(pair, word=tuple([steps[i] for i in row])) for pair, row in zip(pairs, rows))
-        for pairs, rows in draws
+        tuple(
+            _trusted_gate(pair, word=tuple([steps[i] for i in row]))
+            for pair, row in zip(map(_wire_pair, perm[0 : m - 1 : 2], perm[1::2]), rows)
+        )
+        for perm, rows in zip(perms.tolist(), words.tolist())
     )
     circuit = object.__new__(LayeredCircuit)
     object.__setattr__(circuit, "m", m)
@@ -429,46 +435,85 @@ def circuit_of_draws(m: int, draws: tuple[DrawnLayer, ...]) -> LayeredCircuit:
     return circuit
 
 
-def heisenberg_draws(xs: list[int], zs: list[int], signs: int, draws: tuple[DrawnLayer, ...]) -> int:
-    """:func:`heisenberg_columns` of ``circuit_of_draws(m, draws)``, read from the draws.
+# --- drawn words as tables ---
+#
+# A two-qubit word acts on each Pauli's four bits on its two wires a and b,
+# the pattern x_a | x_b << 1 | z_a << 2 | z_b << 3 (local wire j at bit j,
+# x bits then z bits, as in ``pauli_columns``), and may flip its sign. So in
+# the Heisenberg picture a word is a table over the 32 entries
+# pattern | sign << 4. A wire's own bits x | z << 2 form its code.
 
-    Each slot loads its two wires' columns into locals, applies the daggered
-    alphabet steps in reverse with the column rules written out (H and CZ
-    and both CX orientations are their own inverses; S is undone by SDG),
-    and stores the columns back. Same columns and signs as the built
-    circuit, without a gate or a rule call per step.
+
+def _step_tables() -> np.ndarray:
+    """Per ``_WORD_ALPHABET`` step, the 32-entry table of the daggered step.
+
+    Each table runs the step's ``_INVERSE_RULES`` rule on two-wire columns
+    whose bit v holds entry v, so the CHP rules stay in one place.
     """
-    s = signs
-    for pairs, rows in reversed(draws):
-        for (a, b), row in zip(pairs, rows):
-            xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
-            for step in reversed(row):  # _WORD_ALPHABET[step], daggered
-                if step == 0:  # H on a
-                    s ^= xa & za
-                    xa, za = za, xa
-                elif step == 1:  # H on b
-                    s ^= xb & zb
-                    xb, zb = zb, xb
-                elif step == 2:  # SDG on a
-                    s ^= xa & ~za
-                    za ^= xa
-                elif step == 3:  # SDG on b
-                    s ^= xb & ~zb
-                    zb ^= xb
-                elif step == 4:  # CX, a controls b
-                    s ^= xa & zb & ~(xb ^ za)
-                    xb ^= xa
-                    za ^= zb
-                elif step == 5:  # CX, b controls a
-                    s ^= xb & za & ~(xa ^ zb)
-                    xa ^= xb
-                    zb ^= za
-                else:  # CZ
-                    s ^= xa & xb & (za ^ zb)
-                    za ^= xb
-                    zb ^= xa
-            xs[a], zs[a], xs[b], zs[b] = xa, za, xb, zb
-    return s
+    entries = range(32)
+    cols = [sum(1 << v for v in entries if v >> j & 1) for j in range(5)]
+    tables = []
+    for name, locs in _WORD_ALPHABET:
+        xs, zs = cols[0:2], cols[2:4]
+        signs = _INVERSE_RULES[name](xs, zs, cols[4], locs[0], locs[-1])
+        out = (*xs, *zs, signs)
+        tables.append([sum((col >> v & 1) << j for j, col in enumerate(out)) for v in entries])
+    return np.array(tables, dtype=np.uint8)
+
+
+@lru_cache(maxsize=1)
+def _chunk_tables() -> np.ndarray:
+    """The table of every run of four alphabet steps, derived at first use.
+
+    Row ``((a * 7 + b) * 7 + c) * 7 + d`` is the daggered run a, b, c, d
+    read in reverse: d's table first, a's last. A 12-step word is three
+    such chunks.
+    """
+    steps = _step_tables()
+    chunks = np.arange(32, dtype=np.uint8)[None]
+    for _ in range(4):  # chunk i extended by step s reads s's table first: row i * 7 + s
+        chunks = chunks[:, steps].reshape(-1, 32)
+    return chunks
+
+
+_CHUNK_WEIGHTS = np.array([7**3, 7**2, 7, 1])
+
+
+def heisenberg_draw_batch(codes: np.ndarray, perms: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U^dagger P U for every Pauli P in ``codes`` and each of a batch of drawn circuits U.
+
+    ``codes`` is (m, N) uint8: entry (q, i) is Pauli i's code on wire q.
+    ``perms`` (B, t, m) and ``words`` (B, t, m // 2, 12) stack B trials'
+    :func:`draw_clifford_words`. Each word becomes one table through three
+    chunk lookups; then per layer, last layer first, every trial's pattern
+    of every Pauli on every slot is gathered, looked up in that slot's
+    table and scattered back. Returns the images' codes (B, m, N) and their
+    sign flips (B, N) as 0/1: the columns and signs that
+    :func:`heisenberg_columns` leaves on each built circuit.
+    """
+    n_trials, depth, m = perms.shape
+    half, n_paulis = m // 2, codes.shape[1]
+    chunks = _chunk_tables()
+    flat = chunks.reshape(-1)
+    offsets = (np.arange(n_trials * half) * 16).reshape(n_trials, half, 1)
+    starts = (np.arange(n_trials) * m)[:, None]
+    images = np.repeat(codes[None], n_trials, axis=0)
+    rows = images.reshape(n_trials * m, n_paulis)  # a view: row b * m + q is trial b's wire q
+    flips = np.zeros((n_trials, n_paulis), dtype=np.uint8)
+    for layer in reversed(range(depth)):
+        # each slot's word on the 16 sign-free patterns: a Pauli enters a
+        # slot with sign bit 0, and its flip is XORed in below
+        index = words[:, layer].reshape(n_trials, half, 3, 4) @ _CHUNK_WEIGHTS
+        tables = chunks[index[..., 2], :16]
+        tables = flat[(index[..., 1, None] << 5) + tables]
+        tables = flat[(index[..., 0, None] << 5) + tables]
+        wires = perms[:, layer] + starts
+        a, b = wires[:, 0 : 2 * half : 2], wires[:, 1 : 2 * half : 2]
+        out = tables.reshape(-1)[offsets + (rows[a] | rows[b] << 1)]
+        flips ^= np.bitwise_xor.reduce(out, axis=1)
+        rows[a] = out & 5
+        rows[b] = out >> 1 & 5
+    return images, flips >> 4
 
 
 def random_low_depth(m: int, depth: int, family: str = "clifford", seed: int | None = None) -> LayeredCircuit:

@@ -10,9 +10,10 @@ circuit lower bounds count them. A consistency hook cross-checks every
 record against the closed-form depth bounds; at desk scale those are
 vacuous, but the hook is what a larger-scale run would trip over.
 
-Coordinate descent scores each move by what it changes: it keeps the
-checks' image under its brick layers and each qubit's prep image, and
-builds only each depth's winning circuit.
+Random Clifford circuits are scored from their draws, a block of trials
+per numpy pass, and coordinate descent scores each move by what it
+changes: it keeps the checks' image under its brick layers and each
+qubit's prep image. Both build only each depth's winning circuit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .bounds import BoundInputs, depth_lower_bounds
 from .circuits import (
-    DrawnLayer,
     Gate,
     LayeredCircuit,
     _INVERSE_RULES,
@@ -32,7 +32,7 @@ from .circuits import (
     circuit_of_draws,
     draw_clifford_words,
     heisenberg_columns,
-    heisenberg_draws,
+    heisenberg_draw_batch,
     pauli_columns,
 )
 from .codes import as_group
@@ -269,22 +269,77 @@ def _check_columns(group: StabilizerGroup) -> tuple[tuple[int, ...], tuple[int, 
     return group.derived("check_columns", pack)
 
 
-def _energy_of_circuit(circuit: LayeredCircuit | tuple[DrawnLayer, ...], group: StabilizerGroup) -> EnergyReport:
+def _energy_of_circuit(circuit: LayeredCircuit, group: StabilizerGroup) -> EnergyReport:
     """Check energies of U|0^n>, read in the Heisenberg picture.
 
     <0^n| U^dagger C U |0^n> is the sign of the image U^dagger C U when it
     has no X bit, and 0 otherwise; so each check costs one bit test and no
-    state is built. U is a ``LayeredCircuit`` or the draws of
-    :func:`draw_clifford_words`, which are read without building a circuit.
+    state is built.
     """
     xs, zs, signs = _check_columns(group)
     xs, zs = list(xs), list(zs)
-    readout = heisenberg_columns if isinstance(circuit, LayeredCircuit) else heisenberg_draws
-    signs = readout(xs, zs, signs, circuit)
+    signs = heisenberg_columns(xs, zs, signs, circuit)
     flipped = 0  # bit i: the image of check i has an X bit
     for x in xs:
         flipped |= x
     return _outcome_report(len(group.generators), flipped, signs & ~flipped)
+
+
+def _check_codes(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The checks as :func:`heisenberg_draw_batch` reads them, derived once per group, read-only.
+
+    Entry (q, i) of the (n, N) uint8 codes is check i's x | z << 2 on
+    qubit q; the second array holds each check's sign bit.
+    """
+
+    def pack():
+        xs, zs, signs = _check_columns(group)
+        n_checks = len(group.generators)
+        codes = np.array([[(x >> i & 1) | (z >> i & 1) << 2 for i in range(n_checks)] for x, z in zip(xs, zs)])
+        sign_bits = np.array([signs >> i & 1 for i in range(n_checks)])
+        arrays = codes.astype(np.uint8).reshape(group.n, n_checks), sign_bits.astype(np.uint8)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    return group.derived("check_codes", pack)
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """The int whose bit i is ``bits[i]``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+# Trials a random-clifford search scores in one pass. The pass's arrays grow
+# with it, so it bounds the search's memory at any budget.
+_TRIAL_BLOCK = 256
+
+
+def _random_clifford_depth(group: StabilizerGroup, t: int, budget: int, seed: int) -> FrontierRecord:
+    """The random-clifford record at depth t: the first trial with the least total energy.
+
+    Trials are drawn one generator each, from the seed (seed, t, trial),
+    and scored _TRIAL_BLOCK at a time by :func:`heisenberg_draw_batch`; a
+    later block replaces the winner only with a strictly lower total. At
+    depth 0 every trial is the empty circuit, so trial 0 alone is scored.
+    """
+    codes, signs = _check_codes(group)
+    n, n_checks = group.n, len(group.generators)
+    trials = range(budget if t else 1)
+    best = None  # (twice the total, trial seed, flipped bits, negative bits, draws)
+    for start in range(0, len(trials), _TRIAL_BLOCK):
+        seeds = [seed + 104729 * t + 7919 * trial for trial in trials[start : start + _TRIAL_BLOCK]]
+        draws = [draw_clifford_words(n, t, trial_seed) for trial_seed in seeds]
+        images, flips = heisenberg_draw_batch(codes, np.stack([p for p, _ in draws]), np.stack([w for _, w in draws]))
+        flipped = np.bitwise_or.reduce(images, axis=1) & 1  # the image has an X bit: the check reads 0
+        negative = (signs ^ flips) & (flipped ^ 1)
+        totals = flipped.sum(axis=1) + 2 * negative.sum(axis=1)
+        i = int(totals.argmin())
+        if best is None or totals[i] < best[0]:
+            best = (totals[i], seeds[i], flipped[i], negative[i], draws[i])
+    _, trial_seed, flipped, negative, draws = best
+    report = _outcome_report(n_checks, _bits_int(flipped), _bits_int(negative))
+    return FrontierRecord(t, "random-clifford", trial_seed, report, circuit_of_draws(n, draws))
 
 
 # energy (1 - <C>)/2 of a check whose image U^dagger C U is +-Z-type, by its sign bit
@@ -499,10 +554,12 @@ def frontier_search(
     does not grow with depth; past its node budget the records say that
     their energy is an upper bound). random-clifford scores budget trials per
     depth, with per-trial seeds derived from (seed, t, trial), straight
-    from their random draws (``draw_clifford_words`` read by
-    ``heisenberg_draws``), and builds the circuit of the winning trial
-    alone; the record keeps that trial's seed, so it reproduces from
-    (strategy, t, seed) as ``random_low_depth(n, t, seed=seed)``.
+    from their random draws (``draw_clifford_words``), a block of trials
+    per numpy pass of ``heisenberg_draw_batch``; the first trial with the
+    least total wins, and only its circuit is built. At depth 0 every trial
+    is the empty circuit, so one is scored. The record keeps the winning
+    trial's seed, so it reproduces from (strategy, t, seed) as
+    ``random_low_depth(n, t, seed=seed)``.
     coordinate-descent sweeps from |0^n> (every prep |0>, every brick the
     identity) and spends what is left of the budget on restarts from
     seeded random preps and bricks. Single-qubit layers do not count
@@ -530,18 +587,7 @@ def frontier_search(
         return records
 
     if strategy == "random-clifford":
-        for t in range(t_max + 1):
-            best_rep, best_seed, best_draws = None, None, None
-            for trial in range(budget):
-                trial_seed = seed + 104729 * t + 7919 * trial
-                draws = draw_clifford_words(group.n, t, trial_seed)
-                rep = _energy_of_circuit(draws, group)
-                key = (rep.total, trial_seed)
-                if best_rep is None or key < (best_rep.total, best_seed):
-                    best_rep, best_seed, best_draws = rep, trial_seed, draws
-            circuit = circuit_of_draws(group.n, best_draws)
-            records.append(FrontierRecord(t, strategy, best_seed, best_rep, circuit))
-        return records
+        return [_random_clifford_depth(group, t, budget, seed) for t in range(t_max + 1)]
 
     for t in range(t_max + 1):
         rep, circuit = _coordinate_descent(group, t, budget, seed)

@@ -9,7 +9,10 @@ earlier versions of a package path and reuse its kernels: each named
 gate's Pauli image table derived from its matrix, with the per-step
 tableau loop that looks rows up in it (oracles for the column engine's
 CHP rules), the per-gate word draws of random Clifford circuits (oracle
-for one draw per layer), the marginal of a vector via its full density
+for one draw per layer), the per-layer list draws read one slot at a time
+with the CHP rules written out, and the random-clifford search that read
+its trials that way one by one (oracles for the table pass over a block
+of trials), the marginal of a vector via its full density
 matrix (oracle for the pure-state partial trace), the distance searches
 that walked the candidates once per search and once per logical pair
 (oracle for the one shared walk), the coset walk one Python int per
@@ -498,6 +501,95 @@ def random_clifford_search_per_trial(group, t_max: int, budget: int, seed: int) 
             if best is None or (rep.total, trial_seed) < (best[2].total, best[1]):
                 best = (t, trial_seed, rep, circuit)
         best_per_depth.append(best)
+    return best_per_depth
+
+
+def clifford_word_draws(m: int, depth: int, seed: int | None) -> tuple:
+    """The draws of a random Clifford-word circuit as per-layer lists: ((pairs, rows), ...).
+
+    The form ``circuits.draw_clifford_words`` returned before it returned
+    arrays: per layer the wire pairs (perm[2i], perm[2i + 1]) of one
+    permutation and the twelve alphabet indices of each pair as int lists,
+    by the same numpy calls. Depth 0 draws nothing.
+    """
+    if depth == 0:
+        return ()
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(depth):
+        perm = rng.permutation(m).tolist()
+        layers.append((list(zip(perm[0 : m - 1 : 2], perm[1::2])), rng.integers(0, 7, size=(m // 2, 12)).tolist()))
+    return tuple(layers)
+
+
+def heisenberg_draws(xs: list[int], zs: list[int], signs: int, draws) -> int:
+    """``heisenberg_columns`` of the circuit that list draws describe, read from the draws.
+
+    Each slot loads its two wires' columns into locals, applies the daggered
+    alphabet steps in reverse with the column rules written out (H and CZ
+    and both CX orientations are their own inverses; S is undone by SDG),
+    and stores the columns back. Same columns and signs as the built
+    circuit, without a gate or a rule call per step.
+    """
+    s = signs
+    for pairs, rows in reversed(draws):
+        for (a, b), row in zip(pairs, rows):
+            xa, za, xb, zb = xs[a], zs[a], xs[b], zs[b]
+            for step in reversed(row):  # _WORD_ALPHABET[step], daggered
+                if step == 0:  # H on a
+                    s ^= xa & za
+                    xa, za = za, xa
+                elif step == 1:  # H on b
+                    s ^= xb & zb
+                    xb, zb = zb, xb
+                elif step == 2:  # SDG on a
+                    s ^= xa & ~za
+                    za ^= xa
+                elif step == 3:  # SDG on b
+                    s ^= xb & ~zb
+                    zb ^= xb
+                elif step == 4:  # CX, a controls b
+                    s ^= xa & zb & ~(xb ^ za)
+                    xb ^= xa
+                    za ^= zb
+                elif step == 5:  # CX, b controls a
+                    s ^= xb & za & ~(xa ^ zb)
+                    xa ^= xb
+                    zb ^= za
+                else:  # CZ
+                    s ^= xa & xb & (za ^ zb)
+                    za ^= xb
+                    zb ^= xa
+            xs[a], zs[a], xs[b], zs[b] = xa, za, xb, zb
+    return s
+
+
+def random_clifford_search_by_draws(group, t_max: int, budget: int, seed: int) -> list:
+    """(t, trial seed, report, circuit) per depth: the random-clifford search one trial at a time.
+
+    The loop ``frontier_search`` ran before it scored a depth's trials in
+    numpy blocks: every trial (also at depth 0) drawn by
+    :func:`clifford_word_draws` at the seed (seed, t, trial), its check
+    columns read by :func:`heisenberg_draws`, the best kept by (total,
+    trial seed), and the winner's circuit built gate by gate.
+    """
+    from stablab.frontier import _check_columns, _outcome_report
+
+    best_per_depth = []
+    for t in range(t_max + 1):
+        best = None
+        for trial in range(budget):
+            trial_seed = seed + 104729 * t + 7919 * trial
+            xs, zs, signs = _check_columns(group)
+            xs, zs = list(xs), list(zs)
+            signs = heisenberg_draws(xs, zs, signs, clifford_word_draws(group.n, t, trial_seed))
+            flipped = 0
+            for x in xs:
+                flipped |= x
+            rep = _outcome_report(len(group.generators), flipped, signs & ~flipped)
+            if best is None or (rep.total, trial_seed) < (best[2].total, best[1]):
+                best = (t, trial_seed, rep)
+        best_per_depth.append((*best, random_clifford_circuit_per_gate(group.n, t, best[1])))
     return best_per_depth
 
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     circuit_unitary_naive,
+    clifford_word_draws,
     expand_gate,
     gate_fields_after_validation,
+    heisenberg_draws,
     pauli_image_table,
     pauli_image_table_kron,
     pauli_letters,
@@ -17,11 +19,14 @@ from oracles import (
 )
 from stablab import gf2
 from stablab.circuits import (
+    _DAGGER_NAME,
     _WORD_ALPHABET,
     NAMED_GATES,
     Gate,
     LayeredCircuit,
+    _step_tables,
     circuit_from_dict,
+    circuit_of_draws,
     circuit_to_dict,
     compose,
     conjugate_columns,
@@ -31,7 +36,7 @@ from stablab.circuits import (
     embed,
     gate_matrix,
     heisenberg_columns,
-    heisenberg_draws,
+    heisenberg_draw_batch,
     identity_circuit,
     lightcone,
     load_circuit,
@@ -139,8 +144,59 @@ def test_draw_readout_matches_heisenberg_columns_on_the_built_circuit(m, depth, 
     signs = data.draw(cols)
     want_xs, want_zs = list(xs), list(zs)
     want = heisenberg_columns(want_xs, want_zs, signs, random_low_depth(m, depth, seed=seed))
-    assert heisenberg_draws(xs, zs, signs, draw_clifford_words(m, depth, seed)) == want
+    assert heisenberg_draws(xs, zs, signs, clifford_word_draws(m, depth, seed)) == want
     assert (xs, zs) == (want_xs, want_zs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4), st.integers(0, 2**64))
+def test_drawn_arrays_hold_the_list_draws(m, depth, seed):
+    perms, words = draw_clifford_words(m, depth, seed)
+    assert (perms.shape, words.shape, words.dtype) == ((depth, m), (depth, m // 2, 12), np.uint8)
+    layers = tuple((list(zip(p[0 : m - 1 : 2], p[1::2])), w) for p, w in zip(perms.tolist(), words.tolist()))
+    assert layers == clifford_word_draws(m, depth, seed)
+
+
+@pytest.mark.parametrize("index", range(len(_WORD_ALPHABET)))
+def test_step_tables_match_the_daggered_pauli_image_tables(index):
+    """Entry pattern | sign << 4 of a step's table, the pattern x_a | x_b << 1
+    | z_a << 2 | z_b << 3 on the slot's wires (a, b), must hold the image
+    and sign that the matrix-built table of the daggered step gives, on all
+    16 patterns and both signs."""
+    name, locs = _WORD_ALPHABET[index]
+    table = pauli_image_table(_DAGGER_NAME[name])
+    k = len(locs)
+    want = []
+    for entry in range(32):
+        local = sum((entry >> w & 1) << j | (entry >> 2 + w & 1) << k + j for j, w in enumerate(locs))
+        image, sign = table[local]
+        out = entry & ~sum(0b101 << w for w in locs)
+        out |= sum((image >> j & 1) << w | (image >> k + j & 1) << 2 + w for j, w in enumerate(locs))
+        want.append(out ^ (sign < 0) << 4)
+    assert _step_tables()[index].tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4), st.integers(1, 3), st.integers(0, 70), st.integers(0, 2**32), st.data())
+def test_draw_batch_matches_heisenberg_columns_on_each_built_circuit(m, depth, n_trials, n_paulis, seed, data):
+    """Up to 70 Paulis, past one machine word; odd m leaves a wire idle."""
+    cols = st.integers(0, (1 << n_paulis) - 1)
+    xs = data.draw(st.lists(cols, min_size=m, max_size=m))
+    zs = data.draw(st.lists(cols, min_size=m, max_size=m))
+    signs = data.draw(cols)
+    codes = np.array([[(x >> i & 1) | (z >> i & 1) << 2 for i in range(n_paulis)] for x, z in zip(xs, zs)], dtype=np.uint8)
+    draws = [draw_clifford_words(m, depth, seed + trial) for trial in range(n_trials)]
+    images, flips = heisenberg_draw_batch(
+        codes.reshape(m, n_paulis), np.stack([p for p, _ in draws]), np.stack([w for _, w in draws])
+    )
+    assert (images.shape, flips.shape) == ((n_trials, m, n_paulis), (n_trials, n_paulis))
+    for trial, drawn in enumerate(draws):
+        want_xs, want_zs = list(xs), list(zs)
+        want = heisenberg_columns(want_xs, want_zs, signs, circuit_of_draws(m, drawn))
+        got_xs = [sum(int(c & 1) << i for i, c in enumerate(row)) for row in images[trial]]
+        got_zs = [sum(int(c >> 2 & 1) << i for i, c in enumerate(row)) for row in images[trial]]
+        got_flips = sum(int(f) << i for i, f in enumerate(flips[trial]))
+        assert (got_xs, got_zs, signs ^ got_flips) == (want_xs, want_zs, want)
 
 
 def test_column_engines_reject_a_dense_gate():
@@ -323,7 +379,8 @@ def test_random_low_depth_matches_the_per_gate_draws(m, depth, seed):
 
 @given(st.integers(1, 20), st.one_of(st.none(), st.integers()))
 def test_depth_zero_is_the_empty_circuit_for_any_seed(m, seed):
-    assert draw_clifford_words(m, 0, seed) == ()
+    perms, words = draw_clifford_words(m, 0, seed)
+    assert (perms.shape, words.shape) == ((0, m), (0, m // 2, 12))
     circ = random_low_depth(m, 0, seed=seed)
     assert (circ.m, circ.layers, circ.code_qubits) == (m, (), None)
 

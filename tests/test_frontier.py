@@ -11,6 +11,7 @@ from oracles import (
     gate_fields_after_validation,
     pauli_image_table_kron,
     product_state_minimum_settled_only,
+    random_clifford_search_by_draws,
     random_clifford_search_per_trial,
     random_pauli,
     signed_commuting_groups,
@@ -251,6 +252,75 @@ def test_random_clifford_records_match_the_per_trial_search(name):
         ]
 
 
+def _count_calls(monkeypatch, *names) -> dict:
+    """Count the calls of each named ``stablab.frontier`` function, by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        inner = getattr(stablab.frontier, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(stablab.frontier, name, counted(name))
+    return calls
+
+
+_RANDOM_CLIFFORD_GROUPS = {
+    name: build_code(name).group for name in ("five_qubit", "surface13", "toric2", "toric3")
+} | {"toric6": toric_code(6).group}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_RANDOM_CLIFFORD_GROUPS)), st.integers(0, 4), st.integers(1, 13), st.integers(0, 2**32))
+def test_random_clifford_blocks_match_the_search_one_trial_at_a_time(name, t_max, budget, seed):
+    """With blocks of 3 trials, budgets up to five blocks put equal totals
+    on both sides of block edges: a later block must not take the lead on
+    a tie. toric6 has 72 checks, past one machine word; five_qubit and
+    surface13 leave a wire idle per layer."""
+    group = _RANDOM_CLIFFORD_GROUPS[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stablab.frontier, "_TRIAL_BLOCK", 3)
+        records = frontier_search(group, t_max, "random-clifford", budget=budget, seed=seed)
+    want = random_clifford_search_by_draws(group, t_max, budget, seed)
+    assert [(r.t, r.seed, r.best_energy.per_term, circuit_to_dict(r.best_circuit)) for r in records] == [
+        (t, trial_seed, rep.per_term, circuit_to_dict(circuit)) for t, trial_seed, rep, circuit in want
+    ]
+
+
+def test_random_clifford_reads_no_built_circuit_per_trial(monkeypatch):
+    """Trials are read from their draws in blocks: at most one built
+    circuit a depth goes through heisenberg_columns, and depth 0 draws a
+    single trial."""
+    calls = _count_calls(monkeypatch, "draw_clifford_words", "heisenberg_columns")
+    for t_max, budget in ((0, 300), (3, 16), (3, 300)):
+        calls.update(dict.fromkeys(calls, 0))
+        frontier_search(build_code("toric3"), t_max, "random-clifford", budget=budget, seed=4)
+        assert calls["draw_clifford_words"] == 1 + t_max * budget
+        assert calls["heisenberg_columns"] <= t_max + 1
+
+
+def test_random_clifford_peak_memory_does_not_grow_with_the_budget():
+    """Blocks bound the pass: four blocks of trials peak within 1.5x of one."""
+    group = build_code("toric3").group
+    block = stablab.frontier._TRIAL_BLOCK
+    frontier_search(group, 3, "random-clifford", budget=block, seed=1)  # tables and per-group data
+    peaks = []
+    for budget in (block, 4 * block):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            frontier_search(group, 3, "random-clifford", budget=budget, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_random_clifford_is_deterministic():
     code = build_code("five_qubit")
     a = frontier_search(code, 1, "random-clifford", budget=25, seed=3)
@@ -300,19 +370,7 @@ def test_coordinate_descent_builds_only_each_depths_winner(monkeypatch):
     """Evaluations read the kept brick and prep images: no circuit is
     assembled or read per evaluation, only one witness per depth, and each
     depth reads exactly ``budget`` energies."""
-    calls = {"_assemble_descent": 0, "_energy_of_circuit": 0, "_outcome_report": 0}
-
-    def counted(name):
-        inner = getattr(stablab.frontier, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(stablab.frontier, name, counted(name))
+    calls = _count_calls(monkeypatch, "_assemble_descent", "_energy_of_circuit", "_outcome_report")
     for t_max, budget in ((0, 1), (3, 16), (3, 150)):
         calls.update(dict.fromkeys(calls, 0))
         frontier_search(build_code("toric3"), t_max, "coordinate-descent", budget=budget, seed=4)
