@@ -23,12 +23,10 @@ from .paulis import LogicalPair, StabilizerGroup, best_distance
 from .states import (
     StabilizerMixture,
     expectation,
-    group_mixture,
     marginal,
     num_qubits,
     project_all,
     require_dense,
-    vector,
     zero_mixture,
 )
 
@@ -61,7 +59,6 @@ class BoundInputs:
     k: int | None = None
     d: int | None = None
     ell: int | None = None
-    n_checks: int | None = None
     epsilon: float | None = None
     delta: float | None = None
     t: int | None = None
@@ -76,7 +73,7 @@ class BoundInputs:
             value = getattr(self, name)
             if value is not None and not 1 <= value <= self.n:
                 raise ValueError(f"{name} {value} outside [1, n = {self.n}]")
-        for name in ("ell", "n_checks", "m"):
+        for name in ("ell", "m"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -241,24 +238,17 @@ def trace_distance_to_code(state, code_or_group) -> dict:
     Reports f = |Pi psi| and the pure-vs-subspace trace distance
     sqrt(1 - f^2): the nearest code state in that convention is the
     normalized projection, and no mixed code state can push fidelity
-    above f. For n <= 9 the overlap is also recomputed through the dense
-    projector Pi = 2^k rho, with rho the maximally mixed code state, and
-    reported as ``cross_check``.
+    above f.
     """
     group = as_group(code_or_group)
     f_sq = code_overlap(state, group)
     f_sq = min(max(f_sq, 0.0), 1.0)
-    out = {
+    return {
         "f_squared": f_sq,
         "fidelity": math.sqrt(f_sq),
         "trace_distance": math.sqrt(1.0 - f_sq),
         "convention": "pure-vs-subspace",
     }
-    if group.n <= 9:
-        proj = 2**group.n_logical * group_mixture(group).dense_rho()
-        out["cross_check"] = float(np.linalg.norm(proj @ vector(state)) ** 2)
-        assert abs(out["cross_check"] - f_sq) < 1e-9
-    return out
 
 
 def zero_state_distance_check(code_or_group) -> dict:
@@ -325,22 +315,21 @@ def product_state_separation_check(state, code_or_group) -> dict:
 def lightcone_count_check(w_circuit: LayeredCircuit, code_or_group, phi=None) -> dict:
     """Average lightcone energy sandwich for a syndrome-extracting circuit.
 
-    For W on m data + N register wires, every wire j owns the SMA checks
+    For W on the n data + N register wires, every wire j owns the SMA checks
     whose register wire falls in j's lightcone under W reversed. The mean
-    over j of that owned energy is squeezed between E/(m+N) and
-    2^{2 depth} E/(m+N): each check is owned at least once (by its own
+    over j of that owned energy is squeezed between E/(n+N) and
+    2^{2 depth} E/(n+N): each check is owned at least once (by its own
     register wire) and at most by every wire its reversed cone reaches.
-    Energies are per-term values of the data state phi (default |0^m>).
+    Energies are per-term values of the data state phi (default |0^n>).
+    Raises ValueError when W acts on any other number of wires.
     """
     group = as_group(code_or_group)
-    n_checks = len(group.generators)
-    m = w_circuit.m - n_checks
-    if m < group.n:
-        raise ValueError("circuit too small for data block plus register")
+    n, n_checks = group.n, len(group.generators)
+    if w_circuit.m != n + n_checks:
+        raise ValueError(f"circuit acts on {w_circuit.m} wires; the code needs {n} data + {n_checks} register wires")
     if phi is None:
-        phi = zero_mixture(m)
-    ham = build_code_hamiltonian(group)
-    eps = energy_report(phi, ham, code_qubits=tuple(range(group.n))).per_term
+        phi = zero_mixture(n)
+    eps = energy_report(phi, build_code_hamiltonian(group)).per_term
     total = float(sum(eps))
 
     reversed_w = reverse_circuit(w_circuit)
@@ -348,7 +337,7 @@ def lightcone_count_check(w_circuit: LayeredCircuit, code_or_group, phi=None) ->
     owned = []
     for j in range(w_circuit.m):
         cone = lightcone(reversed_w, (j,))
-        sma = [i for i in range(n_checks) if m + i in cone]
+        sma = [i for i in range(n_checks) if n + i in cone]
         for i in sma:
             counts[i] += 1
         owned.append(sum(eps[i] for i in sma))

@@ -172,19 +172,13 @@ def ham():
 @ham.command("energy")
 @_with_code_options
 @click.option("--circuit", "circuit_path", default=None, type=click.Path(), help="prep circuit JSON")
-@click.option(
-    "--normalization",
-    default="sum",
-    type=click.Choice(["sum", "mean"]),
-    show_default=True,
-)
 @click.option("--csv", "as_csv", is_flag=True, help="one row per term instead of JSON")
 @click.option("--out", default=None, type=click.Path())
-def ham_energy(builtin, file_path, circuit_path, normalization, as_csv, out):
+def ham_energy(builtin, file_path, circuit_path, as_csv, out):
     """Per-check and total energy of a prepared state."""
     chosen = _pick_code(builtin, file_path)
     state = _prepared_state(chosen.group.n, circuit_path)
-    report = energy_report(state, build_code_hamiltonian(chosen.group, normalization))
+    report = energy_report(state, build_code_hamiltonian(chosen.group))
     if as_csv:
         lines = ["term,energy"]
         lines.extend(f"{i},{v!r}" for i, v in enumerate(report.per_term))
@@ -312,7 +306,6 @@ def bounds():
 @click.option("--k", default=None, type=int, help="logical qubits")
 @click.option("--d", default=None, type=int, help="distance")
 @click.option("--ell", default=None, type=int, help="check locality")
-@click.option("--n-checks", default=None, type=int)
 @click.option("--eps", default=None, type=float, help="energy fraction")
 @click.option("--delta", default=None, type=float, help="trace distance")
 @click.option("--t", default=None, type=int, help="candidate depth")
@@ -320,13 +313,10 @@ def bounds():
 @click.option("--m", default=None, type=int, help="total circuit qubits")
 @click.option("--c-ell", default=1.0, type=float, show_default=True, help="rate-bound constant")
 @click.option("--out", default=None, type=click.Path())
-def bounds_eval(n, k, d, ell, n_checks, eps, delta, t, f, m, c_ell, out):
+def bounds_eval(n, k, d, ell, eps, delta, t, f, m, c_ell, out):
     """Evaluate every bound formula; inapplicable entries say why."""
     try:
-        inputs = BoundInputs(
-            n=n, k=k, d=d, ell=ell, n_checks=n_checks,
-            epsilon=eps, delta=delta, t=t, f=f, m=m, c_ell=c_ell,
-        )
+        inputs = BoundInputs(n=n, k=k, d=d, ell=ell, epsilon=eps, delta=delta, t=t, f=f, m=m, c_ell=c_ell)
         payload = depth_lower_bounds(inputs)
     except (ValueError, ArithmeticError) as err:
         # a closed form on in-range inputs can still leave the float range

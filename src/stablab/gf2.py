@@ -46,9 +46,6 @@ class Reducer:
                 v ^= row
         return v
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
     def _reduce_tracked(self, v: int) -> tuple[int, int]:
         combo = 0
         for (pivot, row), row_combo in zip(self.rows, self._combos):

@@ -39,7 +39,7 @@ from itertools import product
 import numpy as np
 
 from . import gf2
-from .paulis import PauliOperator, StabilizerGroup, dense_matrix, embed_pauli, qubit_columns
+from .paulis import PauliOperator, StabilizerGroup, dense_matrix, qubit_columns
 from .states import expectation, num_qubits, project_all, require_dense
 
 
@@ -82,39 +82,18 @@ class EnergyReport:
         return cls(per_term=per_term, total=total, mean=total / len(per_term) if per_term else 0.0)
 
 
-def _code_checks(state, ham: CodeHamiltonian, hint: str) -> tuple[PauliOperator, ...]:
-    """The checks, for a state on the code's own wires; else ValueError ending in ``hint``."""
+def _code_checks(state, ham: CodeHamiltonian) -> tuple[PauliOperator, ...]:
+    """The checks, for a state on the code's own wires; else ValueError."""
     m = num_qubits(state)
     if m != ham.n:
-        raise ValueError(f"state has {m} qubits but the code needs {ham.n}{hint}")
+        raise ValueError(f"state has {m} qubits but the code needs {ham.n}")
     return ham.group.generators
 
 
-def _embedded_checks(state, ham: CodeHamiltonian, code_qubits) -> tuple[PauliOperator, ...]:
-    if code_qubits is None:
-        return _code_checks(state, ham, "; pass code_qubits")
-    m = num_qubits(state)
-    code_qubits = tuple(code_qubits)
-    if len(code_qubits) != ham.n:
-        raise ValueError(f"code_qubits must list {ham.n} wires, got {len(code_qubits)}")
-    return tuple(embed_pauli(g, m, code_qubits) for g in ham.group.generators)
-
-
-def energy_report(state, ham: CodeHamiltonian, code_qubits=None) -> EnergyReport:
-    """Per-term energies eps_i = (1 - <C_i>)/2 plus their total and mean.
-
-    ``code_qubits`` lists the wires that carry the code's qubits, in order,
-    when the state is wider than the code.
-    """
-    checks = _embedded_checks(state, ham, code_qubits)
+def energy_report(state, ham: CodeHamiltonian) -> EnergyReport:
+    """Per-term energies eps_i = (1 - <C_i>)/2 plus their total and mean."""
+    checks = _code_checks(state, ham)
     return EnergyReport.from_terms(tuple(0.5 - 0.5 * expectation(state, c) for c in checks))
-
-
-def energy_value(state, ham: CodeHamiltonian) -> float:
-    """tr(H rho) in the Hamiltonian's own normalization, for a state on the code's own wires."""
-    _code_checks(state, ham, "")  # first, so that the error names no code_qubits
-    report = energy_report(state, ham)
-    return report.mean if ham.normalization == "mean" else report.total
 
 
 # largest syndrome-space rank attainable_syndromes lists: 2^22 uint64 entries
@@ -126,9 +105,14 @@ def attainable_syndromes(group: StabilizerGroup) -> np.ndarray:
 
     The attainable syndromes are the span of the single-qubit X and Z
     syndromes; the array is that span listed by XOR-doubling a basis of it,
-    2^rank entries. Raises ValueError above 64 checks or past
+    2^rank entries. It is derived once per group and kept read-only on it,
+    up to 32 MB at the cap. Raises ValueError above 64 checks or past
     2^MAX_SYNDROME_RANK.
     """
+    return group.derived("attainable_syndromes", lambda: _attainable_syndromes(group))
+
+
+def _attainable_syndromes(group: StabilizerGroup) -> np.ndarray:
     n_checks = len(group.generators)
     if n_checks > 64:
         raise ValueError(f"syndromes of {n_checks} checks do not fit in 64 bits")
@@ -139,6 +123,7 @@ def attainable_syndromes(group: StabilizerGroup) -> np.ndarray:
     syndromes = np.zeros(1, dtype=np.uint64)
     for _, row in reducer.rows:
         syndromes = np.concatenate([syndromes, syndromes ^ np.uint64(row)])
+    syndromes.flags.writeable = False
     return syndromes
 
 
@@ -191,7 +176,7 @@ def amplified_energy(state, amp: AmplifiedHamiltonian) -> float:
     density matrix). Raises ValueError when the n_terms^p tuples would
     exceed MAX_AMPLIFIED_TUPLES, or p its bit length.
     """
-    checks = _code_checks(state, amp.base, "")
+    checks = _code_checks(state, amp.base)
     n_terms = len(checks)
     if amp.p > MAX_AMPLIFIED_TUPLES.bit_length() or n_terms**amp.p > MAX_AMPLIFIED_TUPLES:
         raise ValueError(f"{n_terms}^{amp.p} check tuples exceed the cap of {MAX_AMPLIFIED_TUPLES}")
@@ -234,7 +219,7 @@ def amplification_gap_check(state, ham: CodeHamiltonian, p: int, t: int) -> GapA
     mean_ham = CodeHamiltonian(group=ham.group, normalization="mean")
     amp = amplify(mean_ham, p)
     lhs = amplified_energy(state, amp)
-    base = energy_value(state, mean_ham)
+    base = energy_report(state, mean_ham).mean
     rhs = 0.5 * min(1.0, p * base) - penalty
     return GapAmplificationReport(lhs=lhs, rhs=rhs, base_energy=base, p=p, t=t, holds=lhs >= rhs - 1e-12)
 

@@ -278,10 +278,6 @@ class StabilizerGroup:
     def n_logical(self) -> int:
         return self.n - self.rank
 
-    def syndrome_of(self, p: PauliOperator) -> tuple[int, ...]:
-        """Anticommutation bit against each generator, in generator order."""
-        return tuple(symplectic_product(g, p) for g in self.generators)
-
     @property
     def locality(self) -> int:
         """max(check weight, qubit degree): the interaction locality bound."""

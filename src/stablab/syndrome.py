@@ -34,62 +34,29 @@ from .states import apply_circuit, dephase, extend, fidelity, marginal, project
 _CONTROLLED = {"X": "CX", "Y": "CY", "Z": "CZ"}
 
 
-@dataclass(frozen=True)
-class CheckOverlapGraph:
-    n_checks: int
-    edges: frozenset[tuple[int, int]]
+def check_colors(group: StabilizerGroup) -> tuple[int, ...]:
+    """Greedy proper coloring of the check-overlap graph, one color per check.
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n_checks
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
-
-
-def overlap_graph(group: StabilizerGroup) -> CheckOverlapGraph:
-    """Edges between checks whose supports intersect."""
+    Checks whose supports intersect get different colors. Checks are colored
+    in descending overlap degree, index breaking ties, each with the least
+    color its neighbors leave free.
+    """
     supports = [set(g.support) for g in group.generators]
-    edges = set()
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                edges.add((i, j))
-    return CheckOverlapGraph(n_checks=len(supports), edges=frozenset(edges))
-
-
-@dataclass(frozen=True)
-class Coloring:
-    colors: tuple[int, ...]
-
-    @property
-    def n_colors(self) -> int:
-        return max(self.colors) + 1 if self.colors else 0
-
-
-def greedy_coloring(graph: CheckOverlapGraph) -> Coloring:
-    """Greedy proper coloring, descending degree order with index tie-break."""
-    degrees = graph.degrees
-    order = sorted(range(graph.n_checks), key=lambda i: (-degrees[i], i))
-    adjacency: dict[int, set[int]] = {i: set() for i in range(graph.n_checks)}
-    for a, b in graph.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    colors = [-1] * graph.n_checks
-    for v in order:
-        taken = {colors[u] for u in adjacency[v] if colors[u] >= 0}
+    neighbors = [[j for j, other in enumerate(supports) if j != i and s & other] for i, s in enumerate(supports)]
+    colors = [-1] * len(supports)
+    for v in sorted(range(len(supports)), key=lambda i: (-len(neighbors[i]), i)):
+        taken = {colors[u] for u in neighbors[v]}
         c = 0
         while c in taken:
             c += 1
         colors[v] = c
-    return Coloring(colors=tuple(colors))
+    return tuple(colors)
 
 
 @dataclass(frozen=True)
 class SyndromeCircuit:
     circuit: LayeredCircuit
-    coloring: Coloring
+    colors: tuple[int, ...]
     group: StabilizerGroup = field(repr=False)
 
     @property
@@ -101,7 +68,7 @@ class SyndromeCircuit:
         """ell * (colors used) + terminal layers, what the schedule achieves."""
         ell = self.group.locality
         extra = 3 if any(g.sign < 0 for g in self.group.generators) else 2
-        return ell * self.coloring.n_colors + extra
+        return ell * (max(self.colors, default=-1) + 1) + extra
 
     @property
     def depth_bound_statement(self) -> int:
@@ -121,13 +88,13 @@ def build_syndrome_circuit(group: StabilizerGroup) -> SyndromeCircuit:
     """
     n = group.n
     checks = group.generators
-    coloring = greedy_coloring(overlap_graph(group))
+    colors = check_colors(group)
 
     m = n + len(checks)
     layers: list[tuple[Gate, ...]] = []
     layers.append(tuple(Gate(qubits=(n + i,), name="H") for i in range(len(checks))))
-    for c in range(coloring.n_colors):
-        members = [i for i, col in enumerate(coloring.colors) if col == c]
+    for c in range(max(colors, default=-1) + 1):
+        members = [i for i, col in enumerate(colors) if col == c]
         max_w = max(checks[i].weight for i in members)
         for step in range(max_w):
             gates = []
@@ -143,7 +110,7 @@ def build_syndrome_circuit(group: StabilizerGroup) -> SyndromeCircuit:
     layers.append(tuple(Gate(qubits=(n + i,), name="H") for i in range(len(checks))))
 
     circuit = LayeredCircuit(m=m, layers=tuple(layers), code_qubits=tuple(range(n)))
-    built = SyndromeCircuit(circuit=circuit, coloring=coloring, group=group)
+    built = SyndromeCircuit(circuit=circuit, colors=colors, group=group)
     if group.locality >= 2:
         assert built.depth <= built.depth_bound_statement
     return built

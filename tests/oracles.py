@@ -33,10 +33,11 @@ cleaning-lemma rank test), which reuse the package's marginals and
 channel.
 
 A few helpers that several test modules share sit here too: seeded random
-Paulis, single-qubit Paulis, the distance walk's candidate order, the
-hypothesis strategy for signed commuting groups, computational
-basis vectors, the trace distance, and the projection onto a syndrome
-sector (through the package's ``project_all``).
+Paulis, single-qubit Paulis, a Pauli's syndrome against a group's
+generators, span membership in a ``gf2.Reducer``, the distance walk's
+candidate order, the hypothesis strategy for signed commuting groups,
+computational basis vectors, the trace distance, and the projection onto
+a syndrome sector (through the package's ``project_all``).
 """
 
 from __future__ import annotations
@@ -143,6 +144,16 @@ def gf2_solve_naive(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     for row_idx, col in enumerate(pivots):
         x[col] = aug[row_idx][n]
     return x
+
+
+def syndrome_of(group, p) -> tuple[int, ...]:
+    """Anticommutation bit of p against each generator, in generator order."""
+    return tuple(bin((g.x & p.z) ^ (g.z & p.x)).count("1") & 1 for g in group.generators)
+
+
+def span_contains(reducer, v: int) -> bool:
+    """Is v in the span of the rows a ``gf2.Reducer`` holds?"""
+    return reducer.reduce(v) == 0
 
 
 def _random_bits(n: int, rng: np.random.Generator) -> int:
@@ -725,7 +736,7 @@ def min_weight_logical_by_candidates(group, cap: int = 4):
             if _parity(x & gz) ^ _parity(z & gx):
                 ok = False
                 break
-        if ok and not group._reducer.contains(x | (z << n)):
+        if ok and not span_contains(group._reducer, x | (z << n)):
             return PauliOperator(n, x, z, 1)
     return None
 
@@ -1068,7 +1079,7 @@ def nonzero_syndrome_error(group):
     for q in range(group.n):
         for letter in ("X", "Z", "Y"):
             err = single(group.n, q, letter)
-            if any(group.syndrome_of(err)):
+            if any(syndrome_of(group, err)):
                 return err
     return None
 

@@ -25,9 +25,11 @@ from stablab.paulis import (
 from stablab.states import (
     StabilizerMixture,
     density_matrix,
+    group_mixture,
     num_qubits,
     partial_trace,
     require_dense,
+    vector,
     zero_mixture,
     zero_vector,
 )
@@ -50,14 +52,11 @@ def test_inputs_validate_ranges():
     for c_ell in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="c_ell"):
             BoundInputs(n=8, c_ell=c_ell)
-    # integer premises: 1 <= k, d <= n; ell, n_checks, m >= 1; t >= 0
-    for bad in (
-        {"k": 0}, {"k": 9}, {"d": 0}, {"d": 9}, {"ell": 0},
-        {"n_checks": 0}, {"t": -1}, {"m": 0},
-    ):
+    # integer premises: 1 <= k, d <= n; ell, m >= 1; t >= 0
+    for bad in ({"k": 0}, {"k": 9}, {"d": 0}, {"d": 9}, {"ell": 0}, {"t": -1}, {"m": 0}):
         with pytest.raises(ValueError):
             BoundInputs(n=8, **bad)
-    BoundInputs(n=8, k=8, d=8, ell=1, n_checks=1, t=0, m=1)
+    BoundInputs(n=8, k=8, d=8, ell=1, t=0, m=1)
 
 
 def test_inputs_trim_total_qubits():
@@ -182,6 +181,12 @@ def test_agsp_bound_needs_imperfect_fidelity():
     assert entry["applicable"] is False
 
 
+def dense_f_squared(state, group) -> float:
+    """|Pi psi|^2 through the dense code projector Pi = 2^k rho, rho the maximally mixed code state."""
+    proj = 2**group.n_logical * group_mixture(group).dense_rho()
+    return float(np.linalg.norm(proj @ vector(state)) ** 2)
+
+
 def test_trace_distance_code_state_is_zero():
     code = build_code("five_qubit")
     pair = logical_pairs(code.group)[0]
@@ -189,7 +194,7 @@ def test_trace_distance_code_state_is_zero():
     rep = trace_distance_to_code(state, code)
     assert rep["fidelity"] == pytest.approx(1.0)
     assert rep["trace_distance"] == pytest.approx(0.0)
-    assert rep["cross_check"] == pytest.approx(1.0)
+    assert dense_f_squared(state, code.group) == pytest.approx(1.0)
 
 
 def test_trace_distance_zero_state_five_qubit():
@@ -197,7 +202,7 @@ def test_trace_distance_zero_state_five_qubit():
     rep = trace_distance_to_code(zero_mixture(5), code)
     assert rep["fidelity"] ** 2 == pytest.approx(1.0 / 16.0)
     assert rep["trace_distance"] == pytest.approx(math.sqrt(15.0) / 4.0)
-    assert rep["cross_check"] == pytest.approx(1.0 / 16.0)
+    assert dense_f_squared(zero_mixture(5), code.group) == pytest.approx(1.0 / 16.0)
 
 
 def test_trace_distance_dense_matches_mixture():
@@ -215,17 +220,22 @@ def test_trace_distance_orthogonal_sector():
     rep = trace_distance_to_code(flipped, code)
     assert rep["fidelity"] == pytest.approx(0.0)
     assert rep["trace_distance"] == pytest.approx(1.0)
-    assert rep["cross_check"] == pytest.approx(0.0)
+    assert dense_f_squared(flipped, code.group) == pytest.approx(0.0)
 
 
-def test_trace_distance_cross_check_runs_exactly_up_to_nine_qubits():
-    for name in ("five_qubit", "toric2", "surface13", "toric3"):
-        group = build_code(name).group
-        rep = trace_distance_to_code(zero_mixture(group.n), group)
-        assert ("cross_check" in rep) == (group.n <= 9), name
+@pytest.mark.parametrize("name", ["five_qubit", "toric2", "surface5"])
+def test_trace_distance_matches_the_dense_projector_on_small_builtins(name):
+    group = build_code(name).group
+    assert group.n <= 9
+    states = [zero_mixture(group.n).apply_circuit(random_low_depth(group.n, 2, "clifford", seed=s)) for s in range(3)]
+    for state in states:
+        rep = trace_distance_to_code(state, group)
+        assert abs(rep["f_squared"] - dense_f_squared(state, group)) < 1e-9
+    zero = zero_state_distance_check(group)
+    assert abs(zero["fidelity"] ** 2 - dense_f_squared(zero_mixture(group.n), group)) < 1e-9
 
 
-def test_trace_distance_cross_check_uses_projector_oracle():
+def test_dense_code_projector_matches_projector_oracle():
     code = build_code("toric2")
     rep = trace_distance_to_code(zero_mixture(8), code)
     proj = projector_from_strings(
@@ -234,7 +244,7 @@ def test_trace_distance_cross_check_uses_projector_oracle():
     )
     vec = np.zeros(2**8)
     vec[0] = 1.0
-    assert rep["cross_check"] == pytest.approx(float(np.real(vec @ proj @ vec)))
+    assert dense_f_squared(zero_mixture(8), code.group) == pytest.approx(float(np.real(vec @ proj @ vec)))
     assert rep["fidelity"] ** 2 == pytest.approx(0.125)
 
 
@@ -485,6 +495,14 @@ def test_lightcone_sandwich_fifty_seeds():
         assert rep["holds"], seed
         assert rep["lhs"] <= rep["mid"] + 1e-12
         assert rep["mid"] <= rep["rhs"] + 1e-12
+
+
+def test_lightcone_refuses_a_circuit_of_another_width():
+    code = build_code("five_qubit")
+    synd = build_syndrome_circuit(code.group)
+    for w in (embed(synd.circuit, 10), random_low_depth(8, 1, "clifford", seed=0)):
+        with pytest.raises(ValueError, match=rf"acts on {w.m} wires; the code needs 5 data \+ 4 register wires"):
+            lightcone_count_check(w, code.group)
 
 
 def test_lightcone_zero_energy_collapses_sandwich():

@@ -52,6 +52,7 @@ from oracles import (
     region_is_correctable_by_span_rank,
     signed_commuting_groups,
     single,
+    syndrome_of,
     theta_by_branches,
     von_neumann_entropy_naive,
 )
@@ -260,7 +261,7 @@ def zero_expectation_suite(code, sector, n_samples: int = 5, seed: int = 0, max_
             PauliOperator(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
             for _ in range(max_paulis)
         ]
-    anticommuting = [p for p in paulis if any(group.syndrome_of(p))]
+    anticommuting = [p for p in paulis if any(syndrome_of(group, p))]
 
     pairs = logical_pairs(group)
     logicals = [p.xbar for p in pairs] + [p.zbar for p in pairs]
@@ -353,7 +354,7 @@ def test_zero_expectation_explicit_anticommuting_pauli():
     group = code.group
     mix = group_mixture(group)
     err = single(5, 0, "X")
-    assert any(group.syndrome_of(err))
+    assert any(syndrome_of(group, err))
     assert mix.expectation(err) == 0.0
 
 
@@ -713,7 +714,7 @@ def test_rank_path_decides_every_pair_on_the_k16_hypergraph_product():
     # qubits 0, 1, 2 of the left block carry the Hamming codeword 1110000
     # along one row: X there commutes with every check but is no stabilizer
     logical = from_letters("XXX" + "I" * 55)
-    assert not any(group.syndrome_of(logical))
+    assert not any(syndrome_of(group, logical))
     assert group_mixture(group).expectation(logical) == 0.0  # commutes, so not a member
     assert not _region_is_correctable(group, (0, 1, 2))
     assert _region_is_correctable(group, (0, 1, 3))

@@ -422,7 +422,7 @@ def _reject_constant(name):
             (_bounds_eval(**bad), {})
             for bad in (
                 {"k": 0}, {"k": 20}, {"d": 0}, {"d": 11},
-                {"ell": 0}, {"n_checks": 0}, {"t": -1}, {"m": 0},
+                {"ell": 0}, {"t": -1}, {"m": 0},
             )
         ),
         # inputs past the dense limit

@@ -15,6 +15,7 @@ from oracles import (
     single,
     sparsifier_deviation_per_sample,
     sparsify_per_row,
+    syndrome_of,
 )
 from stablab.cli import main
 from stablab.circuits import random_low_depth
@@ -33,7 +34,6 @@ from stablab.hamiltonians import (
     dense_hamiltonian,
     dense_sparsified_g,
     energy_report,
-    energy_value,
     sparsifier_deviation,
     sparsifier_sample_count,
     sparsify,
@@ -145,7 +145,7 @@ def test_energy_report_single_toric_error():
     assert np.isclose(report.total, 2.0)
     assert sum(1 for e in report.per_term if np.isclose(e, 1.0)) == 2
     # the violated checks are Z-type (plaquettes adjacent to edge 0)
-    syndrome = code.group.syndrome_of(single(18, 0, "X"))
+    syndrome = syndrome_of(code.group, single(18, 0, "X"))
     violated = [i for i, b in enumerate(syndrome) if b]
     for i in violated:
         assert np.isclose(report.per_term[i], 1.0)
@@ -163,32 +163,17 @@ def test_energy_report_dense_and_tableau_agree():
         assert np.allclose(r1.per_term, r2.per_term, atol=1e-10)
 
 
-def test_energy_report_with_code_qubits_embedding():
-    code = five_qubit_code()
-    ham = build_code_hamiltonian(code.group)
-    state = group_mixture(code.group).extend(2)
-    report = energy_report(state, ham, code_qubits=range(5))
-    assert np.isclose(report.total, 0.0)
-    with pytest.raises(ValueError, match="code_qubits"):
-        energy_report(state, ham)
-    with pytest.raises(ValueError, match="code_qubits"):
-        energy_report(state, ham, code_qubits=[0, 1])
-
-
-def test_width_errors_name_code_qubits_only_where_it_can_be_passed():
+def test_every_reader_refuses_another_width():
     code = five_qubit_code()
     mean = build_code_hamiltonian(code.group, "mean")
     state = zero_mixture(6)
     for call in (
         lambda: amplified_energy(state, amplify(mean, 2)),
-        lambda: energy_value(state, mean),
+        lambda: energy_report(state, mean),
         lambda: amplification_gap_check(state, mean, 2, 1),
     ):
-        with pytest.raises(ValueError, match="state has 6 qubits but the code needs 5") as err:
+        with pytest.raises(ValueError, match="^state has 6 qubits but the code needs 5$"):
             call()
-        assert "code_qubits" not in str(err.value)
-    with pytest.raises(ValueError, match="code needs 5; pass code_qubits"):
-        energy_report(state, mean)
 
 
 def test_project_eigenspace_code_state():
@@ -205,7 +190,7 @@ def test_project_eigenspace_error_state():
     ham = build_code_hamiltonian(code.group)
     err = single(5, 2, "X")
     state = conjugate_pauli_mixture(group_mixture(code.group), err)
-    s = code.group.syndrome_of(err)
+    s = syndrome_of(code.group, err)
     prob, projected = project_eigenspace(state, ham, s)
     assert np.isclose(prob, 1.0)
     wrong = list(s)
@@ -393,12 +378,15 @@ def test_sparsify_five_qubit_quality_sweep():
     assert hits >= 7  # lemma promises 1/3; sampling this dense it is near-certain
 
 
-def test_energy_value_normalization():
-    code = five_qubit_code()
-    state = zero_mixture(5)
-    s = energy_value(state, build_code_hamiltonian(code.group, "sum"))
-    m = energy_value(state, build_code_hamiltonian(code.group, "mean"))
-    assert np.isclose(s, 4 * m)
+def test_gap_check_reads_the_mean_energy_in_either_normalization():
+    group = five_qubit_code().group
+    for seed in range(3):
+        state = zero_mixture(5).apply_circuit(random_low_depth(5, 1, family="clifford", seed=seed))
+        report = energy_report(state, build_code_hamiltonian(group))
+        assert np.isclose(report.total, 4 * report.mean)
+        for normalization in ("sum", "mean"):
+            gap = amplification_gap_check(state, build_code_hamiltonian(group, normalization), 2, 1)
+            assert gap.base_energy == report.mean
 
 
 # --- the syndrome basis against independent enumerations and the dense oracle ---
@@ -464,7 +452,22 @@ def test_attainable_syndromes_match_independent_enumeration(name, monkeypatch):
     assert sorted(got.tolist()) == _syndrome_set_oracle(name, group)
     monkeypatch.setattr(hamiltonians, "MAX_SYNDROME_RANK", group.rank - 1)
     with pytest.raises(ValueError, match="sectors"):
-        attainable_syndromes(group)
+        attainable_syndromes(StabilizerGroup(group.generators))
+
+
+def test_attainable_syndromes_are_enumerated_once_per_group_and_read_only(monkeypatch):
+    group = build_code("toric3").group
+    enumerated = []
+    enumerate_syndromes = hamiltonians._attainable_syndromes
+    monkeypatch.setattr(hamiltonians, "_attainable_syndromes", lambda g: enumerated.append(g) or enumerate_syndromes(g))
+    amp = amplify(build_code_hamiltonian(group, "mean"), 2)
+    for seed in range(2):
+        sparsifier_deviation(sparsify(amp, 40, seed=seed))
+    assert enumerated == [group]
+    syndromes = attainable_syndromes(group)
+    with pytest.raises(ValueError, match="read-only"):
+        syndromes[0] = 1
+    assert enumerated == [group]
 
 
 @pytest.mark.parametrize("name", ["five_qubit", "surface5", "toric2", "asymmetric"])

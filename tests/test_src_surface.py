@@ -7,7 +7,10 @@ Decorated click commands are entry points and are exempt.
 
 The same holds for parameters: a defaulted parameter of a public function or
 method that no call in ``src/`` passes, by keyword or by position, is set
-only by the tests, and should be a constant.
+only by the tests, and should be a constant. And for members: a public
+method or property that no code in ``src/`` or ``perfbench/`` reads as an
+attribute is a test helper, and belongs in ``tests/oracles.py``. Dataclass
+fields are results, not members, and are exempt.
 """
 
 import ast
@@ -52,6 +55,57 @@ def unused_public_names(root: Path = ROOT) -> list[str]:
 
 def test_src_defines_no_test_only_function_or_class():
     assert unused_public_names() == []
+
+
+def unread_members(root: Path = ROOT) -> list[str]:
+    """``module.Class.member`` of each public method or property that nothing reads as an attribute."""
+    defined = []
+    read = set()
+    for path in sorted((root / "src" / "stablab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined.append((path.stem, node.name, item.name))
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    bench = "\n".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
+    return [
+        f"{module}.{cls}.{name}"
+        for module, cls, name in defined
+        if name not in read and not re.search(rf"\.{name}\b", bench)
+    ]
+
+
+def test_src_defines_no_test_only_member():
+    assert unread_members() == []
+
+
+def test_member_scan_reads_src_attributes_and_perfbench_text(tmp_path):
+    package = tmp_path / "src" / "stablab"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    field: int = 0\n"
+        "    def used(self):\n"
+        "        return self.helper\n"
+        "    @property\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def benched(self):\n"
+        "        return 2\n"
+        "    def unread(self):\n"
+        "        return 3\n"
+        "    def _private(self):\n"
+        "        return 4\n"
+        "def f(c):\n"
+        "    return c.used()\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text("c.benched()\n# unread is named here, never read\n")
+    assert unread_members(tmp_path) == ["mod.C.unread"]
 
 
 # the empty group needs its qubit count

@@ -728,8 +728,9 @@ def test_dense_reads_build_no_pauli_matrix(no_dense_operators):
     assert np.abs(mixture.dense_rho() - want).max() <= 1e-12
     assert np.abs(mixture.marginal((3, 0)) - partial_trace_naive(want, (0, 3), 5)).max() <= 1e-12
     assert gentle_measurement_report(mixture, group, (0, 5, 6)).holds
-    rep = trace_distance_to_code(mixture, group)
-    assert rep["cross_check"] == pytest.approx(rep["f_squared"], abs=1e-12)
+    proj = 2**group.n_logical * group_mixture(group).dense_rho()
+    f_squared = np.linalg.norm(proj @ mixture.dense_vector()) ** 2
+    assert f_squared == pytest.approx(trace_distance_to_code(mixture, group)["f_squared"], abs=1e-12)
 
 
 # --- the backend dispatch layer: one answer whatever the backend ---

@@ -20,11 +20,10 @@ from stablab.states import (
 )
 from stablab.syndrome import (
     build_syndrome_circuit,
+    check_colors,
     coherent_extension,
     decohere,
     gentle_measurement_report,
-    greedy_coloring,
-    overlap_graph,
 )
 from oracles import (
     basis_vector,
@@ -36,6 +35,7 @@ from oracles import (
     pauli_matrix,
     projector_from_strings,
     single,
+    syndrome_of,
     theta_by_branches,
 )
 
@@ -48,28 +48,35 @@ def random_state(n, seed):
     return v / np.linalg.norm(v)
 
 
-def test_overlap_graph_five_qubit_is_complete():
-    g = overlap_graph(five_qubit_code().group)
-    assert g.n_checks == 4
-    assert g.edges == frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
-    assert g.degrees == (3, 3, 3, 3)
+def overlap_edges(group) -> set[tuple[int, int]]:
+    """Pairs i < j of checks whose supports share a qubit, read off the bits."""
+    supports = [g.x | g.z for g in group.generators]
+    return {(i, j) for i, j in itertools.combinations(range(len(supports)), 2) if supports[i] & supports[j]}
 
 
-def test_overlap_graph_disjoint_checks():
+def degrees(group) -> list[int]:
+    edges = overlap_edges(group)
+    return [sum(i in edge for edge in edges) for i in range(len(group.generators))]
+
+
+def test_five_qubit_checks_overlap_pairwise_and_take_four_colors():
+    group = five_qubit_code().group
+    assert overlap_edges(group) == set(itertools.combinations(range(4), 2))
+    assert sorted(check_colors(group)) == [0, 1, 2, 3]
+
+
+def test_disjoint_checks_take_one_color():
     group = StabilizerGroup([from_letters("ZZII"), from_letters("IIZZ")])
-    g = overlap_graph(group)
-    assert g.edges == frozenset()
-    assert g.degrees == (0, 0)
-    assert greedy_coloring(g).n_colors == 1
+    assert overlap_edges(group) == set()
+    assert check_colors(group) == (0, 0)
 
 
 def test_max_degree_at_most_locality_squared():
     for code in (five_qubit_code(), toric_code(2), toric_code(3), surface_code(2), surface_code(3)):
-        g = overlap_graph(code.group)
-        assert max(g.degrees) <= code.group.locality**2
+        assert max(degrees(code.group)) <= code.group.locality**2
 
 
-def test_greedy_coloring_proper_and_bounded():
+def test_check_colors_proper_bounded_and_deterministic():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(4, 9))
@@ -82,12 +89,12 @@ def test_greedy_coloring_proper_and_bounded():
                 z |= 1 << int(q)
             checks.append(from_letters("".join("Z" if (z >> q) & 1 else "I" for q in range(n))))
         group = StabilizerGroup(checks)
-        g = overlap_graph(group)
-        coloring = greedy_coloring(g)
-        for a, b in g.edges:
-            assert coloring.colors[a] != coloring.colors[b]
-        assert coloring.n_colors <= max(g.degrees) + 1
-        assert coloring == greedy_coloring(g)
+        colors = check_colors(group)
+        assert len(colors) == len(checks)
+        for a, b in overlap_edges(group):
+            assert colors[a] != colors[b]
+        assert max(colors) + 1 <= max(degrees(group)) + 1
+        assert colors == check_colors(group)
 
 
 def test_single_weight_one_check_circuit():
@@ -210,7 +217,7 @@ def test_decohere_single_error_single_branch():
     dec = decohere(state, group)
     assert len(dec.branches) == 1
     bits, p, branch = dec.branches[0]
-    assert bits == group.syndrome_of(err)
+    assert bits == syndrome_of(group, err)
     assert p == pytest.approx(1.0)
     # branch expectations read back the syndrome exactly
     for b, g in zip(bits, group.generators):
